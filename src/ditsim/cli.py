@@ -391,6 +391,20 @@ def _probe_from(options: Mapping) -> ProbeDetuning:
     return ProbeDetuning(options.get("delta_omega", 0.0) * THZ)
 
 
+def _two_node_setup(command: str, options: Mapping):
+    """Node A, node B (``_b`` keys override), the probe and their metadata."""
+    node_a = _params_from(options)
+    node_b = _params_from(options, suffix="_b")
+    probe = _probe_from(options)
+    metadata = {
+        "command": command,
+        "params_a": _params_meta(node_a),
+        "params_b": _params_meta(node_b),
+        "probe_delta_omega_thz": probe.delta_omega / THZ,
+    }
+    return node_a, node_b, probe, metadata
+
+
 Handler = Callable[[dict, "argparse.Namespace"], tuple[ResultTable, list[LineSeries] | None]]
 
 
@@ -468,27 +482,17 @@ def _run_sweep(options, args):
 
 
 def _run_entangle(options, args):
-    node_a = _params_from(options)
-    node_b = _params_from(options, suffix="_b")
-    probe = _probe_from(options)
+    node_a, node_b, probe, metadata = _two_node_setup("entangle", options)
     nbar = options.get("mean_photons", 0.05)
     result = entanglement_generation(node_a, node_b, probe, nbar)
-    metadata = {
-        "command": "entangle",
-        "params_a": _params_meta(node_a),
-        "params_b": _params_meta(node_b),
-        "probe_delta_omega_thz": probe.delta_omega / THZ,
-        "post_state": [[a.real, a.imag] for a in result.post_state.amplitudes],
-    }
+    metadata["post_state"] = [[a.real, a.imag] for a in result.post_state.amplitudes]
     columns = ("mean_photons", "herald_probability", "fidelity_to_singlet")
     rows = ((float(nbar), result.success_probability, result.fidelity),)
     return ResultTable(metadata, columns, rows), None
 
 
 def _run_parity(options, args):
-    node_a = _params_from(options)
-    node_b = _params_from(options, suffix="_b")
-    probe = _probe_from(options)
+    node_a, node_b, probe, metadata = _two_node_setup("parity", options)
     start = options.get("gamma_start", 0.5)
     stop = options.get("gamma_stop", 8.0)
     count = options.get("gamma_count", 50)
@@ -503,19 +507,15 @@ def _run_parity(options, args):
     probed = parity_probe(
         node_a, node_b, TwoDipoleState.bell("psi_plus"), probe, mean_photons=1.0
     )
-    metadata = {
-        "command": "parity",
-        "params_a": _params_meta(node_a),
-        "params_b": _params_meta(node_b),
-        "probe_delta_omega_thz": probe.delta_omega / THZ,
-        "state": "psi_plus",
-        "mean_photons": 1.0,
-        "at_configured_gamma": {
+    metadata.update(
+        state="psi_plus",
+        mean_photons=1.0,
+        at_configured_gamma={
             "even_flux": probed.even_flux,
             "odd_flux": probed.odd_flux,
             "outcome_probabilities": dict(probed.outcome_probabilities),
         },
-    }
+    )
     columns = ("gamma_thz", "false_even_probability")
     plot = [
         LineSeries(
@@ -526,17 +526,9 @@ def _run_parity(options, args):
 
 
 def _run_bell(options, args):
-    node_a = _params_from(options)
-    node_b = _params_from(options, suffix="_b")
-    probe = _probe_from(options)
+    node_a, node_b, probe, metadata = _two_node_setup("bell", options)
     nbar = options.get("mean_photons", 1.0)
-    metadata = {
-        "command": "bell",
-        "params_a": _params_meta(node_a),
-        "params_b": _params_meta(node_b),
-        "probe_delta_omega_thz": probe.delta_omega / THZ,
-        "mean_photons": nbar,
-    }
+    metadata["mean_photons"] = nbar
 
     if "state" in options:
         label = options["state"]
@@ -596,22 +588,14 @@ def _run_bell(options, args):
 
 
 def _run_tradeoff(options, args):
-    node_a = _params_from(options)
-    node_b = _params_from(options, suffix="_b")
-    probe = _probe_from(options)
+    node_a, node_b, probe, metadata = _two_node_setup("tradeoff", options)
     grid = np.linspace(
         options.get("nbar_start", 0.0),
         options.get("nbar_stop", 5.0),
         options.get("nbar_count", 21),
     )
     table = fidelity_success_tradeoff(node_a, node_b, probe, grid)
-    metadata = {
-        "command": "tradeoff",
-        "params_a": _params_meta(node_a),
-        "params_b": _params_meta(node_b),
-        "probe_delta_omega_thz": probe.delta_omega / THZ,
-        "state": "phi_plus",
-    }
+    metadata["state"] = "phi_plus"
     columns = ("mean_photons", "fidelity", "success_probability")
     rows = tuple(
         (p.mean_photons, p.fidelity, p.success_probability) for p in table.points

@@ -243,20 +243,27 @@ def conditional_route(node: Node, label: str, probe: Probe) -> RouteAmplitudes:
 
 @dataclass(frozen=True, eq=False)
 class PointerRecord:
-    """Coherent pointer amplitudes per two-dipole basis state.
+    """Coherent pointer amplitudes of one probe pass.
 
-    ``amplitudes[s][port]`` is the coherent amplitude left in ``port`` when
-    the dipoles sit in basis state ``s``; ports are listed in ``PORTS``.
+    ``amplitudes`` is a 4x6 complex array with rows over ``BASIS`` and
+    columns over ``PORTS``: entry ``[i, j]`` is the coherent amplitude left
+    in port ``PORTS[j]`` when the dipoles sit in basis state ``BASIS[i]``.
     Flux is conserved per basis state: the squared amplitudes of one row sum
     to the probe's mean photon number.
     """
 
     mean_photons: float
-    amplitudes: Mapping[str, Mapping[str, complex]]
+    amplitudes: np.ndarray
 
     def row(self, basis_state: str) -> np.ndarray:
-        entry = self.amplitudes[basis_state]
-        return np.array([entry[p] for p in PORTS], dtype=complex)
+        return self.amplitudes[BASIS.index(basis_state)]
+
+
+def _mean_photons(value) -> float:
+    nbar = float(value)
+    if not math.isfinite(nbar) or nbar < 0.0:
+        raise ValueError(f"mean_photons must be finite and >= 0, got {value!r}")
+    return nbar
 
 
 def _pointer_matrix(route_a: NodeRouting, route_b: NodeRouting, alpha: float) -> np.ndarray:
@@ -317,6 +324,20 @@ def _threshold_factors(amps: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
+def _probe_pass(
+    node_a: Node, node_b: Node, probe: Probe, mean_photons: float
+) -> tuple[PointerRecord, dict[str, np.ndarray]]:
+    """One coherent probe through both nodes: pointer record and threshold factors.
+
+    ``mean_photons`` is validated before either node is resolved.
+    """
+    nbar = _mean_photons(mean_photons)
+    amps = _pointer_matrix(
+        _routing(node_a, probe), _routing(node_b, probe), math.sqrt(nbar)
+    )
+    return PointerRecord(nbar, amps), _threshold_factors(amps)
+
+
 def _condition(rho: np.ndarray, factor: np.ndarray) -> tuple[float, np.ndarray | None]:
     unnormalized = rho * factor
     p = float(np.trace(unnormalized).real)
@@ -375,36 +396,20 @@ def parity_probe(
     so the conditioned states include loss-induced decoherence between
     branches.
     """
-    if not math.isfinite(mean_photons) or mean_photons < 0.0:
-        raise ValueError(f"mean_photons must be finite and >= 0, got {mean_photons!r}")
+    pointer, factors = _probe_pass(node_a, node_b, probe, mean_photons)
     c = state.normalized().vector()
-    route_a = _routing(node_a, probe)
-    route_b = _routing(node_b, probe)
-    amps = _pointer_matrix(route_a, route_b, math.sqrt(mean_photons))
     weights = np.abs(c) ** 2
     rho = np.outer(c, np.conj(c))
-    factors = _threshold_factors(amps)
-    probabilities = {
-        outcome: float((weights * factors[outcome].diagonal().real).sum())
-        for outcome in ("even", "odd", "both", "none")
-    }
-    post = {}
-    for outcome in ("even", "odd"):
-        _, conditioned = _condition(rho, factors[outcome])
-        post[outcome] = conditioned
-    pointer = PointerRecord(
-        mean_photons=float(mean_photons),
-        amplitudes={
-            s: {p: complex(amps[i, j]) for j, p in enumerate(PORTS)}
-            for i, s in enumerate(BASIS)
-        },
-    )
+    amps = pointer.amplitudes
     return ParityProbeResult(
         pointer=pointer,
         even_flux=float(weights @ (np.abs(amps[:, 0]) ** 2)),
         odd_flux=float(weights @ (np.abs(amps[:, 1]) ** 2)),
-        outcome_probabilities=probabilities,
-        post_states=post,
+        outcome_probabilities={
+            outcome: float((weights * factors[outcome].diagonal().real).sum())
+            for outcome in ("even", "odd", "both", "none")
+        },
+        post_states={o: _condition(rho, factors[o])[1] for o in ("even", "odd")},
     )
 
 
@@ -474,11 +479,8 @@ def bell_measurement(
     signature from the (detection-conditioned) distribution instead.  The
     full distribution is returned either way.
     """
+    _, factors = _probe_pass(node_a, node_b, probe, mean_photons)
     c = state.normalized().vector()
-    route_a = _routing(node_a, probe)
-    route_b = _routing(node_b, probe)
-    amps = _pointer_matrix(route_a, route_b, math.sqrt(mean_photons))
-    factors = _threshold_factors(amps)
 
     def herald(rho: np.ndarray) -> dict[str, tuple[float, np.ndarray]]:
         branches = {}
@@ -488,9 +490,12 @@ def bell_measurement(
                 branches[outcome] = (p, conditioned)
         total = sum(p for p, _ in branches.values())
         if total <= _PROB_FLOOR:
-            raise InvalidRegime(
-                "parity herald cannot fire: no probe flux reaches the detectors"
-            )
+            p_both, p_none = (np.trace(rho * factors[o]).real for o in ("both", "none"))
+            if p_both > p_none:
+                cause = f"both detectors click with certainty (P(both) = {p_both:.3g})"
+            else:
+                cause = f"no probe flux reaches the detectors (P(none) = {p_none:.3g})"
+            raise InvalidRegime(f"parity herald cannot fire: {cause}")
         return {o: (p / total, r) for o, (p, r) in branches.items()}
 
     h = _HADAMARD_PAIR
@@ -509,14 +514,10 @@ def bell_measurement(
     if rng is None:
         pick = max(range(len(chains)), key=lambda i: chains[i][1])
     else:
+        cumulative = np.cumsum([p for _, p, _ in chains])
         draw = float(rng.random())
-        acc = 0.0
-        pick = len(chains) - 1
-        for i, (_, p, _) in enumerate(chains):
-            acc += p
-            if draw < acc:
-                pick = i
-                break
+        pick = int(np.searchsorted(cumulative, draw, side="right"))
+        pick = min(pick, len(chains) - 1)  # rounding can leave the sum below 1
 
     outcome, probability, final = chains[pick]
     target = TwoDipoleState.bell(outcome.label).vector()
@@ -548,8 +549,11 @@ def entanglement_generation(
     responses interfere constructively into the bright ports.  A click in
     either dark port then requires a dipole-state contrast between the arms
     and, for identical nodes, projects the pair onto the singlet
-    (|g,m> - |m,g>)/sqrt2 regardless of loss (to first order one detected
-    photon leaves every other mode in vacuum).
+    (|g,m> - |m,g>)/sqrt2.  The bookkeeping is first order: one detected
+    photon is taken to leave every other mode in vacuum, and the kappa and
+    tau loss ports are dropped, not traced.  They hold different amplitudes
+    for |g> and |m>, so a loss-traced fidelity is lower (about 0.9988 at the
+    reference node with nbar = 0.05) than the first-order one reported here.
 
     Returns the heralded state, its fidelity to the singlet and the herald
     probability per probe pulse.  If no light can reach the dark ports (no
@@ -637,12 +641,14 @@ def fidelity_success_tradeoff(
     channels, so fidelity falls as success rises.  A zero entry means no
     measurement at all: fidelity 1, success 0.
     """
+    nbars = [_mean_photons(raw) for raw in mean_photons_grid]
+    if any(nbars):
+        # routing does not depend on the probe strength: resolve it once
+        node_a, node_b = _routing(node_a, probe), _routing(node_b, probe)
     target = TwoDipoleState.bell("phi_plus")
+    vec = target.vector()
     points = []
-    for raw in mean_photons_grid:
-        nbar = float(raw)
-        if not math.isfinite(nbar) or nbar < 0.0:
-            raise ValueError(f"mean photon numbers must be finite and >= 0, got {raw!r}")
+    for nbar in nbars:
         if nbar == 0.0:
             points.append(TradeoffPoint(0.0, 1.0, 0.0))
             continue
@@ -652,7 +658,6 @@ def fidelity_success_tradeoff(
             raise InvalidRegime(
                 "even-parity herald cannot fire for this node configuration"
             )
-        vec = target.vector()
         fidelity = float(np.real(np.conj(vec) @ conditioned @ vec))
         detected = probed.even_flux + probed.odd_flux
         points.append(

@@ -156,7 +156,7 @@ def test_pointer_rows_conserve_probe_flux(baseline, draw_params):
         for basis_state in BASIS:
             row = result.pointer.row(basis_state)
             assert abs(float(np.sum(np.abs(row) ** 2)) - nbar) < 1e-9 * nbar
-            assert set(result.pointer.amplitudes[basis_state]) == set(PORTS)
+        assert result.pointer.amplitudes.shape == (len(BASIS), len(PORTS))
 
 
 def test_parity_outcome_probabilities_sum_to_one(baseline):
@@ -193,8 +193,9 @@ def test_ideal_odd_states_route_to_odd_port():
 def test_parity_even_amplitude_symmetric_under_exchange(baseline):
     # t_m t_g + d_m d_g is the same whichever node holds the bright dipole
     result = parity_probe(baseline, baseline, TwoDipoleState.bell("psi_plus"), PROBE, 1.0)
-    gm = result.pointer.amplitudes["gm"]["even"]
-    mg = result.pointer.amplitudes["mg"]["even"]
+    assert result.pointer.amplitudes.shape == (len(BASIS), len(PORTS))
+    gm = result.pointer.row("gm")[PORTS.index("even")]
+    mg = result.pointer.row("mg")[PORTS.index("even")]
     assert gm == pytest.approx(mg, rel=1e-12)
 
 
@@ -346,6 +347,26 @@ def test_bell_sampling_follows_distribution(baseline):
     assert outcomes.count("phi_minus") > 45  # dominant branch has p ~ 0.95
 
 
+def test_bell_sampling_matches_cumulative_loop(baseline):
+    """The sampled signature is the first whose running sum exceeds the draw."""
+    state = TwoDipoleState((0.3, 0.5j, -0.2, 0.7))
+    picks = set()
+    for seed in range(200):
+        record = bell_measurement(
+            baseline, baseline, state, PROBE, 1.0, rng=np.random.default_rng(seed)
+        )
+        draw = np.random.default_rng(seed).random()
+        acc, pick = 0.0, len(record.distribution) - 1
+        for i, (_, p) in enumerate(record.distribution):
+            acc += p
+            if draw < acc:
+                pick = i
+                break
+        assert record.outcome == record.distribution[pick][0]
+        picks.add(pick)
+    assert len(picks) > 1
+
+
 def test_bell_requires_detectable_probe():
     ideal = NodeRouting.ideal()
     with pytest.raises(InvalidRegime):
@@ -389,3 +410,49 @@ def test_tradeoff_rejects_bad_photon_numbers(baseline):
         fidelity_success_tradeoff(baseline, baseline, PROBE, [-0.5])
     with pytest.raises(ValueError):
         fidelity_success_tradeoff(baseline, baseline, PROBE, [float("nan")])
+
+
+# ----------------------------------------------------------- error contract --
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_protocols_reject_bad_photon_numbers(baseline, bad):
+    state = TwoDipoleState.bell("phi_plus")
+    with pytest.raises(ValueError, match="mean_photons"):
+        parity_probe(baseline, baseline, state, PROBE, bad)
+    with pytest.raises(ValueError, match="mean_photons"):
+        bell_measurement(baseline, baseline, state, PROBE, bad)
+    with pytest.raises(ValueError, match="mean_photons"):
+        fidelity_success_tradeoff(baseline, baseline, PROBE, [0.5, bad])
+    # the grid is checked before any node is resolved
+    with pytest.raises(ValueError, match="mean_photons"):
+        fidelity_success_tradeoff("not a node", "not a node", PROBE, [0.5, bad])
+
+
+def test_tradeoff_resolves_routing_once(baseline, monkeypatch):
+    calls = []
+    original = NodeRouting.from_params.__func__
+
+    def counting(cls, params, probe):
+        calls.append(params)
+        return original(cls, params, probe)
+
+    monkeypatch.setattr(NodeRouting, "from_params", classmethod(counting))
+    fidelity_success_tradeoff(baseline, baseline, PROBE, [0.0, 0.5, 1.0, 2.0])
+    assert len(calls) == 2
+    calls.clear()
+    fidelity_success_tradeoff(baseline, baseline, PROBE, [0.0, 0.0])
+    assert calls == []
+
+
+def test_bell_herald_failure_names_its_cause(baseline):
+    state = TwoDipoleState.bell("phi_plus")
+    with pytest.raises(InvalidRegime, match="no probe flux reaches the detectors"):
+        bell_measurement(_dead_node(), _dead_node(), state, PROBE, 1.0)
+    # at 1e8 photons both detectors click with certainty
+    assert parity_probe(
+        baseline, baseline, state, PROBE, 1e8
+    ).outcome_probabilities["both"] == pytest.approx(1.0)
+    with pytest.raises(InvalidRegime, match="both detectors click") as info:
+        bell_measurement(baseline, baseline, state, PROBE, 1e8)
+    assert "no probe flux" not in str(info.value)

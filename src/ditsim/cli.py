@@ -24,7 +24,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from itertools import repeat
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -286,6 +287,15 @@ class ResultTable:
     rows: tuple[tuple, ...]
 
 
+# rows per formatting chunk: bounds the per-cell strings alive at once
+_CHUNK_ROWS = 4096
+_FLOAT_ONLY = {float}
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# indent=2 layout of the rows block: rows at depth 2, cells at depth 3
+_JSON_CELL_SEP = ",\n      "
+_JSON_ROW_SEP = "\n    ],\n    [\n      "
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -294,34 +304,82 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _csv_column(column: tuple) -> list[str]:
+    if set(map(type, column)) == _FLOAT_ONLY:
+        return list(map(float.__format__, column, repeat(".17g")))
+    return list(map(_cell, column))
+
+
+def _json_column(column: tuple) -> list[str]:
+    if set(map(type, column)) == _FLOAT_ONLY:
+        text = list(map(float.__repr__, column))
+        return list(map(_JSON_NONFINITE.get, text, text))
+    return list(map(json.dumps, column))
+
+
+def _formatted_chunks(rows: Sequence[tuple], format_column) -> Iterator[Iterator[tuple]]:
+    """Rows in chunks of ``_CHUNK_ROWS``, each formatted one column at a time."""
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        columns = map(format_column, zip(*rows[start:start + _CHUNK_ROWS]))
+        yield zip(*columns)
+
+
+def _csv_text(rows) -> str:
+    buffer = io.StringIO()
+    _csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def _csv_pieces(table: ResultTable) -> Iterator[str]:
+    yield f"# metadata: {json.dumps(table.metadata, sort_keys=True)}\n"
+    yield _csv_text([table.columns])
+    yield from map(_csv_text, _formatted_chunks(table.rows, _csv_column))
+
+
+def _json_pieces(table: ResultTable) -> Iterator[str]:
+    head = json.dumps(
+        {"metadata": table.metadata, "columns": list(table.columns), "rows": []},
+        sort_keys=True,
+        indent=2,
+    )
+    if not table.rows:
+        yield head + "\n"
+        return
+    # "rows" sorts last, so the document ends with its empty list
+    yield head.removesuffix("[]\n}") + "[\n    [\n      "
+    for i, rows in enumerate(_formatted_chunks(table.rows, _json_column)):
+        if i:
+            yield _JSON_ROW_SEP
+        yield _JSON_ROW_SEP.join(map(_JSON_CELL_SEP.join, rows))
+    yield "\n    ]\n  ]\n}\n"
+
+
 def write_result_table(table: ResultTable, path: str, fmt: str) -> None:
-    """Write a result table as CSV (with a metadata comment line) or JSON."""
-    meta = json.dumps(table.metadata, sort_keys=True)
-    if fmt == "csv":
-        buffer = io.StringIO()
-        buffer.write(f"# metadata: {meta}\n")
-        writer = _csv.writer(buffer, lineterminator="\n")
-        writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow([_cell(v) for v in row])
-        payload = buffer.getvalue()
-    elif fmt == "json":
-        payload = (
-            json.dumps(
-                {
-                    "metadata": table.metadata,
-                    "columns": list(table.columns),
-                    "rows": [list(row) for row in table.rows],
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
-        )
-    else:
+    """Write a result table as CSV or JSON; every row holds one cell per column.
+
+    Cells are ``None``, ``bool``, ``int``, ``float`` (numpy floats included)
+    or ``str``.  CSV: a ``# metadata: {...}`` line with the metadata as
+    sorted-key JSON, then the column names and the rows through the ``csv``
+    module (minimal quoting, LF endings); floats are written with ``.17g``,
+    ``None`` as an empty cell, anything else with ``str``.  JSON: the
+    document ``json.dumps({"metadata", "columns", "rows"}, sort_keys=True,
+    indent=2)`` would give, plus a final newline, with ``NaN``, ``Infinity``
+    and ``-Infinity`` for non-finite floats.  Both formats are built a column
+    at a time in chunks of rows; the bytes are those of that definition.
+    The file is opened only after the whole text is formatted.
+    """
+    if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    width = len(table.columns)
+    widths = set(map(len, table.rows))
+    if widths - {width} or (widths and not width):
+        raise ValueError(
+            f"every row needs one cell per column ({width} columns), "
+            f"got rows of {sorted(widths)} cells"
+        )
+    pieces = list(_csv_pieces(table) if fmt == "csv" else _json_pieces(table))
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(payload)
+        f.writelines(pieces)
 
 
 def read_result_table(path: str) -> ResultTable:
@@ -439,15 +497,9 @@ def _run_spectrum(options, args):
         "peak": peak_meta,
     }
     columns = ("delta_omega_thz", "through", "drop", "loss_kappa", "loss_tau")
-    rows = tuple(
-        (float(x_thz[i]), float(series.through[i]), float(series.drop[i]),
-         float(loss_kappa[i]), float(loss_tau[i]))
-        for i in range(grid.count)
-    )
-    plot = [
-        LineSeries("through", x_thz.tolist(), series.through.tolist()),
-        LineSeries("drop", x_thz.tolist(), series.drop.tolist()),
-    ]
+    x, through, drop = x_thz.tolist(), series.through.tolist(), series.drop.tolist()
+    rows = tuple(zip(x, through, drop, loss_kappa.tolist(), loss_tau.tolist()))
+    plot = [LineSeries("through", x, through), LineSeries("drop", x, drop)]
     return ResultTable(metadata, columns, rows), plot
 
 
@@ -669,6 +721,7 @@ def _seed_value(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``ditsim`` command line (``main`` keeps one per process)."""
     parser = argparse.ArgumentParser(
         prog="ditsim",
         description="Dipole-induced transparency: spectra and repeater protocols.",
@@ -692,8 +745,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first ``main`` call and reused by later in-process calls;
+# parse_args returns a new namespace and leaves the parser unchanged
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         options = _coerce(args.command, load_config(args.config))
     except ParseError as exc:

@@ -556,18 +556,21 @@ def entanglement_generation(
     reference node with nbar = 0.05) than the first-order one reported here.
 
     Returns the heralded state, its fidelity to the singlet and the herald
-    probability per probe pulse.  If no light can reach the dark ports (no
+    probability per probe pulse.  ``mean_photons`` that is nan, infinite or
+    negative raises ``ValueError``; 0 or above 0.1 raises ``InvalidRegime``.
+    If no light can reach the dark ports (no
     routing contrast between the arms) the initial product state is returned
     with zero fidelity and zero success probability.
     """
-    if not math.isfinite(mean_photons) or not 0.0 < mean_photons <= 0.1:
+    nbar = _mean_photons(mean_photons)
+    if not 0.0 < nbar <= 0.1:
         raise InvalidRegime(
             "entanglement generation requires 0 < mean_photons <= 0.1 "
             f"(single-photon herald regime), got {mean_photons!r}"
         )
     route_a = _routing(node_a, probe)
     route_b = _routing(node_b, probe)
-    alpha = math.sqrt(mean_photons)
+    alpha = math.sqrt(nbar)
 
     # Dark-port amplitudes per branch; input split alpha/sqrt2 into A and
     # i*alpha/sqrt2 into B, recombiners (i*armA + armB)/sqrt2 bright and

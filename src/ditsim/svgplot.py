@@ -12,7 +12,10 @@ from dataclasses import dataclass
 from typing import Sequence
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 _PALETTE = ("#1f6feb", "#d73a49", "#2da44e", "#b08800", "#8250df", "#57606a")
+_POINT = "{:.2f},{:.2f}"
 
 
 @dataclass(frozen=True)
@@ -22,16 +25,17 @@ class LineSeries:
     y: Sequence[float]
 
 
-def _finite_span(values) -> tuple[float, float] | None:
-    lo = math.inf
-    hi = -math.inf
-    for v in values:
-        if math.isfinite(v):
-            lo = min(lo, v)
-            hi = max(hi, v)
-    if lo > hi:
+def _finite_span(finite: np.ndarray) -> tuple[float, float] | None:
+    if not finite.size:
         return None
-    return lo, hi
+    return float(finite.min()), float(finite.max())
+
+
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of True in a boolean mask."""
+    padded = np.concatenate(([False], mask, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def _padded(lo: float, hi: float) -> tuple[float, float]:
@@ -80,17 +84,21 @@ def render_lines(
     plot_w = width - left - right
     plot_h = height - top - bottom
 
-    xs = [v for s in lines for v in s.x]
-    ys = [v for s in lines for v in s.y]
-    xspan = _finite_span(xs) or (0.0, 1.0)
-    yspan = _finite_span(ys) or (0.0, 1.0)
+    # every series end to end, so each step below is one array operation
+    sizes = [(len(s.x), len(s.y)) for s in lines]
+    x_all = np.concatenate([np.asarray(s.x, dtype=float) for s in lines] or [()])
+    y_all = np.concatenate([np.asarray(s.y, dtype=float) for s in lines] or [()])
+    x_ok, y_ok = np.isfinite(x_all), np.isfinite(y_all)
+    # spans count every finite x and every finite y, paired or not
+    xspan = _finite_span(x_all[x_ok]) or (0.0, 1.0)
+    yspan = _finite_span(y_all[y_ok]) or (0.0, 1.0)
     x_lo, x_hi = _padded(*xspan)
     y_lo, y_hi = _padded(*yspan)
 
-    def px(x: float) -> float:
+    def px(x):
         return left + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return top + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -149,27 +157,30 @@ def render_lines(
             f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">{escape(ylabel)}</text>'
         )
 
-    for i, series in enumerate(lines):
+    # px/py on whole arrays: same operations in the same order as on scalars;
+    # overflow gives inf there, as float arithmetic does
+    with np.errstate(all="ignore"):
+        xs, ys = px(x_all).tolist(), py(y_all).tolist()
+    x0 = y0 = 0
+    for i, (nx, ny) in enumerate(sizes):
         color = _PALETTE[i % len(_PALETTE)]
-        run: list[str] = []
-        segments: list[list[str]] = []
-        for x, y in zip(series.x, series.y):
-            if math.isfinite(x) and math.isfinite(y):
-                run.append(f"{px(x):.2f},{py(y):.2f}")
-            elif run:
-                segments.append(run)
-                run = []
-        if run:
-            segments.append(run)
-        for seg in segments:
-            if len(seg) == 1:
-                cx, cy = seg[0].split(",")
-                parts.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>')
-            else:
+        n = min(nx, ny)
+        for start, stop in _runs(x_ok[x0:x0 + n] & y_ok[y0:y0 + n]):
+            if stop - start == 1:
                 parts.append(
-                    f'<polyline points="{" ".join(seg)}" fill="none" '
+                    f'<circle cx="{xs[x0 + start]:.2f}" cy="{ys[y0 + start]:.2f}" '
+                    f'r="2.5" fill="{color}"/>'
+                )
+            else:
+                points = " ".join(
+                    map(_POINT.format, xs[x0 + start:x0 + stop], ys[y0 + start:y0 + stop])
+                )
+                parts.append(
+                    f'<polyline points="{points}" fill="none" '
                     f'stroke="{color}" stroke-width="1.5"/>'
                 )
+        x0 += nx
+        y0 += ny
 
     legend_x = left + plot_w - 150
     legend_y = top + 12

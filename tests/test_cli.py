@@ -1,15 +1,26 @@
+import csv
+import io
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ditsim import cli
 from ditsim.cli import (
     ParseError,
+    ResultTable,
     ValidationError,
+    build_parser,
     load_config,
     main,
     parse_config_text,
     read_result_table,
+    write_result_table,
 )
 
 BASE_CONF = """\
@@ -292,3 +303,161 @@ def test_unknown_command_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify", "--config", "x"])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------------ parser reuse --
+
+
+def _bad_then_two_runs(tmp_path, name, fresh_parser, monkeypatch, capsys):
+    """A bad command line, then two commands; their stdout and output bytes."""
+    spectrum = write(tmp_path / "s.conf", BASE_CONF + "points: 21\n")
+    bell = write(tmp_path / "b.conf", BASE_CONF + "state: psi_plus\nsamples: 50\n")
+    out = tmp_path / name
+    calls = [
+        ["spectrum", "--config", spectrum, "--out", str(out), "--format", "json", "--plot"],
+        ["bell", "--config", bell, "--out", str(out)],  # --seed left to its default
+    ]
+    if fresh_parser:
+        monkeypatch.setattr(cli, "_parser", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["bell", "--config", bell, "--seed", "-1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    stdout = []
+    for argv in calls:
+        if fresh_parser:
+            monkeypatch.setattr(cli, "_parser", None)
+        assert main(argv) == 0
+        stdout.append(capsys.readouterr().out.replace(str(out), "OUT"))
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return stdout, files
+
+
+def test_reused_parser_matches_fresh_parser(tmp_path, monkeypatch, capsys):
+    reused = _bad_then_two_runs(tmp_path, "reused", False, monkeypatch, capsys)
+    fresh = _bad_then_two_runs(tmp_path, "fresh", True, monkeypatch, capsys)
+    assert reused == fresh
+    assert sorted(reused[1]) == ["bell.csv", "spectrum.json", "spectrum.svg"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["spectrum", "--help"]])
+def test_help_text_unchanged_by_parser_reuse(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parser", None)
+    texts = []
+    for _ in range(2):  # the first call builds the parser, the second reuses it
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert texts == [capsys.readouterr().out] * 2
+
+
+def test_build_parser_returns_a_new_parser(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])  # makes sure the shared parser exists
+    first, second = build_parser(), build_parser()
+    assert first is not second
+    assert cli._parser is not None and cli._parser not in (first, second)
+
+
+# ------------------------------------------------- column-wise table writer --
+
+
+def _reference_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def reference_write(table, path, fmt):
+    """The per-cell writer that the column-wise path replaced."""
+    meta = json.dumps(table.metadata, sort_keys=True)
+    if fmt == "csv":
+        buffer = io.StringIO()
+        buffer.write(f"# metadata: {meta}\n")
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(table.columns)
+        for row in table.rows:
+            writer.writerow([_reference_cell(v) for v in row])
+        payload = buffer.getvalue()
+    else:
+        payload = (
+            json.dumps(
+                {
+                    "metadata": table.metadata,
+                    "columns": list(table.columns),
+                    "rows": [list(row) for row in table.rows],
+                },
+                sort_keys=True,
+                indent=2,
+            )
+            + "\n"
+        )
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(payload)
+
+
+def assert_same_table_bytes(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("csv", "json"):
+            want, got = os.path.join(tmp, f"want.{fmt}"), os.path.join(tmp, f"got.{fmt}")
+            reference_write(table, want, fmt)
+            write_result_table(table, got, fmt)
+            with open(want, "rb") as a, open(got, "rb") as b:
+                assert b.read() == a.read(), fmt
+
+
+floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),  # subnormals included
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, -1e-300, 5e-324]),
+)
+cells = st.one_of(
+    floats,
+    floats.map(np.float64),
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(["a,b", 'say "hi"', "two\nlines", "\r", "naïve µs ∆ω", ""]),
+)
+
+
+@st.composite
+def tables(draw, min_rows=0, max_rows=6):
+    width = draw(st.integers(1, 6))
+    rows = draw(st.integers(min_rows, max_rows))
+    columns = []
+    for _ in range(width):
+        # whole float columns take the fast path, any other column the general one
+        kind = floats if draw(st.booleans()) else cells
+        columns.append(draw(st.lists(kind, min_size=rows, max_size=rows)))
+    names = draw(st.lists(st.text(max_size=8), min_size=width, max_size=width))
+    metadata = {"command": draw(st.text(max_size=8)), "n": rows, "x": draw(floats)}
+    return ResultTable(metadata, tuple(names), tuple(zip(*columns)) if rows else ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_table_bytes_match_reference(table):
+    assert_same_table_bytes(table)
+
+
+@pytest.mark.parametrize("count", [0, 1, 4096, 4097, 9001])
+@settings(max_examples=4, deadline=None)
+@given(block=tables(min_rows=1, max_rows=3))
+def test_long_table_bytes_match_reference(block, count):
+    """Tables around and past the chunk size, tiled from a drawn block of rows."""
+    rows = block.rows * (count // len(block.rows) + 1)
+    assert_same_table_bytes(ResultTable(block.metadata, block.columns, rows[:count]))
+
+
+def test_ragged_table_rejected(tmp_path):
+    table = ResultTable({}, ("a", "b"), ((1.0, 2.0), (3.0,)))
+    for fmt in ("csv", "json"):
+        with pytest.raises(ValueError, match="one cell per column"):
+            write_result_table(table, str(tmp_path / f"t.{fmt}"), fmt)
+        assert not (tmp_path / f"t.{fmt}").exists()

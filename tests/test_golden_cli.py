@@ -24,6 +24,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CASES = {
     "spectrum": "spectrum",
     "sweep": "sweep",
+    "sweep_errors": "sweep",
     "entangle": "entangle",
     "parity": "parity",
     "bell": "bell",

@@ -277,9 +277,15 @@ def test_asymmetric_nodes_still_herald(baseline, make_params):
     assert 0.0 < result.fidelity <= 1.0
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.01, 0.2, float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [0.0, 0.2])
 def test_entanglement_regime_guard(baseline, bad):
     with pytest.raises(InvalidRegime):
+        entanglement_generation(baseline, baseline, PROBE, bad)
+
+
+@pytest.mark.parametrize("bad", [-0.01, float("nan"), float("inf"), float("-inf")])
+def test_entanglement_rejects_bad_mean_photons(baseline, bad):
+    with pytest.raises(ValueError, match="mean_photons"):
         entanglement_generation(baseline, baseline, PROBE, bad)
 
 

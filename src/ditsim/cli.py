@@ -50,9 +50,9 @@ from .spectra import (
     SWEEP_AXES,
     DetuningGrid,
     NoPeak,
+    SpectrumSeries,
     locate_transparency_peak,
     parameter_sweep,
-    transmission_spectrum,
 )
 from .svgplot import LineSeries, render_lines
 
@@ -473,9 +473,13 @@ def _run_spectrum(options, args):
         grid = DetuningGrid(options["start"] * THZ, options["stop"] * THZ, points)
     else:
         grid = DetuningGrid.default(params, span=options.get("span", 3.0), count=points)
-    series = transmission_spectrum(params, grid)
-    arrays = scattering_arrays(params, grid.points())
-    x_thz = grid.points() / THZ
+    points = grid.points()
+    arrays = scattering_arrays(params, points)
+    # the same |t|^2 that transmission_spectrum forms, from the one evaluation
+    series = SpectrumSeries(
+        params, grid, np.abs(arrays.t_through) ** 2, np.abs(arrays.t_drop) ** 2
+    )
+    x_thz = points / THZ
     loss_kappa = params.kappa * np.abs(arrays.b_amp) ** 2
     loss_tau = params.tau * np.abs(arrays.sigma_amp) ** 2
 
@@ -605,7 +609,7 @@ def _run_bell(options, args):
             )
             rows = tuple(
                 (o.label, o.first_parity, o.second_parity, float(p),
-                 int(counts[i]), counts[i] / samples)
+                 int(counts[i]), float(counts[i] / samples))
                 for i, (o, p) in enumerate(record.distribution)
             )
         else:

@@ -25,6 +25,7 @@ The probe is given as a detuning ``delta_omega`` from the bare cavity line.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -36,6 +37,7 @@ THZ = 1.0e12  # rad/s per THz
 # |denominator| below this is treated as numerically singular.  The physical
 # denominator has real part >= gamma > 0, so this only guards corrupt input.
 _DENOM_FLOOR = 1e-280
+_SHOWN_INDICES = 10  # grid indices an array-path error message lists
 
 
 class NumericsError(Exception):
@@ -56,6 +58,24 @@ class SingularSystem(NumericsError):
 
 class UndefinedDiagnostic(NumericsError):
     """A figure of merit is undefined for the given parameters."""
+
+
+_FIELDS = ("gamma", "g", "tau", "kappa", "delta", "omega0")
+
+
+def _field_problem(name: str, value, check_range: bool = True) -> str | None:
+    """Why ``value`` cannot be the :class:`SystemParams` field ``name``, or None.
+
+    With ``check_range`` false only the type and finiteness are checked.
+    """
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        return f"{name} must be a finite number, got {value!r}"
+    if check_range:
+        if name == "gamma" and value <= 0.0:
+            return f"gamma must be > 0, got {float(value)}"
+        if name in ("g", "tau", "kappa", "omega0") and value < 0.0:
+            return f"{name} must be >= 0, got {float(value)}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -92,20 +112,18 @@ class SystemParams:
         if self.kappa is None:
             object.__setattr__(self, "kappa", 0.1 * self.gamma)
         problems = []
-        for name in ("gamma", "g", "tau", "kappa", "delta", "omega0"):
+        for name in _FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                problems.append(f"{name} must be a finite number, got {value!r}")
-                continue
-            object.__setattr__(self, name, float(value))
-        if not problems:
-            if self.gamma <= 0.0:
-                problems.append(f"gamma must be > 0, got {self.gamma}")
-            for name in ("g", "tau", "kappa", "omega0"):
-                if getattr(self, name) < 0.0:
-                    problems.append(f"{name} must be >= 0, got {getattr(self, name)}")
+            problem = _field_problem(name, value)
+            if problem:
+                problems.append(problem)
+            else:
+                object.__setattr__(self, name, float(value))
         if problems:
-            raise ValueError("invalid SystemParams: " + "; ".join(problems))
+            # range problems are reported only once every field is a finite number
+            finite = [p for name in _FIELDS
+                      if (p := _field_problem(name, getattr(self, name), check_range=False))]
+            raise ValueError("invalid SystemParams: " + "; ".join(finite or problems))
 
     @property
     def quality_factor(self) -> float | None:
@@ -165,6 +183,26 @@ class ScatterArrays(NamedTuple):
     sigma_amp: np.ndarray
 
 
+def _amplitudes(
+    gamma: float, g: float, tau: float, kappa: float, delta: float, dw: float
+) -> tuple[complex, complex, complex]:
+    """``(t_drop, b_amp, sigma_amp)`` of :func:`scatter_coefficients` on plain floats."""
+    x = complex(-1j * (dw - delta) + 0.5 * tau)
+    if g > 0.0 and x == 0.0:
+        raise DegenerateDipole(
+            "dipole term diverges: g > 0 with tau = 0 and probe exactly on the "
+            f"dipole line (delta_omega = delta = {dw!r})"
+        )
+    coupling = g * g / x if g > 0.0 else 0.0j
+    denom = -1j * dw + gamma + 0.5 * kappa + coupling
+    if not cmath.isfinite(denom) or abs(denom) < _DENOM_FLOOR:
+        raise SingularDenominator(f"scattering denominator collapsed: D = {denom!r}")
+    t_drop = -gamma / denom
+    b_amp = -math.sqrt(gamma) / denom
+    sigma_amp = -1j * g * b_amp / x if g > 0.0 else 0.0j
+    return t_drop, b_amp, sigma_amp
+
+
 def scatter_coefficients(params: SystemParams, probe: Probe) -> ScatterCoefficients:
     """Closed-form scattering amplitudes of the driven node.
 
@@ -183,44 +221,54 @@ def scatter_coefficients(params: SystemParams, probe: Probe) -> ScatterCoefficie
     SingularDenominator
         If D falls below the numerical floor (unreachable for valid params).
     """
-    dw = _probe_value(probe)
-    x = complex(-1j * (dw - params.delta) + 0.5 * params.tau)
-    if params.g > 0.0 and x == 0.0:
-        raise DegenerateDipole(
-            "dipole term diverges: g > 0 with tau = 0 and probe exactly on the "
-            f"dipole line (delta_omega = delta = {dw!r})"
-        )
-    coupling = params.g * params.g / x if params.g > 0.0 else 0.0j
-    denom = -1j * dw + params.gamma + 0.5 * params.kappa + coupling
-    if not np.isfinite(denom) or abs(denom) < _DENOM_FLOOR:
-        raise SingularDenominator(f"scattering denominator collapsed: D = {denom!r}")
-    t_drop = -params.gamma / denom
-    b_amp = -math.sqrt(params.gamma) / denom
-    sigma_amp = -1j * params.g * b_amp / x if params.g > 0.0 else 0.0j
-    return ScatterCoefficients(
-        t_through=complex(1.0 + t_drop),
-        t_drop=complex(t_drop),
-        b_amp=complex(b_amp),
-        sigma_amp=complex(sigma_amp),
+    t_drop, b_amp, sigma_amp = _amplitudes(
+        params.gamma, params.g, params.tau, params.kappa, params.delta, _probe_value(probe)
     )
+    return ScatterCoefficients(1.0 + t_drop, t_drop, b_amp, sigma_amp)
+
+
+def _drop_arrays(
+    params: SystemParams, dw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(x, denom, t_drop)`` over a detuning array, both guards applied.
+
+    Overflow on extreme inputs is reported by the denominator guard, so the
+    floating-point warnings it would also raise are silenced.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = -1j * (dw - params.delta) + 0.5 * params.tau
+        if params.g > 0.0:
+            dead = np.flatnonzero(x == 0.0)
+            if dead.size:
+                raise DegenerateDipole(
+                    "dipole term diverges at grid indices "
+                    f"{dead.tolist()}: probe exactly on a zero-linewidth dipole line"
+                )
+            coupling = params.g * params.g / x
+        else:
+            coupling = np.zeros_like(x)
+        denom = -1j * dw + params.gamma + 0.5 * params.kappa + coupling
+    # a sum of squares is finite only if every part is, and |D| >= Re D, so
+    # the exact per-point test runs only when one of these cheap passes fails
+    if not (np.isfinite(np.vdot(denom, denom))
+            and np.min(denom.real, initial=np.inf) >= _DENOM_FLOOR):
+        bad = np.flatnonzero(~(np.isfinite(denom) & (np.abs(denom) >= _DENOM_FLOOR)))
+        if bad.size:
+            shown = bad[:_SHOWN_INDICES].tolist()
+            more = f" and {bad.size - len(shown)} more" if bad.size > len(shown) else ""
+            raise SingularDenominator(
+                f"scattering denominator collapsed at grid indices {shown}{more}"
+            )
+    return x, denom, -params.gamma / denom
 
 
 def scattering_arrays(params: SystemParams, delta_omega: np.ndarray) -> ScatterArrays:
-    """Vectorized :func:`scatter_coefficients` over a detuning array."""
-    dw = np.asarray(delta_omega, dtype=float)
-    x = -1j * (dw - params.delta) + 0.5 * params.tau
-    if params.g > 0.0:
-        dead = np.flatnonzero(x == 0.0)
-        if dead.size:
-            raise DegenerateDipole(
-                "dipole term diverges at grid indices "
-                f"{dead.tolist()}: probe exactly on a zero-linewidth dipole line"
-            )
-        coupling = params.g * params.g / x
-    else:
-        coupling = np.zeros_like(x)
-    denom = -1j * dw + params.gamma + 0.5 * params.kappa + coupling
-    t_drop = -params.gamma / denom
+    """Vectorized :func:`scatter_coefficients` over a detuning array.
+
+    Raises :class:`DegenerateDipole` or :class:`SingularDenominator` under the
+    conditions of the scalar function, naming the offending grid indices.
+    """
+    x, denom, t_drop = _drop_arrays(params, np.asarray(delta_omega, dtype=float))
     b_amp = -math.sqrt(params.gamma) / denom
     sigma = -1j * params.g * b_amp / x if params.g > 0.0 else np.zeros_like(b_amp)
     return ScatterArrays(1.0 + t_drop, t_drop, b_amp, sigma)
@@ -292,14 +340,23 @@ class FluxBudget:
         return self.through + self.drop + self.cavity_loss + self.dipole_loss
 
 
+def _flux(
+    gamma: float, g: float, tau: float, kappa: float, delta: float, dw: float
+) -> FluxBudget:
+    """:func:`flux_budget` on plain floats, without building a ``SystemParams``."""
+    t_drop, b_amp, sigma_amp = _amplitudes(gamma, g, tau, kappa, delta, dw)
+    return FluxBudget(
+        through=abs(1.0 + t_drop) ** 2,
+        drop=abs(t_drop) ** 2,
+        cavity_loss=kappa * abs(b_amp) ** 2,
+        dipole_loss=tau * abs(sigma_amp) ** 2,
+    )
+
+
 def flux_budget(params: SystemParams, probe: Probe) -> FluxBudget:
     """Steady-state flux fractions; their total is 1 for any valid params."""
-    c = scatter_coefficients(params, probe)
-    return FluxBudget(
-        through=abs(c.t_through) ** 2,
-        drop=abs(c.t_drop) ** 2,
-        cavity_loss=params.kappa * abs(c.b_amp) ** 2,
-        dipole_loss=params.tau * abs(c.sigma_amp) ** 2,
+    return _flux(
+        params.gamma, params.g, params.tau, params.kappa, params.delta, _probe_value(probe)
     )
 
 

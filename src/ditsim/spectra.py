@@ -14,17 +14,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
+from .core import (  # flux_budget and scattering_arrays stay importable from here
     FluxBudget,
     NumericsError,
     Probe,
     SystemParams,
+    _drop_arrays,
+    _field_problem,
+    _flux,
     _probe_value,
-    flux_budget,
-    scattering_arrays,
+    flux_budget,  # noqa: F401
+    scattering_arrays,  # noqa: F401
 )
 
-SWEEP_AXES = ("gamma", "g", "tau", "kappa", "delta")
+SWEEP_AXES = ("gamma", "g", "tau", "kappa", "delta")  # leading arguments of core._flux
 
 
 class NoPeak(NumericsError):
@@ -91,13 +94,17 @@ class PeakReport:
 
 
 def transmission_spectrum(params: SystemParams, grid: DetuningGrid) -> SpectrumSeries:
-    """Evaluate |t_through|^2 and |t_drop|^2 on every grid point."""
-    amps = scattering_arrays(params, grid.points())
+    """Evaluate |t_through|^2 and |t_drop|^2 on every grid point.
+
+    Only the waveguide amplitudes are formed; the intracavity and dipole
+    amplitudes of :func:`~ditsim.core.scattering_arrays` are not needed.
+    """
+    t_drop = _drop_arrays(params, grid.points())[2]
     return SpectrumSeries(
         params=params,
         grid=grid,
-        through=np.abs(amps.t_through) ** 2,
-        drop=np.abs(amps.t_drop) ** 2,
+        through=np.abs(1.0 + t_drop) ** 2,
+        drop=np.abs(t_drop) ** 2,
     )
 
 
@@ -191,19 +198,26 @@ def parameter_sweep(
 ) -> SweepTable:
     """Flux budget versus one swept parameter at a fixed probe detuning.
 
-    Invalid points (for example a non-positive gamma) do not abort the sweep;
-    the offending row carries the error message and a missing budget.  Row
-    order follows ``values``.
+    Each row is evaluated on plain floats, the base parameters with the swept
+    value substituted, without rebuilding a ``SystemParams``; the numbers are
+    those of ``flux_budget(replace(base, **{axis: value}), probe)``.  Invalid
+    points (for example a non-positive gamma) do not abort the sweep; the
+    offending row carries the ``SystemParams`` or evaluation error message and
+    a missing budget.  Row order follows ``values``.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     dw = _probe_value(probe)
+    args = [getattr(base, name) for name in SWEEP_AXES] + [dw]
+    slot = SWEEP_AXES.index(axis)
     rows = []
     for raw in values:
         value = float(raw)
         try:
-            params = replace(base, **{axis: value})
-            rows.append(SweepRow(value=value, budget=flux_budget(params, dw)))
+            if _field_problem(axis, value):
+                replace(base, **{axis: value})  # raises with the SystemParams message
+            args[slot] = value
+            rows.append(SweepRow(value, _flux(*args)))
         except (ValueError, NumericsError) as exc:
             rows.append(SweepRow(value=value, budget=None, error=str(exc)))
     return SweepTable(axis=axis, probe=dw, rows=tuple(rows))

@@ -56,6 +56,26 @@ def test_invalid_params_reported_together():
         assert name in message
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(gamma=-1.0, g=float("nan"), tau=-1.0), "g must be a finite number, got nan"),
+        (dict(gamma=-1.0, g=-2.0, tau=-3.0, kappa=-4.0, omega0=-5.0),
+         "gamma must be > 0, got -1.0; g must be >= 0, got -2.0; tau must be >= 0, got -3.0; "
+         "kappa must be >= 0, got -4.0; omega0 must be >= 0, got -5.0"),
+        (dict(gamma=0, g=1, tau=1), "gamma must be > 0, got 0.0"),
+        (dict(gamma=float("inf"), g=-float("inf"), tau=1, delta=float("nan")),
+         "gamma must be a finite number, got inf; g must be a finite number, got -inf; "
+         "kappa must be a finite number, got inf; delta must be a finite number, got nan"),
+    ],
+)
+def test_invalid_params_message(fields, message):
+    # range problems are reported only once every field is a finite number
+    with pytest.raises(ValueError) as err:
+        SystemParams(**fields)
+    assert str(err.value) == "invalid SystemParams: " + message
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_nonfinite_rates_rejected(bad):
     with pytest.raises(ValueError):

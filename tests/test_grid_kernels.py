@@ -1,0 +1,282 @@
+"""Sweeps and spectra against the per-row and full-array code they replaced.
+
+``parameter_sweep`` used to rebuild a ``SystemParams`` with
+``dataclasses.replace`` and make a scalar ``flux_budget`` call for every row,
+and ``transmission_spectrum`` took |t|^2 from the full ``scattering_arrays``
+result, cavity and dipole amplitudes included.  Both are kept here as
+references, together with the scalar and array formulas of that time, and the
+current code must reproduce them bit for bit: every float by its bit pattern,
+every error row by its message.  The array path has since gained the
+denominator guard of the scalar path: where the reference's denominator is
+non-finite or below the floor, the spectrum must now raise
+``SingularDenominator`` naming exactly those grid indices.
+"""
+
+import math
+import os
+import struct
+import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ditsim import (
+    THZ,
+    DegenerateDipole,
+    FluxBudget,
+    NumericsError,
+    SingularDenominator,
+    SystemParams,
+    parameter_sweep,
+    scatter_coefficients,
+    scattering_arrays,
+    transmission_spectrum,
+)
+from ditsim.core import _probe_value
+from ditsim.spectra import SWEEP_AXES, DetuningGrid, SweepRow, SweepTable
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
+if BENCH not in sys.path:
+    sys.path.insert(0, BENCH)
+
+import workloads  # noqa: E402
+
+# ------------------------------------------------------------- references --
+
+
+def reference_flux_budget(params, dw):
+    """The scalar kernel and ``flux_budget`` as they were, on a SystemParams."""
+    x = complex(-1j * (dw - params.delta) + 0.5 * params.tau)
+    if params.g > 0.0 and x == 0.0:
+        raise DegenerateDipole(
+            "dipole term diverges: g > 0 with tau = 0 and probe exactly on the "
+            f"dipole line (delta_omega = delta = {dw!r})"
+        )
+    coupling = params.g * params.g / x if params.g > 0.0 else 0.0j
+    denom = -1j * dw + params.gamma + 0.5 * params.kappa + coupling
+    if not np.isfinite(denom) or abs(denom) < 1e-280:
+        raise SingularDenominator(f"scattering denominator collapsed: D = {denom!r}")
+    t_drop = -params.gamma / denom
+    b_amp = -math.sqrt(params.gamma) / denom
+    sigma_amp = -1j * params.g * b_amp / x if params.g > 0.0 else 0.0j
+    return FluxBudget(
+        through=abs(complex(1.0 + t_drop)) ** 2,
+        drop=abs(complex(t_drop)) ** 2,
+        cavity_loss=params.kappa * abs(complex(b_amp)) ** 2,
+        dipole_loss=params.tau * abs(complex(sigma_amp)) ** 2,
+    )
+
+
+def reference_parameter_sweep(base, axis, values, probe):
+    """One ``replace`` and one scalar flux budget per row."""
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    dw = _probe_value(probe)
+    rows = []
+    for raw in values:
+        value = float(raw)
+        try:
+            params = replace(base, **{axis: value})
+            rows.append(SweepRow(value=value, budget=reference_flux_budget(params, dw)))
+        except (ValueError, NumericsError) as exc:
+            rows.append(SweepRow(value=value, budget=None, error=str(exc)))
+    return SweepTable(axis=axis, probe=dw, rows=tuple(rows))
+
+
+def reference_transmission_spectrum(params, grid):
+    """|t|^2 from the full array kernel, which had no denominator guard, and
+    the denominator it came from."""
+    dw = np.asarray(grid.points(), dtype=float)
+    x = -1j * (dw - params.delta) + 0.5 * params.tau
+    if params.g > 0.0:
+        dead = np.flatnonzero(x == 0.0)
+        if dead.size:
+            raise DegenerateDipole(
+                "dipole term diverges at grid indices "
+                f"{dead.tolist()}: probe exactly on a zero-linewidth dipole line"
+            )
+        coupling = params.g * params.g / x
+    else:
+        coupling = np.zeros_like(x)
+    denom = -1j * dw + params.gamma + 0.5 * params.kappa + coupling
+    t_drop = -params.gamma / denom
+    return np.abs(1.0 + t_drop) ** 2, np.abs(t_drop) ** 2, denom
+
+
+# ---------------------------------------------------------------- helpers --
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _sweep_outcome(sweep, *args):
+    """Every row as bit patterns and message, or the escaping exception."""
+    try:
+        table = sweep(*args)
+    except Exception as exc:  # the kernels may also overflow
+        return type(exc), str(exc)
+    rows = tuple(
+        (_bits(r.value), r.error, None if r.budget is None else tuple(
+            _bits(v) for v in (r.budget.through, r.budget.drop,
+                               r.budget.cavity_loss, r.budget.dipole_loss)))
+        for r in table.rows
+    )
+    return table.axis, _bits(table.probe), rows
+
+
+def _assert_same_sweep(base, axis, values, probe):
+    got = _sweep_outcome(parameter_sweep, base, axis, values, probe)
+    want = _sweep_outcome(reference_parameter_sweep, base, axis, values, probe)
+    assert got == want
+
+
+def _assert_same_spectrum(params, grid):
+    with np.errstate(all="ignore"):  # both warn on overflow
+        try:
+            through, drop, denom = reference_transmission_spectrum(params, grid)
+        except DegenerateDipole as exc:
+            with pytest.raises(DegenerateDipole) as info:
+                transmission_spectrum(params, grid)
+            assert str(info.value) == str(exc)
+            return
+        bad = np.flatnonzero(~(np.isfinite(denom) & (np.abs(denom) >= 1e-280)))
+        if bad.size:
+            more = f" and {bad.size - 10} more" if bad.size > 10 else ""
+            with pytest.raises(SingularDenominator) as info:
+                transmission_spectrum(params, grid)
+            assert str(info.value).endswith(f"grid indices {bad[:10].tolist()}{more}")
+            return
+        series = transmission_spectrum(params, grid)
+    assert series.through.tobytes() == through.tobytes()
+    assert series.drop.tobytes() == drop.tobytes()
+    assert np.all(np.isfinite(series.through)) and np.all(np.isfinite(series.drop))
+
+
+# ------------------------------------------------------------- strategies --
+
+SPECIALS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324)
+values_st = st.one_of(
+    st.sampled_from(SPECIALS), st.floats(), st.floats(-5.0, 5.0).map(lambda v: v * THZ)
+)
+rates = st.one_of(
+    st.sampled_from((1e-300, 1e300, 5e-324)),
+    st.floats(1e-3, 10.0).map(lambda v: v * THZ),
+    st.floats(min_value=5e-324, allow_infinity=False),
+)
+detunings = st.one_of(
+    st.just(0.0), st.floats(-5.0, 5.0).map(lambda v: v * THZ),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def nodes(draw):
+    return SystemParams(
+        gamma=draw(rates),
+        g=draw(st.one_of(st.just(0.0), rates)),
+        tau=draw(st.one_of(st.just(0.0), rates)),
+        kappa=draw(st.one_of(st.just(0.0), rates)),
+        delta=draw(detunings),
+    )
+
+
+@st.composite
+def grids(draw):
+    count = draw(st.integers(1, 40))
+    start = draw(detunings)
+    if count == 1:
+        return DetuningGrid(start, start, 1)
+    stop = draw(detunings.filter(lambda v: v > start))
+    return DetuningGrid(start, stop, count)
+
+
+# ------------------------------------------------------------------ sweep --
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    base=nodes(),
+    axis=st.sampled_from(SWEEP_AXES),
+    values=st.lists(values_st, max_size=12),
+    on_line=st.booleans(),
+    probe=detunings,
+)
+def test_sweep_matches_reference(base, axis, values, on_line, probe):
+    _assert_same_sweep(base, axis, values, base.delta if on_line else probe)
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+@pytest.mark.parametrize("g", [0.0, 0.33 * THZ])
+def test_sweep_special_values_match_reference(axis, g):
+    base = SystemParams(gamma=1.0 * THZ, g=g, tau=0.001 * THZ, kappa=0.1 * THZ, delta=0.02 * THZ)
+    values = list(SPECIALS) + [0.5 * THZ, -0.5 * THZ]
+    for probe in (0.0, base.delta, 1e300, -1e-300):
+        _assert_same_sweep(base, axis, values, probe)
+
+
+def test_sweep_tau_zero_on_the_dipole_line_matches_reference():
+    base = SystemParams(gamma=1.0 * THZ, g=0.33 * THZ, tau=0.001 * THZ, delta=0.02 * THZ)
+    # tau/2 underflows to 0 at 5e-324; at 1e-300, g^2 / (tau/2) overflows
+    values = [0.0, -0.0, 5e-324, 1e-300, 0.01 * THZ]
+    errors = [row.error or "" for row in parameter_sweep(base, "tau", values, base.delta).rows]
+    assert all("dipole term diverges" in e for e in errors[:3])
+    assert "denominator collapsed" in errors[3] and errors[4] == ""
+    _assert_same_sweep(base, "tau", values, base.delta)
+
+
+# --------------------------------------------------------------- spectrum --
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=nodes(), grid=grids(), on_line=st.booleans())
+def test_spectrum_matches_reference(params, grid, on_line):
+    if on_line:  # put one grid point exactly on the dipole line
+        grid = DetuningGrid(params.delta, params.delta, 1)
+    _assert_same_spectrum(params, grid)
+
+
+@pytest.mark.parametrize("gamma", [1e-300, 1e300])
+@pytest.mark.parametrize("g", [0.0, 1e-300, 0.33 * THZ, 1e300])
+def test_spectrum_extreme_rates_raise_or_stay_finite(gamma, g):
+    for tau in (0.0, 1e-300, 1e300):
+        params = SystemParams(gamma=gamma, g=g, tau=tau, kappa=0.0, delta=0.0)
+        for grid in (DetuningGrid(-1.0, 1.0, 5), DetuningGrid(-3 * gamma, 3 * gamma, 7),
+                     DetuningGrid(-1e308, 1e308, 5)):
+            _assert_same_spectrum(params, grid)
+
+
+def test_array_guard_names_the_singular_points():
+    params = SystemParams(gamma=1e-300, g=0.0, tau=0.0, kappa=0.0)
+    grid = np.array([-1.0, 0.0, 1e-290, 1.0])
+    with pytest.raises(SingularDenominator, match=r"grid indices \[1, 2\]$"):
+        scattering_arrays(params, grid)
+    with pytest.raises(SingularDenominator):
+        scatter_coefficients(params, 0.0)
+    wide = np.zeros(25)
+    with pytest.raises(SingularDenominator, match=r"\[0, 1, .*, 9\] and 15 more$"):
+        scattering_arrays(params, wide)
+    with pytest.raises(SingularDenominator, match=r"\[0, 1\]$"):  # g^2 overflows
+        scattering_arrays(SystemParams(gamma=1.0, g=1e300, tau=1.0), np.array([1e300, 0.0]))
+    assert scattering_arrays(params, np.array([])).t_drop.shape == (0,)
+
+
+# -------------------------------------------------------- benchmark pool --
+
+
+def test_grids_pool_matches_reference():
+    # every sweep and spectrum of the seed-0 pool of the benchmark's grids workload
+    for case in workloads.generate_grids(0):
+        got = _sweep_outcome(parameter_sweep, case.base, case.axis, case.values, case.probe)
+        want = _sweep_outcome(
+            reference_parameter_sweep, case.base, case.axis, case.values, case.probe
+        )
+        assert got == want
+        series = transmission_spectrum(case.node, case.grid)
+        through, drop, _ = reference_transmission_spectrum(case.node, case.grid)
+        assert series.through.tobytes() == through.tobytes()
+        assert series.drop.tobytes() == drop.tobytes()

@@ -148,10 +148,23 @@ class ProbeDetuning:
 Probe = Union[ProbeDetuning, float]
 
 
+def _number(value, name: str, kind: type = float):
+    """``kind(value)`` for ``kind`` float or complex, with ``ValueError`` naming
+    ``name`` for strings (never parsed) and values that are not numbers of
+    that kind (None, sequences, complex for float)."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return kind(value)
+        except (TypeError, OverflowError):
+            pass
+    what = "real" if kind is float else "complex"
+    raise ValueError(f"{name} must be a {what} number, got {value!r}")
+
+
 def _probe_value(probe: Probe) -> float:
     if isinstance(probe, ProbeDetuning):
         return probe.delta_omega
-    value = float(probe)
+    value = _number(probe, "probe detuning")
     if not math.isfinite(value):
         raise ValueError(f"probe detuning must be finite, got {probe!r}")
     return value

@@ -23,16 +23,19 @@ entry points guard the mean photon number where the model requires it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .core import (
+from .core import (  # scatter_coefficients stays importable from here
     NumericsError,
     Probe,
     SystemParams,
-    scatter_coefficients,
+    _amplitudes,
+    _number,
+    _probe_value,
+    scatter_coefficients,  # noqa: F401
 )
 
 BASIS = ("gg", "gm", "mg", "mm")
@@ -51,14 +54,25 @@ PARITY_TO_BELL = {
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# kron(H, H) for the dipole-basis Hadamard; entries are exactly +-1/2
-_HADAMARD_PAIR = 0.5 * np.array(
-    [
-        [1.0, 1.0, 1.0, 1.0],
-        [1.0, -1.0, 1.0, -1.0],
-        [1.0, 1.0, -1.0, -1.0],
-        [1.0, -1.0, -1.0, 1.0],
-    ]
+
+def _constant(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# kron(H, H) for the dipole-basis Hadamard; entries are exactly +-1/2, stored
+# complex so that products with density matrices need no cast
+_HADAMARD_PAIR = _constant(
+    0.5
+    * np.array(
+        [
+            [1.0, 1.0, 1.0, 1.0],
+            [1.0, -1.0, 1.0, -1.0],
+            [1.0, 1.0, -1.0, -1.0],
+            [1.0, -1.0, -1.0, 1.0],
+        ],
+        dtype=complex,
+    )
 )
 
 _PROB_FLOOR = 1e-300
@@ -71,6 +85,35 @@ class InvalidRegime(NumericsError):
 # ============================================================ qubit states ==
 
 
+def _finite(a: complex) -> bool:
+    return math.isfinite(a.real) and math.isfinite(a.imag)
+
+
+def _sum_squares(amps) -> float:
+    """Plain sum of |a|^2, or inf where it overflows."""
+    try:
+        return float(sum(abs(a) ** 2 for a in amps))
+    except OverflowError:
+        return math.inf
+
+
+def _unit(amps: tuple, what: str) -> tuple:
+    """``amps`` divided by their norm.
+
+    Only when the plain sum of squares underflows to 0 or overflows to inf
+    are the amplitudes first divided by the largest real or imaginary part,
+    so every state in the normal range keeps its bits.
+    """
+    n = math.sqrt(_sum_squares(amps))
+    if n == 0.0 or n == math.inf:
+        scale = max(max(abs(a.real), abs(a.imag)) for a in amps)
+        if scale == 0.0:
+            raise ValueError(f"cannot normalize a zero {what}")
+        amps = tuple(a / scale for a in amps)
+        n = math.sqrt(_sum_squares(amps))
+    return tuple(a / n for a in amps)
+
+
 @dataclass(frozen=True)
 class DipoleQubit:
     """Single dipole qubit over the coupled |g> / decoupled |m> levels."""
@@ -80,19 +123,16 @@ class DipoleQubit:
 
     def __post_init__(self):
         for name in ("amplitude_g", "amplitude_m"):
-            value = complex(getattr(self, name))
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            value = _number(getattr(self, name), name, complex)
+            if not _finite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
 
     def norm(self) -> float:
-        return abs(self.amplitude_g) ** 2 + abs(self.amplitude_m) ** 2
+        return _sum_squares((self.amplitude_g, self.amplitude_m))
 
     def normalized(self) -> "DipoleQubit":
-        n = math.sqrt(self.norm())
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero qubit state")
-        return DipoleQubit(self.amplitude_g / n, self.amplitude_m / n)
+        return DipoleQubit(*_unit((self.amplitude_g, self.amplitude_m), "qubit state"))
 
 
 def hadamard(qubit: DipoleQubit) -> DipoleQubit:
@@ -113,11 +153,19 @@ class TwoDipoleState:
     amplitudes: tuple[complex, complex, complex, complex]
 
     def __post_init__(self):
-        amps = tuple(complex(a) for a in self.amplitudes)
+        try:
+            if isinstance(self.amplitudes, (str, bytes)):
+                raise TypeError
+            raw = tuple(self.amplitudes)
+        except TypeError:
+            raise ValueError(
+                f"amplitudes must be a sequence of 4 complex numbers, got {self.amplitudes!r}"
+            ) from None
+        amps = tuple(_number(a, "amplitudes", complex) for a in raw)
         if len(amps) != 4:
             raise ValueError(f"need 4 amplitudes over {BASIS}, got {len(amps)}")
         for a in amps:
-            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+            if not _finite(a):
                 raise ValueError(f"amplitudes must be finite, got {a!r}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -125,13 +173,10 @@ class TwoDipoleState:
         return np.array(self.amplitudes, dtype=complex)
 
     def norm(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes))
+        return _sum_squares(self.amplitudes)
 
     def normalized(self) -> "TwoDipoleState":
-        n = math.sqrt(self.norm())
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero state")
-        return TwoDipoleState(tuple(a / n for a in self.amplitudes))
+        return TwoDipoleState(_unit(self.amplitudes, "state"))
 
     def fidelity(self, other: "TwoDipoleState") -> float:
         a = self.normalized().vector()
@@ -162,6 +207,20 @@ class TwoDipoleState:
         if label not in table:
             raise ValueError(f"label must be one of {BELL_LABELS}, got {label!r}")
         return cls(table[label])
+
+
+def _unit_vector(state: TwoDipoleState) -> np.ndarray:
+    """``state.normalized().vector()`` without the intermediate state object."""
+    return np.array(_unit(state.amplitudes, "state"), dtype=complex)
+
+
+# Bell vectors as given (fidelity targets), and the normalized probe states of
+# the false-even figure (psi+) and the tradeoff (phi+)
+_BELL_VECTORS = {label: _constant(TwoDipoleState.bell(label).vector()) for label in BELL_LABELS}
+_PSI_PLUS_WEIGHTS = _constant(np.abs(_unit_vector(TwoDipoleState.bell("psi_plus"))) ** 2)
+_PHI_PLUS_UNIT = _unit_vector(TwoDipoleState.bell("phi_plus"))
+_PHI_PLUS_WEIGHTS = _constant(np.abs(_PHI_PLUS_UNIT) ** 2)
+_PHI_PLUS_RHO = _constant(np.outer(_PHI_PLUS_UNIT, np.conj(_PHI_PLUS_UNIT)))
 
 
 # ======================================================= conditional route ==
@@ -197,17 +256,20 @@ class NodeRouting:
 
     @classmethod
     def from_params(cls, params: SystemParams, probe: Probe) -> "NodeRouting":
-        def route(p: SystemParams) -> RouteAmplitudes:
-            c = scatter_coefficients(p, probe)
+        gamma, tau, kappa, delta = params.gamma, params.tau, params.kappa, params.delta
+        dw = _probe_value(probe)
+
+        def route(g: float) -> RouteAmplitudes:
+            t_drop, b_amp, sigma_amp = _amplitudes(gamma, g, tau, kappa, delta, dw)
             return RouteAmplitudes(
-                through=c.t_through,
-                drop=c.t_drop,
-                loss_kappa=complex(math.sqrt(p.kappa) * c.b_amp),
-                loss_tau=complex(math.sqrt(p.tau) * c.sigma_amp),
+                through=1.0 + t_drop,
+                drop=t_drop,
+                loss_kappa=complex(math.sqrt(kappa) * b_amp),
+                loss_tau=complex(math.sqrt(tau) * sigma_amp),
             )
 
         # |m> decouples the dipole: same node with g = 0
-        return cls(label_g=route(params), label_m=route(replace(params, g=0.0)))
+        return cls(label_g=route(params.g), label_m=route(0.0))
 
     @classmethod
     def ideal(cls) -> "NodeRouting":
@@ -260,7 +322,7 @@ class PointerRecord:
 
 
 def _mean_photons(value) -> float:
-    nbar = float(value)
+    nbar = _number(value, "mean_photons")
     if not math.isfinite(nbar) or nbar < 0.0:
         raise ValueError(f"mean_photons must be finite and >= 0, got {value!r}")
     return nbar
@@ -274,13 +336,11 @@ def _pointer_matrix(route_a: NodeRouting, route_b: NodeRouting, alpha: float) ->
     waveguide-2 output.
     """
     rows = []
-    for sa in ("g", "m"):
-        ra = route_a.for_label(sa)
+    for ra in (route_a.label_g, route_a.label_m):
         w1 = ra.through * alpha
         w2 = ra.drop * alpha
         loss_a = (ra.loss_kappa * alpha, ra.loss_tau * alpha)
-        for sb in ("g", "m"):
-            rb = route_b.for_label(sb)
+        for rb in (route_b.label_g, route_b.label_m):
             drive_b = w1 + w2
             rows.append(
                 [
@@ -295,7 +355,12 @@ def _pointer_matrix(route_a: NodeRouting, route_b: NodeRouting, alpha: float) ->
     return np.array(rows, dtype=complex)
 
 
-def _threshold_factors(amps: np.ndarray) -> dict[str, np.ndarray]:
+_OUTCOMES = ("even", "odd", "both", "none")
+
+
+def _threshold_factors(
+    amps: np.ndarray, outcomes: Sequence[str] = _OUTCOMES
+) -> dict[str, np.ndarray]:
     """Per-outcome coherence factors M[s, s'] for threshold detection.
 
     Modes 0/1 (even/odd ports) end on threshold detectors, the remaining
@@ -306,6 +371,8 @@ def _threshold_factors(amps: np.ndarray) -> dict[str, np.ndarray]:
         silent mode   exp(-(n_s + n_s')/2)
         click mode    difference of the two lines above
 
+    The traced exponential is taken on all six modes, the silent one only on
+    the two detector modes; only the factors of ``outcomes`` are formed.
     Every factor matrix is Hermitian with entries of magnitude <= 1 and
     diagnostic diagonal equal to the outcome probability per basis state.
     """
@@ -313,21 +380,22 @@ def _threshold_factors(amps: np.ndarray) -> dict[str, np.ndarray]:
     pair_n = 0.5 * (n[:, None, :] + n[None, :, :])  # (s, s', mode)
     cross = amps[:, None, :] * np.conj(amps[None, :, :])
     traced = np.exp(-pair_n + cross)  # full trace of one mode
-    silent = np.exp(-pair_n)  # vacuum projection (no click)
-    click = traced - silent
+    silent = np.exp(-pair_n[:, :, :2])  # vacuum projection (no click)
+    click = traced[:, :, :2] - silent
     loss = np.prod(traced[:, :, 2:], axis=2)
-    return {
-        "even": click[:, :, 0] * silent[:, :, 1] * loss,
-        "odd": silent[:, :, 0] * click[:, :, 1] * loss,
-        "both": click[:, :, 0] * click[:, :, 1] * loss,
-        "none": silent[:, :, 0] * silent[:, :, 1] * loss,
+    detectors = {
+        "even": (click[:, :, 0], silent[:, :, 1]),
+        "odd": (silent[:, :, 0], click[:, :, 1]),
+        "both": (click[:, :, 0], click[:, :, 1]),
+        "none": (silent[:, :, 0], silent[:, :, 1]),
     }
+    return {o: detectors[o][0] * detectors[o][1] * loss for o in outcomes}
 
 
 def _probe_pass(
     node_a: Node, node_b: Node, probe: Probe, mean_photons: float
-) -> tuple[PointerRecord, dict[str, np.ndarray]]:
-    """One coherent probe through both nodes: pointer record and threshold factors.
+) -> tuple[float, np.ndarray]:
+    """One coherent probe through both nodes: photon number and pointer matrix.
 
     ``mean_photons`` is validated before either node is resolved.
     """
@@ -335,12 +403,20 @@ def _probe_pass(
     amps = _pointer_matrix(
         _routing(node_a, probe), _routing(node_b, probe), math.sqrt(nbar)
     )
-    return PointerRecord(nbar, amps), _threshold_factors(amps)
+    return nbar, amps
+
+
+def _fluxes(weights: np.ndarray, amps: np.ndarray) -> tuple[float, float]:
+    """Mean photon numbers reaching the even and odd detectors."""
+    return (
+        float(weights @ (np.abs(amps[:, 0]) ** 2)),
+        float(weights @ (np.abs(amps[:, 1]) ** 2)),
+    )
 
 
 def _condition(rho: np.ndarray, factor: np.ndarray) -> tuple[float, np.ndarray | None]:
     unnormalized = rho * factor
-    p = float(np.trace(unnormalized).real)
+    p = float(unnormalized.trace().real)
     if p <= _PROB_FLOOR:
         return 0.0, None
     return p, unnormalized / p
@@ -396,18 +472,19 @@ def parity_probe(
     so the conditioned states include loss-induced decoherence between
     branches.
     """
-    pointer, factors = _probe_pass(node_a, node_b, probe, mean_photons)
-    c = state.normalized().vector()
+    nbar, amps = _probe_pass(node_a, node_b, probe, mean_photons)
+    factors = _threshold_factors(amps)
+    c = _unit_vector(state)
     weights = np.abs(c) ** 2
     rho = np.outer(c, np.conj(c))
-    amps = pointer.amplitudes
+    even_flux, odd_flux = _fluxes(weights, amps)
     return ParityProbeResult(
-        pointer=pointer,
-        even_flux=float(weights @ (np.abs(amps[:, 0]) ** 2)),
-        odd_flux=float(weights @ (np.abs(amps[:, 1]) ** 2)),
+        pointer=PointerRecord(nbar, amps),
+        even_flux=even_flux,
+        odd_flux=odd_flux,
         outcome_probabilities={
             outcome: float((weights * factors[outcome].diagonal().real).sum())
-            for outcome in ("even", "odd", "both", "none")
+            for outcome in _OUTCOMES
         },
         post_states={o: _condition(rho, factors[o])[1] for o in ("even", "odd")},
     )
@@ -421,13 +498,12 @@ def false_even_probability(node_a: Node, node_b: Node, probe: Probe) -> float:
     count as detected.  This is the probability that a single detected
     photon misreports odd parity as even.
     """
-    result = parity_probe(
-        node_a, node_b, TwoDipoleState.bell("psi_plus"), probe, mean_photons=1.0
-    )
-    total = result.even_flux + result.odd_flux
+    amps = _pointer_matrix(_routing(node_a, probe), _routing(node_b, probe), 1.0)
+    even_flux, odd_flux = _fluxes(_PSI_PLUS_WEIGHTS, amps)
+    total = even_flux + odd_flux
     if total <= _PROB_FLOOR:
         raise InvalidRegime("no probe flux reaches the parity detectors")
-    return result.even_flux / total
+    return even_flux / total
 
 
 @dataclass(frozen=True)
@@ -479,8 +555,9 @@ def bell_measurement(
     signature from the (detection-conditioned) distribution instead.  The
     full distribution is returned either way.
     """
-    _, factors = _probe_pass(node_a, node_b, probe, mean_photons)
-    c = state.normalized().vector()
+    _, amps = _probe_pass(node_a, node_b, probe, mean_photons)
+    factors = _threshold_factors(amps, ("even", "odd"))
+    c = _unit_vector(state)
 
     def herald(rho: np.ndarray) -> dict[str, tuple[float, np.ndarray]]:
         branches = {}
@@ -490,7 +567,8 @@ def bell_measurement(
                 branches[outcome] = (p, conditioned)
         total = sum(p for p, _ in branches.values())
         if total <= _PROB_FLOOR:
-            p_both, p_none = (np.trace(rho * factors[o]).real for o in ("both", "none"))
+            rest = _threshold_factors(amps, ("both", "none"))
+            p_both, p_none = ((rho * rest[o]).trace().real for o in ("both", "none"))
             if p_both > p_none:
                 cause = f"both detectors click with certainty (P(both) = {p_both:.3g})"
             else:
@@ -499,17 +577,16 @@ def bell_measurement(
         return {o: (p / total, r) for o, (p, r) in branches.items()}
 
     h = _HADAMARD_PAIR
-    chains = []
+    chains = []  # (outcome, probability, conditioned state still in the rotated basis)
     for first, (p1, rho1) in herald(np.outer(c, np.conj(c))).items():
         rotated = h @ rho1 @ h
         for second, (p2, rho2) in herald(rotated).items():
-            final = h @ rho2 @ h  # undo the rotation: qubits keep the labeled state
             outcome = BellOutcome(
                 label=PARITY_TO_BELL[(first, second)],
                 first_parity=first,
                 second_parity=second,
             )
-            chains.append((outcome, p1 * p2, final))
+            chains.append((outcome, p1 * p2, rho2))
 
     if rng is None:
         pick = max(range(len(chains)), key=lambda i: chains[i][1])
@@ -519,8 +596,9 @@ def bell_measurement(
         pick = int(np.searchsorted(cumulative, draw, side="right"))
         pick = min(pick, len(chains) - 1)  # rounding can leave the sum below 1
 
-    outcome, probability, final = chains[pick]
-    target = TwoDipoleState.bell(outcome.label).vector()
+    outcome, probability, rho2 = chains[pick]
+    final = h @ rho2 @ h  # undo the rotation: qubits keep the labeled state
+    target = _BELL_VECTORS[outcome.label]
     fidelity = float(np.real(np.conj(target) @ final @ target))
     result = ProtocolResult(
         post_state=_dominant_pure_state(final),
@@ -598,7 +676,7 @@ def entanglement_generation(
             success_probability=0.0,
         )
 
-    singlet = TwoDipoleState.bell("psi_minus").vector()
+    singlet = _BELL_VECTORS["psi_minus"]
     fidelity = 0.0
     mixture = np.zeros((4, 4), dtype=complex)
     for vec, p in ((click_t, p_t), (click_d, p_d)):
@@ -647,27 +725,27 @@ def fidelity_success_tradeoff(
     nbars = [_mean_photons(raw) for raw in mean_photons_grid]
     if any(nbars):
         # routing does not depend on the probe strength: resolve it once
-        node_a, node_b = _routing(node_a, probe), _routing(node_b, probe)
-    target = TwoDipoleState.bell("phi_plus")
-    vec = target.vector()
+        route_a, route_b = _routing(node_a, probe), _routing(node_b, probe)
+    vec = _BELL_VECTORS["phi_plus"]
     points = []
     for nbar in nbars:
         if nbar == 0.0:
             points.append(TradeoffPoint(0.0, 1.0, 0.0))
             continue
-        probed = parity_probe(node_a, node_b, target, probe, nbar)
-        conditioned = probed.post_states["even"]
+        amps = _pointer_matrix(route_a, route_b, math.sqrt(nbar))
+        even = _threshold_factors(amps, ("even",))["even"]
+        conditioned = _condition(_PHI_PLUS_RHO, even)[1]
         if conditioned is None:
             raise InvalidRegime(
                 "even-parity herald cannot fire for this node configuration"
             )
         fidelity = float(np.real(np.conj(vec) @ conditioned @ vec))
-        detected = probed.even_flux + probed.odd_flux
+        even_flux, odd_flux = _fluxes(_PHI_PLUS_WEIGHTS, amps)
         points.append(
             TradeoffPoint(
                 mean_photons=nbar,
                 fidelity=fidelity,
-                success_probability=float(1.0 - math.exp(-detected)),
+                success_probability=float(1.0 - math.exp(-(even_flux + odd_flux))),
             )
         )
     return TradeoffTable(points=tuple(points))

@@ -108,7 +108,29 @@ def transmission_spectrum(params: SystemParams, grid: DetuningGrid) -> SpectrumS
     )
 
 
-def _half_crossing(x: np.ndarray, y: np.ndarray, peak_idx: int, level: float, side: int) -> float | None:
+def _grid_point(grid: DetuningGrid, i: int) -> float:
+    """``grid.points()[i]`` without building the array.
+
+    Follows ``numpy.linspace`` step for step (start plus i times the step, or
+    i / (count - 1) times the span where the step underflows to zero, and the
+    last point pinned to ``stop``), so the value is bit-identical.
+    """
+    div = grid.count - 1
+    if not 0 <= i <= div:
+        raise IndexError(f"index {i} is out of bounds for a grid of {grid.count} points")
+    if i == div and div > 0:
+        return float(grid.stop)
+    start = float(grid.start)
+    delta = float(grid.stop) - start
+    if div == 0:
+        return i * delta + start
+    step = delta / div
+    if step == 0.0:  # the step underflows: scale by i / div instead
+        return i / div * delta + start
+    return i * step + start
+
+
+def _half_crossing(grid: DetuningGrid, y: np.ndarray, peak_idx: int, level: float, side: int) -> float | None:
     """Detuning where y first falls to ``level`` walking out from the peak.
 
     ``side`` is -1 (left) or +1 (right); linear interpolation between the
@@ -124,7 +146,8 @@ def _half_crossing(x: np.ndarray, y: np.ndarray, peak_idx: int, level: float, si
     prev = i - side  # first sample still above the level
     span = y[i] - y[prev]
     frac = 0.0 if span == 0.0 else (level - y[prev]) / span
-    return float(x[prev] + frac * (x[i] - x[prev]))
+    x_prev = _grid_point(grid, prev)
+    return float(x_prev + frac * (_grid_point(grid, i) - x_prev))
 
 
 def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
@@ -145,7 +168,6 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
         the peak is indistinguishable from the baseline at 1e-12 relative.
     """
     y = series.through
-    x = series.grid.points()
     if len(y) < 3:
         raise NoPeak(f"need at least 3 samples to locate a peak, got {len(y)}")
     idx = int(np.argmax(y))
@@ -161,12 +183,12 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
     curvature = ym - 2.0 * y0 + yp
     offset = 0.0 if curvature == 0.0 else 0.5 * (ym - yp) / curvature
     offset = min(0.5, max(-0.5, offset))
-    peak_detuning = float(x[idx]) + offset * series.grid.step
+    peak_detuning = _grid_point(series.grid, idx) + offset * series.grid.step
     peak_value = y0 - 0.25 * (ym - yp) * offset
 
     level = 0.5 * (peak_value + baseline)
-    left = _half_crossing(x, y, idx, level, -1)
-    right = _half_crossing(x, y, idx, level, +1)
+    left = _half_crossing(series.grid, y, idx, level, -1)
+    right = _half_crossing(series.grid, y, idx, level, +1)
     if left is None and right is None:
         raise NoPeak("through curve never reaches half height inside the grid")
     if left is None:

@@ -1,4 +1,4 @@
-"""Sweeps and spectra against the per-row and full-array code they replaced.
+"""Sweeps, spectra and peaks against the per-row and full-array code they replaced.
 
 ``parameter_sweep`` used to rebuild a ``SystemParams`` with
 ``dataclasses.replace`` and make a scalar ``flux_budget`` call for every row,
@@ -9,7 +9,10 @@ current code must reproduce them bit for bit: every float by its bit pattern,
 every error row by its message.  The array path has since gained the
 denominator guard of the scalar path: where the reference's denominator is
 non-finite or below the floor, the spectrum must now raise
-``SingularDenominator`` naming exactly those grid indices.
+``SingularDenominator`` naming exactly those grid indices.  The peak finder
+used to rebuild the whole detuning array with ``grid.points()``; it now forms
+only the grid points it reads, which must equal the array's entries bit for
+bit.
 """
 
 import math
@@ -30,13 +33,22 @@ from ditsim import (
     NumericsError,
     SingularDenominator,
     SystemParams,
+    locate_transparency_peak,
     parameter_sweep,
     scatter_coefficients,
     scattering_arrays,
     transmission_spectrum,
 )
 from ditsim.core import _probe_value
-from ditsim.spectra import SWEEP_AXES, DetuningGrid, SweepRow, SweepTable
+from ditsim.spectra import (
+    SWEEP_AXES,
+    DetuningGrid,
+    NoPeak,
+    PeakReport,
+    SpectrumSeries,
+    SweepRow,
+    SweepTable,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
@@ -105,6 +117,49 @@ def reference_transmission_spectrum(params, grid):
     denom = -1j * dw + params.gamma + 0.5 * params.kappa + coupling
     t_drop = -params.gamma / denom
     return np.abs(1.0 + t_drop) ** 2, np.abs(t_drop) ** 2, denom
+
+
+def reference_half_crossing(x, y, peak_idx, level, side):
+    i = peak_idx
+    last = 0 if side < 0 else len(y) - 1
+    while i != last and y[i] > level:
+        i += side
+    if y[i] > level:
+        return None
+    prev = i - side
+    span = y[i] - y[prev]
+    frac = 0.0 if span == 0.0 else (level - y[prev]) / span
+    return float(x[prev] + frac * (x[i] - x[prev]))
+
+
+def reference_locate_transparency_peak(series):
+    """The peak finder as it was, reading x from the full ``grid.points()``."""
+    y = series.through
+    x = series.grid.points()
+    if len(y) < 3:
+        raise NoPeak(f"need at least 3 samples to locate a peak, got {len(y)}")
+    idx = int(np.argmax(y))
+    if idx == 0 or idx == len(y) - 1:
+        raise NoPeak("through maximum lies on the grid edge; no interior peak")
+    baseline = 0.5 * (float(np.min(y[: idx + 1])) + float(np.min(y[idx:])))
+    if y[idx] - baseline <= 1e-12 * max(abs(y[idx]), abs(baseline), 1e-300):
+        raise NoPeak("through peak is indistinguishable from the baseline")
+    ym, y0, yp = float(y[idx - 1]), float(y[idx]), float(y[idx + 1])
+    curvature = ym - 2.0 * y0 + yp
+    offset = 0.0 if curvature == 0.0 else 0.5 * (ym - yp) / curvature
+    offset = min(0.5, max(-0.5, offset))
+    peak_detuning = float(x[idx]) + offset * series.grid.step
+    peak_value = y0 - 0.25 * (ym - yp) * offset
+    level = 0.5 * (peak_value + baseline)
+    left = reference_half_crossing(x, y, idx, level, -1)
+    right = reference_half_crossing(x, y, idx, level, +1)
+    if left is None and right is None:
+        raise NoPeak("through curve never reaches half height inside the grid")
+    if left is None:
+        left = 2.0 * peak_detuning - right
+    if right is None:
+        right = 2.0 * peak_detuning - left
+    return PeakReport(peak_detuning=peak_detuning, peak_value=float(peak_value), fwhm=float(right - left))
 
 
 # ---------------------------------------------------------------- helpers --
@@ -265,6 +320,78 @@ def test_array_guard_names_the_singular_points():
     assert scattering_arrays(params, np.array([])).t_drop.shape == (0,)
 
 
+# ------------------------------------------------------------------- peak --
+
+
+def _peak_outcome(locate, series):
+    try:
+        report = locate(series)
+    except NoPeak as exc:
+        return NoPeak, str(exc)
+    return tuple(_bits(v) for v in (report.peak_detuning, report.peak_value, report.fwhm))
+
+
+def _assert_same_peak(series):
+    with np.errstate(all="ignore"):  # a grid spanning the float range overflows
+        want = _peak_outcome(reference_locate_transparency_peak, series)
+        assert _peak_outcome(locate_transparency_peak, series) == want
+
+
+@st.composite
+def peak_grids(draw):
+    """Grids of 3 or more points, down to steps that underflow to zero."""
+    count = draw(st.integers(3, 300))
+    start = draw(st.one_of(detunings, st.sampled_from((0.0, -0.0, -5e-324))))
+    span = draw(st.one_of(
+        st.sampled_from((5e-324, 1e-322, 1e300, 1e308)),
+        st.floats(1e-3, 10.0).map(lambda v: v * THZ),
+        st.floats(min_value=5e-324, max_value=1e308),
+    ))
+    stop = start + span
+    if not (math.isfinite(stop) and stop > start):  # one ulp wide, away from the float limit
+        start, stop = (start, math.nextafter(start, math.inf)) if start < 0 else (
+            math.nextafter(start, -math.inf), start)
+    return DetuningGrid(start, stop, count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=peak_grids(), seed=st.integers(0, 2**32 - 1), ties=st.floats(0.0, 1.0))
+def test_peak_matches_reference_on_any_curve(grid, seed, ties):
+    # plateaus, ties and edge maxima come from small integer samples
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random(grid.count) < ties, rng.integers(0, 4, grid.count), rng.random(grid.count))
+    params = SystemParams(gamma=1.0 * THZ, g=0.33 * THZ, tau=0.001 * THZ)
+    _assert_same_peak(SpectrumSeries(params, grid, y, 1.0 - y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=peak_grids(), g=st.floats(0.0, 2.0), tau=st.floats(0.0, 0.5), delta=st.floats(-1.0, 1.0))
+def test_peak_matches_reference_on_spectra(grid, g, tau, delta):
+    params = SystemParams(gamma=1.0 * THZ, g=g * THZ, tau=tau * THZ, delta=delta * THZ)
+    centred = DetuningGrid(-3.0 * THZ, 3.0 * THZ, grid.count)
+    for spectrum_grid in (grid, centred):
+        try:
+            with np.errstate(all="ignore"):
+                series = transmission_spectrum(params, spectrum_grid)
+        except NumericsError:
+            continue
+        _assert_same_peak(series)
+
+
+def test_peak_grid_points_are_linspace_entries():
+    from ditsim.spectra import _grid_point
+
+    for grid in (DetuningGrid(-3.0 * THZ, 3.0 * THZ, 2001), DetuningGrid(0.0, 5e-324, 3),
+                 DetuningGrid(-1e308, 1e308, 5), DetuningGrid(-3, 3, 11), DetuningGrid(2.5, 2.5, 1)):
+        with np.errstate(all="ignore"):
+            points = grid.points()
+        assert [_bits(_grid_point(grid, i)) for i in range(grid.count)] == [
+            _bits(v) for v in points
+        ]
+    with pytest.raises(IndexError):
+        _grid_point(DetuningGrid(0.0, 1.0, 3), 3)
+
+
 # -------------------------------------------------------- benchmark pool --
 
 
@@ -280,3 +407,6 @@ def test_grids_pool_matches_reference():
         through, drop, _ = reference_transmission_spectrum(case.node, case.grid)
         assert series.through.tobytes() == through.tobytes()
         assert series.drop.tobytes() == drop.tobytes()
+        assert _peak_outcome(locate_transparency_peak, series) == _peak_outcome(
+            reference_locate_transparency_peak, series
+        )

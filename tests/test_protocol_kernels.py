@@ -1,0 +1,599 @@
+"""Repeater protocols against the code that did work their results never read.
+
+``NodeRouting.from_params`` used to build the |m> node with
+``dataclasses.replace`` and go through ``scatter_coefficients`` twice; the
+threshold factors exponentiated the silent factor of all six modes; the Bell
+classifier undid the basis rotation on every chain; the false-even figure and
+the tradeoff ran a full ``parity_probe`` to read two fluxes and one post-state.
+All of that is kept here as references, and the current code must reproduce
+every result field bit for bit and every exception by type and message.
+"""
+
+import math
+import os
+import struct
+import sys
+from dataclasses import fields, is_dataclass, replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ditsim import (
+    BASIS,
+    PARITY_TO_BELL,
+    THZ,
+    BellMeasurementRecord,
+    BellOutcome,
+    DipoleQubit,
+    InvalidRegime,
+    NodeRouting,
+    NumericsError,
+    ParityProbeResult,
+    PointerRecord,
+    ProbeDetuning,
+    ProtocolResult,
+    RouteAmplitudes,
+    SystemParams,
+    TradeoffPoint,
+    TradeoffTable,
+    TwoDipoleState,
+    bell_measurement,
+    entanglement_generation,
+    false_even_probability,
+    fidelity_success_tradeoff,
+    parity_probe,
+    scatter_coefficients,
+)
+from ditsim import core, repeater
+from ditsim.repeater import _dominant_pure_state, _threshold_factors
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
+if BENCH not in sys.path:
+    sys.path.insert(0, BENCH)
+
+import workloads  # noqa: E402
+
+# saturated probes overflow inside the coherent-state factors in both versions
+pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+# ------------------------------------------------------------- references --
+
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+_HADAMARD_PAIR = 0.5 * np.array(
+    [[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]
+)
+
+
+def reference_from_params(params, probe):
+    def route(p):
+        c = scatter_coefficients(p, probe)
+        return RouteAmplitudes(
+            through=c.t_through,
+            drop=c.t_drop,
+            loss_kappa=complex(math.sqrt(p.kappa) * c.b_amp),
+            loss_tau=complex(math.sqrt(p.tau) * c.sigma_amp),
+        )
+
+    return NodeRouting(label_g=route(params), label_m=route(replace(params, g=0.0)))
+
+
+def reference_routing(node, probe):
+    if isinstance(node, NodeRouting):
+        return node
+    if isinstance(node, SystemParams):
+        return reference_from_params(node, probe)
+    raise TypeError(f"node must be SystemParams or NodeRouting, got {type(node)!r}")
+
+
+def reference_mean_photons(value):
+    nbar = float(value)
+    if not math.isfinite(nbar) or nbar < 0.0:
+        raise ValueError(f"mean_photons must be finite and >= 0, got {value!r}")
+    return nbar
+
+
+def reference_normalized_vector(state):
+    n = math.sqrt(float(sum(abs(a) ** 2 for a in state.amplitudes)))
+    if n == 0.0:
+        raise ValueError("cannot normalize a zero state")
+    return TwoDipoleState(tuple(a / n for a in state.amplitudes)).vector()
+
+
+def reference_pointer_matrix(route_a, route_b, alpha):
+    rows = []
+    for sa in ("g", "m"):
+        ra = route_a.for_label(sa)
+        w1 = ra.through * alpha
+        w2 = ra.drop * alpha
+        loss_a = (ra.loss_kappa * alpha, ra.loss_tau * alpha)
+        for sb in ("g", "m"):
+            rb = route_b.for_label(sb)
+            drive_b = w1 + w2
+            rows.append([rb.through * w1 + rb.drop * w2, rb.drop * w1 + rb.through * w2,
+                         loss_a[0], loss_a[1], rb.loss_kappa * drive_b, rb.loss_tau * drive_b])
+    return np.array(rows, dtype=complex)
+
+
+def reference_threshold_factors(amps):
+    n = np.abs(amps) ** 2
+    pair_n = 0.5 * (n[:, None, :] + n[None, :, :])
+    cross = amps[:, None, :] * np.conj(amps[None, :, :])
+    traced = np.exp(-pair_n + cross)
+    silent = np.exp(-pair_n)
+    click = traced - silent
+    loss = np.prod(traced[:, :, 2:], axis=2)
+    return {
+        "even": click[:, :, 0] * silent[:, :, 1] * loss,
+        "odd": silent[:, :, 0] * click[:, :, 1] * loss,
+        "both": click[:, :, 0] * click[:, :, 1] * loss,
+        "none": silent[:, :, 0] * silent[:, :, 1] * loss,
+    }
+
+
+def reference_probe_pass(node_a, node_b, probe, mean_photons):
+    nbar = reference_mean_photons(mean_photons)
+    amps = reference_pointer_matrix(
+        reference_routing(node_a, probe), reference_routing(node_b, probe), math.sqrt(nbar)
+    )
+    return PointerRecord(nbar, amps), reference_threshold_factors(amps)
+
+
+def reference_condition(rho, factor):
+    unnormalized = rho * factor
+    p = float(np.trace(unnormalized).real)
+    if p <= 1e-300:
+        return 0.0, None
+    return p, unnormalized / p
+
+
+def reference_parity_probe(node_a, node_b, state, probe, mean_photons):
+    pointer, factors = reference_probe_pass(node_a, node_b, probe, mean_photons)
+    c = reference_normalized_vector(state)
+    weights = np.abs(c) ** 2
+    rho = np.outer(c, np.conj(c))
+    amps = pointer.amplitudes
+    return ParityProbeResult(
+        pointer=pointer,
+        even_flux=float(weights @ (np.abs(amps[:, 0]) ** 2)),
+        odd_flux=float(weights @ (np.abs(amps[:, 1]) ** 2)),
+        outcome_probabilities={
+            o: float((weights * factors[o].diagonal().real).sum())
+            for o in ("even", "odd", "both", "none")
+        },
+        post_states={o: reference_condition(rho, factors[o])[1] for o in ("even", "odd")},
+    )
+
+
+def reference_false_even_probability(node_a, node_b, probe):
+    result = reference_parity_probe(
+        node_a, node_b, TwoDipoleState.bell("psi_plus"), probe, mean_photons=1.0
+    )
+    total = result.even_flux + result.odd_flux
+    if total <= 1e-300:
+        raise InvalidRegime("no probe flux reaches the parity detectors")
+    return result.even_flux / total
+
+
+def reference_bell_measurement(node_a, node_b, state, probe, mean_photons, rng=None):
+    _, factors = reference_probe_pass(node_a, node_b, probe, mean_photons)
+    c = reference_normalized_vector(state)
+
+    def herald(rho):
+        branches = {}
+        for outcome in ("even", "odd"):
+            p, conditioned = reference_condition(rho, factors[outcome])
+            if conditioned is not None:
+                branches[outcome] = (p, conditioned)
+        total = sum(p for p, _ in branches.values())
+        if total <= 1e-300:
+            p_both, p_none = (np.trace(rho * factors[o]).real for o in ("both", "none"))
+            if p_both > p_none:
+                cause = f"both detectors click with certainty (P(both) = {p_both:.3g})"
+            else:
+                cause = f"no probe flux reaches the detectors (P(none) = {p_none:.3g})"
+            raise InvalidRegime(f"parity herald cannot fire: {cause}")
+        return {o: (p / total, r) for o, (p, r) in branches.items()}
+
+    h = _HADAMARD_PAIR
+    chains = []
+    for first, (p1, rho1) in herald(np.outer(c, np.conj(c))).items():
+        rotated = h @ rho1 @ h
+        for second, (p2, rho2) in herald(rotated).items():
+            final = h @ rho2 @ h
+            outcome = BellOutcome(PARITY_TO_BELL[(first, second)], first, second)
+            chains.append((outcome, p1 * p2, final))
+    if rng is None:
+        pick = max(range(len(chains)), key=lambda i: chains[i][1])
+    else:
+        cumulative = np.cumsum([p for _, p, _ in chains])
+        pick = int(np.searchsorted(cumulative, float(rng.random()), side="right"))
+        pick = min(pick, len(chains) - 1)
+    outcome, probability, final = chains[pick]
+    target = TwoDipoleState.bell(outcome.label).vector()
+    fidelity = float(np.real(np.conj(target) @ final @ target))
+    return BellMeasurementRecord(
+        outcome=outcome,
+        result=ProtocolResult(_dominant_pure_state(final), fidelity, probability),
+        distribution=tuple((o, p) for o, p, _ in chains),
+    )
+
+
+def reference_entanglement_generation(node_a, node_b, probe, mean_photons):
+    nbar = reference_mean_photons(mean_photons)
+    if not 0.0 < nbar <= 0.1:
+        raise InvalidRegime(
+            "entanglement generation requires 0 < mean_photons <= 0.1 "
+            f"(single-photon herald regime), got {mean_photons!r}"
+        )
+    route_a = reference_routing(node_a, probe)
+    route_b = reference_routing(node_b, probe)
+    alpha = math.sqrt(nbar)
+    dark_through = np.zeros(4, dtype=complex)
+    dark_drop = np.zeros(4, dtype=complex)
+    for i, (sa, sb) in enumerate((a + b for a in "gm" for b in "gm")):
+        ra = route_a.for_label(sa)
+        rb = route_b.for_label(sb)
+        dark_through[i] = 0.5 * alpha * (ra.through - rb.through)
+        dark_drop[i] = 0.5 * alpha * (ra.drop - rb.drop)
+    superposition = 0.5 * np.ones(4)
+    click_t = superposition * dark_through
+    click_d = superposition * dark_drop
+    p_t = float(np.vdot(click_t, click_t).real)
+    p_d = float(np.vdot(click_d, click_d).real)
+    herald_probability = p_t + p_d
+    if herald_probability <= 1e-300:
+        plus = DipoleQubit(_SQRT_HALF, _SQRT_HALF)
+        return ProtocolResult(TwoDipoleState.product(plus, plus), 0.0, 0.0)
+    singlet = TwoDipoleState.bell("psi_minus").vector()
+    fidelity = 0.0
+    mixture = np.zeros((4, 4), dtype=complex)
+    for vec, p in ((click_t, p_t), (click_d, p_d)):
+        if p <= 0.0:
+            continue
+        fidelity += abs(np.vdot(singlet, vec)) ** 2 / p * (p / herald_probability)
+        mixture += np.outer(vec, np.conj(vec)) / herald_probability
+    return ProtocolResult(_dominant_pure_state(mixture), float(fidelity), float(herald_probability))
+
+
+def reference_fidelity_success_tradeoff(node_a, node_b, probe, mean_photons_grid):
+    nbars = [reference_mean_photons(raw) for raw in mean_photons_grid]
+    if any(nbars):
+        node_a, node_b = reference_routing(node_a, probe), reference_routing(node_b, probe)
+    target = TwoDipoleState.bell("phi_plus")
+    vec = target.vector()
+    points = []
+    for nbar in nbars:
+        if nbar == 0.0:
+            points.append(TradeoffPoint(0.0, 1.0, 0.0))
+            continue
+        probed = reference_parity_probe(node_a, node_b, target, probe, nbar)
+        conditioned = probed.post_states["even"]
+        if conditioned is None:
+            raise InvalidRegime("even-parity herald cannot fire for this node configuration")
+        fidelity = float(np.real(np.conj(vec) @ conditioned @ vec))
+        detected = probed.even_flux + probed.odd_flux
+        points.append(TradeoffPoint(nbar, fidelity, float(1.0 - math.exp(-detected))))
+    return TradeoffTable(points=tuple(points))
+
+
+# ---------------------------------------------------------------- helpers --
+
+
+def _bits(value):
+    """A result as nested tuples of bit patterns, type names and strings."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, (float, np.floating)):
+        return "f", struct.pack("<d", value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return "c", struct.pack("<dd", value.real, value.imag)
+    if isinstance(value, np.ndarray):
+        return "a", value.shape, value.dtype.str, np.ascontiguousarray(value).tobytes()
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, dict):
+        return tuple((k, _bits(value[k])) for k in sorted(value))
+    if is_dataclass(value):
+        return type(value).__name__, tuple(_bits(getattr(value, f.name)) for f in fields(value))
+    raise TypeError(f"no bit pattern for {type(value)!r}")
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return _bits(fn(*args, **kwargs))
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _assert_same(fn, reference, *args, **kwargs):
+    got = _outcome(fn, *args, **kwargs)
+    want = _outcome(reference, *args, **kwargs)
+    assert got == want
+
+
+def _assert_same_protocols(node_a, node_b, state, probe, nbar, grid, rng_seed=7):
+    _assert_same(parity_probe, reference_parity_probe, node_a, node_b, state, probe, nbar)
+    _assert_same(bell_measurement, reference_bell_measurement, node_a, node_b, state, probe, nbar)
+    got = _outcome(bell_measurement, node_a, node_b, state, probe, nbar,
+                   rng=np.random.default_rng(rng_seed))
+    want = _outcome(reference_bell_measurement, node_a, node_b, state, probe, nbar,
+                    rng=np.random.default_rng(rng_seed))
+    assert got == want
+    _assert_same(false_even_probability, reference_false_even_probability, node_a, node_b, probe)
+    _assert_same(entanglement_generation, reference_entanglement_generation,
+                 node_a, node_b, probe, min(nbar, 0.1))
+    _assert_same(fidelity_success_tradeoff, reference_fidelity_success_tradeoff,
+                 node_a, node_b, probe, grid)
+
+
+# ------------------------------------------------------------- strategies --
+
+BASELINE = SystemParams(gamma=1.0 * THZ, g=0.33 * THZ, tau=0.001 * THZ, kappa=0.1 * THZ)
+thz = st.floats(1e-3, 10.0).map(lambda v: v * THZ)
+PHOTONS = (0.0, 5e-324, 1e-300, 1e-12, 1e-3, 0.05, 0.1, 1.0, 3.0, 30.0, 1e3, 1e8, 1e300)
+photons = st.one_of(st.sampled_from(PHOTONS), st.floats(0.0, 10.0))
+amplitudes = st.one_of(
+    st.just(0.0), st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def param_nodes(draw):
+    tau = draw(st.one_of(st.just(0.0), thz))
+    return SystemParams(
+        gamma=draw(thz),
+        g=draw(st.one_of(st.just(0.0), thz)),
+        tau=tau,
+        kappa=draw(st.one_of(st.just(0.0), thz)),
+        delta=draw(st.floats(-5.0, 5.0).map(lambda v: v * THZ)),
+    )
+
+
+route_amplitudes = st.builds(RouteAmplitudes, amplitudes, amplitudes, amplitudes, amplitudes)
+any_nodes = st.one_of(
+    param_nodes(), st.just(NodeRouting.ideal()), st.builds(NodeRouting, route_amplitudes, route_amplitudes)
+)
+probes = st.one_of(st.just(0.0), st.floats(-5.0, 5.0).map(lambda v: v * THZ),
+                   st.floats(-5.0, 5.0).map(lambda v: ProbeDetuning(v * THZ)))
+# a nonzero state whose sum of squares underflows is rescaled now, where the
+# reference refused it; those states are tested on their own below
+states = st.lists(amplitudes, min_size=4, max_size=4).map(lambda a: TwoDipoleState(tuple(a))).filter(
+    lambda s: s.norm() != 0.0 or not any(s.amplitudes)
+)
+
+
+# ------------------------------------------------------------------ tests --
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=param_nodes(), probe=probes, on_line=st.booleans())
+def test_routing_matches_reference(node, probe, on_line):
+    # on the dipole line a tau = 0 node raises DegenerateDipole in both
+    _assert_same(NodeRouting.from_params, reference_from_params,
+                 node, node.delta if on_line else probe)
+
+
+@settings(max_examples=200, deadline=None)
+@given(node_a=any_nodes, node_b=any_nodes, nbar=photons)
+def test_threshold_factors_match_reference(node_a, node_b, nbar):
+    try:
+        route_a, route_b = reference_routing(node_a, 0.0), reference_routing(node_b, 0.0)
+    except NumericsError:  # a tau = 0 node with its dipole line on the probe
+        return
+    amps = reference_pointer_matrix(route_a, route_b, math.sqrt(nbar))
+    want = reference_threshold_factors(amps)
+    assert _bits(_threshold_factors(amps)) == _bits(want)
+    for subset in (("even",), ("even", "odd"), ("both", "none")):
+        assert _bits(_threshold_factors(amps, subset)) == _bits({o: want[o] for o in subset})
+
+
+@settings(max_examples=150, deadline=None)
+@given(node_a=any_nodes, node_b=any_nodes, state=states, probe=probes, nbar=photons,
+       grid=st.lists(photons, max_size=6), rng_seed=st.integers(0, 2**32 - 1))
+def test_protocols_match_reference(node_a, node_b, state, probe, nbar, grid, rng_seed):
+    _assert_same_protocols(node_a, node_b, state, probe, nbar, grid, rng_seed)
+
+
+@pytest.mark.parametrize("nbar", PHOTONS)
+def test_special_nodes_and_photon_numbers_match_reference(baseline, nbar):
+    decoupled = replace(baseline, g=0.0)
+    off_line = replace(baseline, tau=0.0, delta=0.02 * THZ)  # tau = 0, probe off the line
+    dead = NodeRouting(RouteAmplitudes(0j, 0j, 0j, 0j), RouteAmplitudes(0j, 0j, 0j, 0j))
+    pairs = [(baseline, baseline), (decoupled, baseline), (decoupled, decoupled),
+             (off_line, baseline), (NodeRouting.ideal(), NodeRouting.ideal()),
+             (NodeRouting.ideal(), baseline), (dead, dead)]
+    zero_heavy = [TwoDipoleState.bell(label) for label in ("phi_plus", "psi_minus")] + [
+        TwoDipoleState((1.0, 0.0, 0.0, 0.0)), TwoDipoleState((0.0, 0.0, 0.0, 2.0j)),
+        TwoDipoleState((0.0, 0.0, 0.0, 0.0)),
+    ]
+    for node_a, node_b in pairs:
+        for state in zero_heavy:
+            _assert_same_protocols(node_a, node_b, state, 0.0, nbar, [0.0, nbar, 2.0 * nbar])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+def test_photon_number_errors_match_reference(baseline, bad):
+    state = TwoDipoleState.bell("phi_plus")
+    _assert_same_protocols(baseline, baseline, state, 0.0, bad, [0.5, bad])
+
+
+def test_protocols_pool_matches_reference():
+    # every output of the seed-0 pool of the benchmark's protocols workload
+    work = workloads.Protocols(0, "")
+    for case in work.pool:
+        a, b, probe = case.node_a, case.node_b, case.probe
+        for state in [*work.bell_states, case.state]:
+            _assert_same(bell_measurement, reference_bell_measurement,
+                         a, b, state, probe, case.nbar_bell)
+        got = _bits(bell_measurement(a, b, case.state, probe, case.nbar_bell,
+                                     rng=np.random.default_rng(case.rng_seed)))
+        want = _bits(reference_bell_measurement(a, b, case.state, probe, case.nbar_bell,
+                                                rng=np.random.default_rng(case.rng_seed)))
+        assert got == want
+        _assert_same(parity_probe, reference_parity_probe, a, b, case.state, probe,
+                     case.nbar_parity)
+        _assert_same(false_even_probability, reference_false_even_probability, a, b, probe)
+        _assert_same(entanglement_generation, reference_entanglement_generation,
+                     a, b, probe, case.nbar_entangle)
+        _assert_same(fidelity_success_tradeoff, reference_fidelity_success_tradeoff,
+                     a, b, probe, case.nbar_grid)
+        for node in (a, b):
+            if isinstance(node, SystemParams):
+                _assert_same(NodeRouting.from_params, reference_from_params, node, probe)
+
+
+# ------------------------------------------------- work the results skip --
+
+
+def test_routing_builds_no_params_and_no_coefficients(baseline, monkeypatch):
+    built = []
+    init = SystemParams.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SystemParams, "__init__", counting)
+    monkeypatch.setattr(core, "ScatterCoefficients", None)  # building one would fail
+    NodeRouting.from_params(baseline, 0.0)
+    fidelity_success_tradeoff(baseline, baseline, 0.0, [0.0, 0.5, 1.0])
+    false_even_probability(baseline, baseline, 0.0)
+    assert built == []
+
+
+def test_false_even_and_tradeoff_skip_the_parity_probe(baseline, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("parity_probe called")
+
+    monkeypatch.setattr(repeater, "parity_probe", fail)
+    fidelity_success_tradeoff(baseline, baseline, 0.0, [0.0, 0.5, 1.0])
+    false_even_probability(baseline, baseline, 0.0)
+    for label in ("phi_plus", "psi_minus"):
+        bell_measurement(baseline, baseline, TwoDipoleState.bell(label), 0.0, 1.0)
+
+
+# --------------------------------------------------------- error contract --
+
+BAD_NUMBERS = (math.nan, math.inf, -math.inf, -1.0, -1e300, 1e300, 1e-300, 5e-324, -5e-324, 0.0)
+BAD_OTHER = (None, "0.5", "1e9", "nan", "", b"1", 1 + 2j, [0.5], object())
+bad_values = st.one_of(st.sampled_from(BAD_NUMBERS + BAD_OTHER), st.floats(), st.text(max_size=4))
+
+
+def _only_contract_errors(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except (ValueError, NumericsError):
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(bad=bad_values, node=st.sampled_from(("params", "ideal")), slot=st.integers(0, 3))
+def test_repeater_entry_points_raise_only_contract_errors(bad, node, slot):
+    baseline = BASELINE
+    node = baseline if node == "params" else NodeRouting.ideal()
+    state = TwoDipoleState.bell("phi_plus")
+    good_nbar, good_probe = 0.05, 0.0
+    nbar = bad if slot in (0, 2) else good_nbar
+    probe = bad if slot in (1, 2) else good_probe
+    _only_contract_errors(parity_probe, node, node, state, probe, nbar)
+    _only_contract_errors(bell_measurement, node, node, state, probe, nbar)
+    _only_contract_errors(false_even_probability, node, node, probe)
+    _only_contract_errors(entanglement_generation, node, node, probe, nbar)
+    _only_contract_errors(fidelity_success_tradeoff, node, node, probe, [0.0, nbar])
+    _only_contract_errors(NodeRouting.from_params, baseline, probe)
+    _only_contract_errors(DipoleQubit, bad, 1.0)
+    _only_contract_errors(DipoleQubit, 1.0, bad)
+    _only_contract_errors(TwoDipoleState, (bad, 1.0, 0.0, 0.0))
+    _only_contract_errors(TwoDipoleState, bad)
+    if slot == 3:  # a state built from the bad value, when it is one
+        try:
+            odd = TwoDipoleState((bad, bad, 1.0, 0.0))
+        except ValueError:
+            return
+        _only_contract_errors(bell_measurement, node, node, odd, good_probe, 1.0)
+        _only_contract_errors(parity_probe, node, node, odd, good_probe, 1.0)
+
+
+@pytest.mark.parametrize("bad", [None, "0.5", "1e9", b"1", 1 + 2j, [0.5]])
+def test_non_numbers_are_refused_by_name(baseline, bad):
+    state = TwoDipoleState.bell("phi_plus")
+    for fn in (parity_probe, bell_measurement):
+        with pytest.raises(ValueError, match="mean_photons"):
+            fn(baseline, baseline, state, 0.0, bad)
+        with pytest.raises(ValueError, match="probe detuning"):
+            fn(baseline, baseline, state, bad, 0.5)
+    with pytest.raises(ValueError, match="mean_photons"):
+        entanglement_generation(baseline, baseline, 0.0, bad)
+    with pytest.raises(ValueError, match="mean_photons"):
+        fidelity_success_tradeoff(baseline, baseline, 0.0, [0.5, bad])
+    with pytest.raises(ValueError, match="probe detuning"):
+        false_even_probability(baseline, baseline, bad)
+    with pytest.raises(ValueError, match="probe detuning"):
+        NodeRouting.from_params(baseline, bad)
+    if not isinstance(bad, complex):
+        with pytest.raises(ValueError, match="amplitude_g"):
+            DipoleQubit(bad, 1.0)
+        with pytest.raises(ValueError, match="amplitude_m"):
+            DipoleQubit(1.0, bad)
+        with pytest.raises(ValueError, match="amplitudes"):
+            TwoDipoleState((1.0, bad, 0.0, 0.0))
+    with pytest.raises(ValueError, match="amplitudes"):
+        TwoDipoleState(None)
+
+
+def test_ints_and_numpy_numbers_stay_accepted(baseline):
+    state = TwoDipoleState.bell("psi_plus")
+    want = _bits(parity_probe(baseline, baseline, state, 0.0, 2.0))
+    for nbar in (2, np.float64(2.0), np.float32(2.0), np.int64(2)):
+        for probe in (0, np.float64(0.0), np.int32(0), ProbeDetuning(0)):
+            assert _bits(parity_probe(baseline, baseline, state, probe, nbar)) == want
+    assert DipoleQubit(1, np.complex64(1j)).amplitude_m == 1j
+    assert TwoDipoleState((1, 0, np.float64(0.0), 0)).amplitudes == (1, 0, 0, 0)
+
+
+# ----------------------------------------------------- norm out of range --
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-320, 5e-324, 1.7e308])
+def test_states_outside_the_normal_range_normalize(baseline, scale):
+    plain = TwoDipoleState((1.0, 1.0j, 0.0, 0.0))
+    big = TwoDipoleState((scale, scale * 1j, 0.0, 0.0))
+    assert big.normalized().amplitudes == plain.normalized().amplitudes
+    want = bell_measurement(baseline, baseline, plain, 0.0, 1.0)
+    assert _bits(bell_measurement(baseline, baseline, big, 0.0, 1.0)) == _bits(want)
+    assert _bits(parity_probe(baseline, baseline, big, 0.0, 1.0)) == _bits(
+        parity_probe(baseline, baseline, plain, 0.0, 1.0)
+    )
+    qubit = DipoleQubit(scale, -scale).normalized()
+    assert qubit == DipoleQubit(1.0, -1.0).normalized()
+
+
+def test_norm_overflow_reports_infinity_and_zero_still_fails():
+    assert TwoDipoleState((1e300, 1e300, 0.0, 0.0)).norm() == math.inf
+    assert TwoDipoleState((complex(1e308, 1e308), 0.0, 0.0, 0.0)).norm() == math.inf
+    assert DipoleQubit(1e200, 0.0).norm() == math.inf
+    huge = TwoDipoleState((complex(1.7e308, 1.7e308), 0.0, 0.0, 0.0)).normalized()
+    assert huge.norm() == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="cannot normalize a zero state"):
+        TwoDipoleState((0.0, 0.0, 0.0, 0.0)).normalized()
+    with pytest.raises(ValueError, match="cannot normalize a zero qubit state"):
+        DipoleQubit(0.0, -0.0).normalized()
+
+
+def reference_normalized_qubit(qubit):
+    n = math.sqrt(abs(qubit.amplitude_g) ** 2 + abs(qubit.amplitude_m) ** 2)
+    if n == 0.0:
+        raise ValueError("cannot normalize a zero qubit state")
+    return DipoleQubit(qubit.amplitude_g / n, qubit.amplitude_m / n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=states)
+def test_normal_range_states_keep_their_bits(state):
+    qubit = DipoleQubit(*state.amplitudes[:2])
+    _assert_same(lambda s: s.normalized().vector(), reference_normalized_vector, state)
+    if qubit.norm() != 0.0 or not any(state.amplitudes[:2]):
+        _assert_same(lambda q: q.normalized(), reference_normalized_qubit, qubit)

@@ -43,7 +43,6 @@ from .repeater import (
     PORTS,
     BellMeasurementRecord,
     BellOutcome,
-    DipoleQubit,
     InvalidRegime,
     NodeRouting,
     ParityProbeResult,
@@ -54,11 +53,9 @@ from .repeater import (
     TradeoffTable,
     TwoDipoleState,
     bell_measurement,
-    conditional_route,
     entanglement_generation,
     false_even_probability,
     fidelity_success_tradeoff,
-    hadamard,
     parity_probe,
 )
 from .spectra import (
@@ -114,7 +111,6 @@ __all__ = [
     "PORTS",
     "BELL_LABELS",
     "PARITY_TO_BELL",
-    "DipoleQubit",
     "TwoDipoleState",
     "RouteAmplitudes",
     "NodeRouting",
@@ -126,8 +122,6 @@ __all__ = [
     "TradeoffPoint",
     "TradeoffTable",
     "InvalidRegime",
-    "hadamard",
-    "conditional_route",
     "parity_probe",
     "false_even_probability",
     "entanglement_generation",

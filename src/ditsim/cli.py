@@ -34,6 +34,8 @@ from .core import (
     NumericsError,
     ProbeDetuning,
     SystemParams,
+    _FIELDS as _PARAM_KEYS,
+    _field_problem,
     diagnostics,
     scattering_arrays,
 )
@@ -59,7 +61,6 @@ from .svgplot import LineSeries, render_lines
 COMMANDS = ("spectrum", "sweep", "entangle", "parity", "bell", "tradeoff", "diagnostics")
 
 # node parameters, THz; defaults match the reference operating point
-_PARAM_KEYS = ("gamma", "g", "tau", "kappa", "delta", "omega0")
 _PARAM_DEFAULTS = {
     "gamma": 1.0,
     "g": 0.33,
@@ -195,9 +196,10 @@ def _check_ranges(command: str, options: dict) -> list[str]:
             )
 
     for suffix in ("", "_b"):
-        positive(f"gamma{suffix}")
-        for name in ("g", "tau", "kappa", "omega0"):
-            nonnegative(f"{name}{suffix}")
+        for name in _PARAM_KEYS:
+            key = name + suffix
+            if key in options and (problem := _field_problem(name, options[key])):
+                problems.append(f"key {key!r}: {problem.removeprefix(name + ' ')}")
 
     if command == "spectrum":
         positive("span")
@@ -477,7 +479,7 @@ def _run_spectrum(options, args):
     arrays = scattering_arrays(params, points)
     # the same |t|^2 that transmission_spectrum forms, from the one evaluation
     series = SpectrumSeries(
-        params, grid, np.abs(arrays.t_through) ** 2, np.abs(arrays.t_drop) ** 2
+        grid, points, np.abs(arrays.t_through) ** 2, np.abs(arrays.t_drop) ** 2
     )
     x_thz = points / THZ
     loss_kappa = params.kappa * np.abs(arrays.b_amp) ** 2

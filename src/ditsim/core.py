@@ -140,9 +140,10 @@ class ProbeDetuning:
     delta_omega: float
 
     def __post_init__(self):
-        if not math.isfinite(self.delta_omega):
+        value = _number(self.delta_omega, "delta_omega")
+        if not math.isfinite(value):
             raise ValueError(f"delta_omega must be finite, got {self.delta_omega!r}")
-        object.__setattr__(self, "delta_omega", float(self.delta_omega))
+        object.__setattr__(self, "delta_omega", value)
 
 
 Probe = Union[ProbeDetuning, float]

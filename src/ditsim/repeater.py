@@ -97,7 +97,7 @@ def _sum_squares(amps) -> float:
         return math.inf
 
 
-def _unit(amps: tuple, what: str) -> tuple:
+def _unit(amps: tuple) -> tuple:
     """``amps`` divided by their norm.
 
     Only when the plain sum of squares underflows to 0 or overflows to inf
@@ -108,42 +108,10 @@ def _unit(amps: tuple, what: str) -> tuple:
     if n == 0.0 or n == math.inf:
         scale = max(max(abs(a.real), abs(a.imag)) for a in amps)
         if scale == 0.0:
-            raise ValueError(f"cannot normalize a zero {what}")
+            raise ValueError("cannot normalize a zero state")
         amps = tuple(a / scale for a in amps)
         n = math.sqrt(_sum_squares(amps))
     return tuple(a / n for a in amps)
-
-
-@dataclass(frozen=True)
-class DipoleQubit:
-    """Single dipole qubit over the coupled |g> / decoupled |m> levels."""
-
-    amplitude_g: complex
-    amplitude_m: complex
-
-    def __post_init__(self):
-        for name in ("amplitude_g", "amplitude_m"):
-            value = _number(getattr(self, name), name, complex)
-            if not _finite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-
-    def norm(self) -> float:
-        return _sum_squares((self.amplitude_g, self.amplitude_m))
-
-    def normalized(self) -> "DipoleQubit":
-        return DipoleQubit(*_unit((self.amplitude_g, self.amplitude_m), "qubit state"))
-
-
-def hadamard(qubit: DipoleQubit) -> DipoleQubit:
-    """Dipole-basis Hadamard: g -> (g+m)/sqrt2, m -> (g-m)/sqrt2.
-
-    Unitary and involutive: applying it twice returns the input state.
-    """
-    return DipoleQubit(
-        _SQRT_HALF * (qubit.amplitude_g + qubit.amplitude_m),
-        _SQRT_HALF * (qubit.amplitude_g - qubit.amplitude_m),
-    )
 
 
 @dataclass(frozen=True)
@@ -176,24 +144,12 @@ class TwoDipoleState:
         return _sum_squares(self.amplitudes)
 
     def normalized(self) -> "TwoDipoleState":
-        return TwoDipoleState(_unit(self.amplitudes, "state"))
+        return TwoDipoleState(_unit(self.amplitudes))
 
     def fidelity(self, other: "TwoDipoleState") -> float:
         a = self.normalized().vector()
         b = other.normalized().vector()
         return float(abs(np.vdot(a, b)) ** 2)
-
-    @classmethod
-    def product(cls, qubit_a: DipoleQubit, qubit_b: DipoleQubit) -> "TwoDipoleState":
-        a, b = qubit_a, qubit_b
-        return cls(
-            (
-                a.amplitude_g * b.amplitude_g,
-                a.amplitude_g * b.amplitude_m,
-                a.amplitude_m * b.amplitude_g,
-                a.amplitude_m * b.amplitude_m,
-            )
-        )
 
     @classmethod
     def bell(cls, label: str) -> "TwoDipoleState":
@@ -211,7 +167,7 @@ class TwoDipoleState:
 
 def _unit_vector(state: TwoDipoleState) -> np.ndarray:
     """``state.normalized().vector()`` without the intermediate state object."""
-    return np.array(_unit(state.amplitudes, "state"), dtype=complex)
+    return np.array(_unit(state.amplitudes), dtype=complex)
 
 
 # Bell vectors as given (fidelity targets), and the normalized probe states of
@@ -289,15 +245,6 @@ def _routing(node: Node, probe: Probe) -> NodeRouting:
     if isinstance(node, SystemParams):
         return NodeRouting.from_params(node, probe)
     raise TypeError(f"node must be SystemParams or NodeRouting, got {type(node)!r}")
-
-
-def conditional_route(node: Node, label: str, probe: Probe) -> RouteAmplitudes:
-    """Output amplitudes for a unit probe conditioned on the dipole label.
-
-    With the dipole in |g> a high-cooperativity node transmits the probe
-    (through ~ 1); in |m> it behaves as a bare drop filter (drop ~ -1).
-    """
-    return _routing(node, probe).for_label(label)
 
 
 # ====================================================== pointer bookkeeping ==
@@ -669,9 +616,8 @@ def entanglement_generation(
     herald_probability = p_t + p_d
 
     if herald_probability <= _PROB_FLOOR:
-        plus = DipoleQubit(_SQRT_HALF, _SQRT_HALF)
         return ProtocolResult(
-            post_state=TwoDipoleState.product(plus, plus),
+            post_state=TwoDipoleState((_SQRT_HALF * _SQRT_HALF,) * 4),
             fidelity=0.0,
             success_probability=0.0,
         )

@@ -22,6 +22,7 @@ from .core import (  # flux_budget and scattering_arrays stay importable from he
     _drop_arrays,
     _field_problem,
     _flux,
+    _number,
     _probe_value,
     flux_budget,  # noqa: F401
     scattering_arrays,  # noqa: F401
@@ -47,8 +48,9 @@ class DetuningGrid:
     count: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError("grid endpoints must be finite")
+        for name in ("start", "stop"):
+            if not math.isfinite(_number(getattr(self, name), f"grid endpoint {name}")):
+                raise ValueError("grid endpoints must be finite")
         if not isinstance(self.count, int) or self.count < 1:
             raise ValueError(f"count must be a positive integer, got {self.count!r}")
         if self.count == 1:
@@ -76,10 +78,10 @@ class DetuningGrid:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumSeries:
-    """Through/drop probabilities sampled over a detuning grid."""
+    """Through/drop probabilities sampled at the detunings of a grid."""
 
-    params: SystemParams
     grid: DetuningGrid
+    detuning: np.ndarray
     through: np.ndarray
     drop: np.ndarray
 
@@ -99,38 +101,17 @@ def transmission_spectrum(params: SystemParams, grid: DetuningGrid) -> SpectrumS
     Only the waveguide amplitudes are formed; the intracavity and dipole
     amplitudes of :func:`~ditsim.core.scattering_arrays` are not needed.
     """
-    t_drop = _drop_arrays(params, grid.points())[2]
+    points = grid.points()
+    t_drop = _drop_arrays(params, points)[2]
     return SpectrumSeries(
-        params=params,
         grid=grid,
+        detuning=points,
         through=np.abs(1.0 + t_drop) ** 2,
         drop=np.abs(t_drop) ** 2,
     )
 
 
-def _grid_point(grid: DetuningGrid, i: int) -> float:
-    """``grid.points()[i]`` without building the array.
-
-    Follows ``numpy.linspace`` step for step (start plus i times the step, or
-    i / (count - 1) times the span where the step underflows to zero, and the
-    last point pinned to ``stop``), so the value is bit-identical.
-    """
-    div = grid.count - 1
-    if not 0 <= i <= div:
-        raise IndexError(f"index {i} is out of bounds for a grid of {grid.count} points")
-    if i == div and div > 0:
-        return float(grid.stop)
-    start = float(grid.start)
-    delta = float(grid.stop) - start
-    if div == 0:
-        return i * delta + start
-    step = delta / div
-    if step == 0.0:  # the step underflows: scale by i / div instead
-        return i / div * delta + start
-    return i * step + start
-
-
-def _half_crossing(grid: DetuningGrid, y: np.ndarray, peak_idx: int, level: float, side: int) -> float | None:
+def _half_crossing(x: np.ndarray, y: np.ndarray, peak_idx: int, level: float, side: int) -> float | None:
     """Detuning where y first falls to ``level`` walking out from the peak.
 
     ``side`` is -1 (left) or +1 (right); linear interpolation between the
@@ -146,8 +127,7 @@ def _half_crossing(grid: DetuningGrid, y: np.ndarray, peak_idx: int, level: floa
     prev = i - side  # first sample still above the level
     span = y[i] - y[prev]
     frac = 0.0 if span == 0.0 else (level - y[prev]) / span
-    x_prev = _grid_point(grid, prev)
-    return float(x_prev + frac * (_grid_point(grid, i) - x_prev))
+    return float(x[prev] + frac * (x[i] - x[prev]))
 
 
 def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
@@ -183,12 +163,13 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
     curvature = ym - 2.0 * y0 + yp
     offset = 0.0 if curvature == 0.0 else 0.5 * (ym - yp) / curvature
     offset = min(0.5, max(-0.5, offset))
-    peak_detuning = _grid_point(series.grid, idx) + offset * series.grid.step
+    x = series.detuning
+    peak_detuning = float(x[idx]) + offset * series.grid.step
     peak_value = y0 - 0.25 * (ym - yp) * offset
 
     level = 0.5 * (peak_value + baseline)
-    left = _half_crossing(series.grid, y, idx, level, -1)
-    right = _half_crossing(series.grid, y, idx, level, +1)
+    left = _half_crossing(x, y, idx, level, -1)
+    right = _half_crossing(x, y, idx, level, +1)
     if left is None and right is None:
         raise NoPeak("through curve never reaches half height inside the grid")
     if left is None:

@@ -76,6 +76,21 @@ def test_validation_collects_every_problem(tmp_path, capsys):
     assert "must be > 0" in err
 
 
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        ("spectrum", "gamma", "0", "key 'gamma': must be > 0, got 0.0"),
+        ("entangle", "gamma_b", "-0", "key 'gamma_b': must be > 0, got -0.0"),
+        ("diagnostics", "tau", "-1e-300", "key 'tau': must be >= 0, got -1e-300"),
+        ("bell", "omega0_b", "-2", "key 'omega0_b': must be >= 0, got -2.0"),
+    ],
+)
+def test_node_range_messages(command, key, value, message):
+    with pytest.raises(ValidationError) as err:
+        cli._coerce(command, {key: value})
+    assert err.value.problems == [message]
+
+
 def test_single_point_spectrum_rejected(tmp_path, capsys):
     conf = write(tmp_path / "one.conf", "points: 1\n")
     assert main(["spectrum", "--config", conf, "--out", str(tmp_path)]) == 2

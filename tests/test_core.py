@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ditsim import (
     THZ,
     DegenerateDipole,
+    DetuningGrid,
     ProbeDetuning,
     SingularDenominator,
     SystemParams,
@@ -82,6 +83,10 @@ def test_nonfinite_rates_rejected(bad):
         SystemParams(gamma=bad, g=0.0, tau=1.0)
     with pytest.raises(ValueError):
         SystemParams(gamma=1.0, g=0.0, tau=1.0, delta=bad)
+    with pytest.raises(ValueError, match="delta_omega must be finite"):
+        ProbeDetuning(bad)
+    with pytest.raises(ValueError, match="grid endpoints must be finite"):
+        DetuningGrid(bad, 1.0, 3)
 
 
 def test_zero_gamma_rejected():

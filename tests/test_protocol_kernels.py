@@ -26,7 +26,7 @@ from ditsim import (
     THZ,
     BellMeasurementRecord,
     BellOutcome,
-    DipoleQubit,
+    DetuningGrid,
     InvalidRegime,
     NodeRouting,
     NumericsError,
@@ -245,8 +245,8 @@ def reference_entanglement_generation(node_a, node_b, probe, mean_photons):
     p_d = float(np.vdot(click_d, click_d).real)
     herald_probability = p_t + p_d
     if herald_probability <= 1e-300:
-        plus = DipoleQubit(_SQRT_HALF, _SQRT_HALF)
-        return ProtocolResult(TwoDipoleState.product(plus, plus), 0.0, 0.0)
+        r = complex(_SQRT_HALF)  # the product of two (|g> + |m>)/sqrt2 qubits
+        return ProtocolResult(TwoDipoleState((r * r,) * 4), 0.0, 0.0)
     singlet = TwoDipoleState.bell("psi_minus").vector()
     fidelity = 0.0
     mixture = np.zeros((4, 4), dtype=complex)
@@ -504,8 +504,6 @@ def test_repeater_entry_points_raise_only_contract_errors(bad, node, slot):
     _only_contract_errors(entanglement_generation, node, node, probe, nbar)
     _only_contract_errors(fidelity_success_tradeoff, node, node, probe, [0.0, nbar])
     _only_contract_errors(NodeRouting.from_params, baseline, probe)
-    _only_contract_errors(DipoleQubit, bad, 1.0)
-    _only_contract_errors(DipoleQubit, 1.0, bad)
     _only_contract_errors(TwoDipoleState, (bad, 1.0, 0.0, 0.0))
     _only_contract_errors(TwoDipoleState, bad)
     if slot == 3:  # a state built from the bad value, when it is one
@@ -533,11 +531,13 @@ def test_non_numbers_are_refused_by_name(baseline, bad):
         false_even_probability(baseline, baseline, bad)
     with pytest.raises(ValueError, match="probe detuning"):
         NodeRouting.from_params(baseline, bad)
+    with pytest.raises(ValueError, match="delta_omega must be a real number"):
+        ProbeDetuning(bad)
+    with pytest.raises(ValueError, match="grid endpoint start must be a real number"):
+        DetuningGrid(bad, 1.0, 3)
+    with pytest.raises(ValueError, match="grid endpoint stop must be a real number"):
+        DetuningGrid(0.0, bad, 3)
     if not isinstance(bad, complex):
-        with pytest.raises(ValueError, match="amplitude_g"):
-            DipoleQubit(bad, 1.0)
-        with pytest.raises(ValueError, match="amplitude_m"):
-            DipoleQubit(1.0, bad)
         with pytest.raises(ValueError, match="amplitudes"):
             TwoDipoleState((1.0, bad, 0.0, 0.0))
     with pytest.raises(ValueError, match="amplitudes"):
@@ -550,7 +550,6 @@ def test_ints_and_numpy_numbers_stay_accepted(baseline):
     for nbar in (2, np.float64(2.0), np.float32(2.0), np.int64(2)):
         for probe in (0, np.float64(0.0), np.int32(0), ProbeDetuning(0)):
             assert _bits(parity_probe(baseline, baseline, state, probe, nbar)) == want
-    assert DipoleQubit(1, np.complex64(1j)).amplitude_m == 1j
     assert TwoDipoleState((1, 0, np.float64(0.0), 0)).amplitudes == (1, 0, 0, 0)
 
 
@@ -567,33 +566,18 @@ def test_states_outside_the_normal_range_normalize(baseline, scale):
     assert _bits(parity_probe(baseline, baseline, big, 0.0, 1.0)) == _bits(
         parity_probe(baseline, baseline, plain, 0.0, 1.0)
     )
-    qubit = DipoleQubit(scale, -scale).normalized()
-    assert qubit == DipoleQubit(1.0, -1.0).normalized()
 
 
 def test_norm_overflow_reports_infinity_and_zero_still_fails():
     assert TwoDipoleState((1e300, 1e300, 0.0, 0.0)).norm() == math.inf
     assert TwoDipoleState((complex(1e308, 1e308), 0.0, 0.0, 0.0)).norm() == math.inf
-    assert DipoleQubit(1e200, 0.0).norm() == math.inf
     huge = TwoDipoleState((complex(1.7e308, 1.7e308), 0.0, 0.0, 0.0)).normalized()
     assert huge.norm() == pytest.approx(1.0)
     with pytest.raises(ValueError, match="cannot normalize a zero state"):
         TwoDipoleState((0.0, 0.0, 0.0, 0.0)).normalized()
-    with pytest.raises(ValueError, match="cannot normalize a zero qubit state"):
-        DipoleQubit(0.0, -0.0).normalized()
-
-
-def reference_normalized_qubit(qubit):
-    n = math.sqrt(abs(qubit.amplitude_g) ** 2 + abs(qubit.amplitude_m) ** 2)
-    if n == 0.0:
-        raise ValueError("cannot normalize a zero qubit state")
-    return DipoleQubit(qubit.amplitude_g / n, qubit.amplitude_m / n)
 
 
 @settings(max_examples=300, deadline=None)
 @given(state=states)
 def test_normal_range_states_keep_their_bits(state):
-    qubit = DipoleQubit(*state.amplitudes[:2])
     _assert_same(lambda s: s.normalized().vector(), reference_normalized_vector, state)
-    if qubit.norm() != 0.0 or not any(state.amplitudes[:2]):
-        _assert_same(lambda q: q.normalized(), reference_normalized_qubit, qubit)

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ditsim import (
     BASIS,
@@ -11,7 +9,6 @@ from ditsim import (
     PARITY_TO_BELL,
     PORTS,
     THZ,
-    DipoleQubit,
     InvalidRegime,
     NodeRouting,
     ProbeDetuning,
@@ -19,14 +16,13 @@ from ditsim import (
     SystemParams,
     TwoDipoleState,
     bell_measurement,
-    conditional_route,
     entanglement_generation,
     false_even_probability,
     fidelity_success_tradeoff,
-    hadamard,
     parity_probe,
     scatter_coefficients,
 )
+from ditsim.repeater import _HADAMARD_PAIR
 
 PROBE = ProbeDetuning(0.0)
 
@@ -42,8 +38,6 @@ TRADEOFF_G4 = {
     3.0: (0.9201785628300811, 0.9407598351033234),
     5.0: (0.8741679771827267, 0.990997555944146),
 }
-
-amplitude = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 
 
 def _dead_node():
@@ -65,11 +59,6 @@ def test_bell_label_validation():
         TwoDipoleState.bell("singlet")
 
 
-def test_product_state_layout():
-    state = TwoDipoleState.product(DipoleQubit(1.0, 0.0), DipoleQubit(0.0, 1.0))
-    assert state.amplitudes == (0.0, 1.0, 0.0, 0.0)  # |g,m> slot in BASIS order
-
-
 def test_normalization_and_fidelity():
     state = TwoDipoleState((2.0, 0.0, 0.0, 0.0))
     assert state.normalized().norm() == pytest.approx(1.0, abs=1e-15)
@@ -81,35 +70,30 @@ def test_normalization_and_fidelity():
 
 
 def test_hadamard_action():
-    r = 1.0 / math.sqrt(2.0)
-    plus = hadamard(DipoleQubit(1.0, 0.0))
-    minus = hadamard(DipoleQubit(0.0, 1.0))
-    assert plus.amplitude_g == pytest.approx(r) and plus.amplitude_m == pytest.approx(r)
-    assert minus.amplitude_g == pytest.approx(r) and minus.amplitude_m == pytest.approx(-r)
+    # kron(H, H) fixes phi+ and psi- (up to sign) and exchanges phi- with psi+
+    vectors = {label: TwoDipoleState.bell(label).vector() for label in BELL_LABELS}
+    for label, image in (("phi_plus", "phi_plus"), ("psi_minus", "psi_minus"),
+                         ("phi_minus", "psi_plus"), ("psi_plus", "phi_minus")):
+        overlap = np.vdot(vectors[image], _HADAMARD_PAIR @ vectors[label])
+        assert abs(abs(overlap) - 1.0) < 1e-15
 
 
-@given(g=amplitude, m=amplitude)
-@settings(max_examples=100, deadline=None)
-def test_hadamard_is_involutive(g, m):
-    q = DipoleQubit(g, m)
-    back = hadamard(hadamard(q))
-    scale = max(abs(g), abs(m), 1.0)
-    assert abs(back.amplitude_g - g) <= 1e-12 * scale
-    assert abs(back.amplitude_m - m) <= 1e-12 * scale
+def test_hadamard_is_involutive():
+    assert np.array_equal(_HADAMARD_PAIR @ _HADAMARD_PAIR, np.eye(4))
 
 
 # ---------------------------------------------------- conditional routing --
 
 
 def test_routing_matches_scattering(baseline):
-    route = conditional_route(baseline, "g", PROBE)
+    route = NodeRouting.from_params(baseline, PROBE).for_label("g")
     c = scatter_coefficients(baseline, PROBE)
     assert route.through == c.t_through
     assert route.drop == c.t_drop
 
 
 def test_decoupled_label_is_bare_filter(baseline):
-    route = conditional_route(baseline, "m", PROBE)
+    route = NodeRouting.from_params(baseline, PROBE).for_label("m")
     assert route.through == pytest.approx(0.04761904761904767, rel=1e-12)
     assert route.drop == pytest.approx(-0.9523809523809523, rel=1e-12)
     assert route.loss_tau == 0.0  # nothing couples to the dipole reservoir
@@ -117,9 +101,9 @@ def test_decoupled_label_is_bare_filter(baseline):
 
 def test_routing_label_validation(baseline):
     with pytest.raises(ValueError, match="label"):
-        conditional_route(baseline, "x", PROBE)
-    with pytest.raises(TypeError):
-        conditional_route("not a node", "g", PROBE)
+        NodeRouting.from_params(baseline, PROBE).for_label("x")
+    with pytest.raises(TypeError, match="node must be SystemParams or NodeRouting"):
+        parity_probe("not a node", baseline, TwoDipoleState.bell("phi_plus"), PROBE, 1.0)
 
 
 def test_ideal_routing_limits():

@@ -46,6 +46,9 @@ def test_single_point_grid():
         (1.0, 1.0, 5),
         (0.0, 1.0, 1),  # 1-point grid must have start == stop
         (float("nan"), 1.0, 5),
+        (None, 1.0, 3),
+        ("1", 1.0, 3),
+        (0.0, None, 3),
     ],
 )
 def test_grid_rejects_bad_shapes(start, stop, count):
@@ -139,7 +142,7 @@ def test_no_peak_on_flat_series(baseline):
 
     grid = DetuningGrid(-1.0 * THZ, 1.0 * THZ, 9)
     flat = SpectrumSeries(
-        params=baseline, grid=grid,
+        grid=grid, detuning=grid.points(),
         through=np.full(9, 0.5), drop=np.full(9, 0.5),
     )
     with pytest.raises(NoPeak):

@@ -37,6 +37,9 @@ THZ = 1.0e12  # rad/s per THz
 # |denominator| below this is treated as numerically singular.  The physical
 # denominator has real part >= gamma > 0, so this only guards corrupt input.
 _DENOM_FLOOR = 1e-280
+# Complex division divides by a real scale |D|^2 / max(|Re D|, |Im D|), which
+# overflows only when a part of D reaches this
+_HUGE = 2.0**1023
 _SHOWN_INDICES = 10  # grid indices an array-path error message lists
 
 
@@ -49,7 +52,8 @@ class DegenerateDipole(NumericsError):
 
 
 class SingularDenominator(NumericsError):
-    """Scattering denominator collapsed below the numerical floor."""
+    """Scattering denominator collapsed below the numerical floor, or too
+    large for complex division by it to stay finite."""
 
 
 class SingularSystem(NumericsError):
@@ -76,6 +80,16 @@ def _field_problem(name: str, value, check_range: bool = True) -> str | None:
         if name in ("g", "tau", "kappa", "omega0") and value < 0.0:
             return f"{name} must be >= 0, got {float(value)}"
     return None
+
+
+def _field_ok(name: str, values: np.ndarray) -> np.ndarray:
+    """Where the float64 ``values`` pass :func:`_field_problem` for ``name``."""
+    ok = np.isfinite(values)
+    if name == "gamma":
+        ok &= values > 0.0
+    elif name in ("g", "tau", "kappa", "omega0"):
+        ok &= values >= 0.0
+    return ok
 
 
 @dataclass(frozen=True)
@@ -152,8 +166,9 @@ Probe = Union[ProbeDetuning, float]
 def _number(value, name: str, kind: type = float):
     """``kind(value)`` for ``kind`` float or complex, with ``ValueError`` naming
     ``name`` for strings (never parsed) and values that are not numbers of
-    that kind (None, sequences, complex for float)."""
-    if not isinstance(value, (str, bytes)):
+    that kind (None, sequences, complex for float).  numpy's complex scalars
+    subclass complex; float() would drop their imaginary part."""
+    if not isinstance(value, (str, bytes, complex) if kind is float else (str, bytes)):
         try:
             return kind(value)
         except (TypeError, OverflowError):
@@ -209,8 +224,11 @@ def _amplitudes(
         )
     coupling = g * g / x if g > 0.0 else 0.0j
     denom = -1j * dw + gamma + 0.5 * kappa + coupling
-    if not cmath.isfinite(denom) or abs(denom) < _DENOM_FLOOR:
+    big = max(abs(denom.real), abs(denom.imag))  # abs(denom) itself can overflow
+    if not cmath.isfinite(denom) or (big < _DENOM_FLOOR and abs(denom) < _DENOM_FLOOR):
         raise SingularDenominator(f"scattering denominator collapsed: D = {denom!r}")
+    if big >= _HUGE and not math.isfinite(_ratio((denom.real, denom.imag))[2]):
+        raise SingularDenominator(f"scattering denominator out of range: D = {denom!r}")
     t_drop = -gamma / denom
     b_amp = -math.sqrt(gamma) / denom
     sigma_amp = -1j * g * b_amp / x if g > 0.0 else 0.0j
@@ -233,7 +251,8 @@ def scatter_coefficients(params: SystemParams, probe: Probe) -> ScatterCoefficie
     DegenerateDipole
         If g > 0, tau = 0 and the probe sits exactly on the dipole line.
     SingularDenominator
-        If D falls below the numerical floor (unreachable for valid params).
+        If D falls below the numerical floor (unreachable for valid params),
+        or is so large that dividing by it overflows (rates near 1e308).
     """
     t_drop, b_amp, sigma_amp = _amplitudes(
         params.gamma, params.g, params.tau, params.kappa, params.delta, _probe_value(probe)
@@ -241,39 +260,55 @@ def scatter_coefficients(params: SystemParams, probe: Probe) -> ScatterCoefficie
     return ScatterCoefficients(1.0 + t_drop, t_drop, b_amp, sigma_amp)
 
 
+def _grid_indices(bad: np.ndarray) -> str:
+    shown = bad[:_SHOWN_INDICES].tolist()
+    more = f" and {bad.size - len(shown)} more" if bad.size > len(shown) else ""
+    return f"grid indices {shown}{more}"
+
+
 def _drop_arrays(
     params: SystemParams, dw: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(x, denom, t_drop)`` over a detuning array, both guards applied.
 
+    Each term is computed into a buffer reused by the next, with the ufuncs
+    and operand order of the plain expressions, so the bits are theirs.
     Overflow on extreme inputs is reported by the denominator guard, so the
     floating-point warnings it would also raise are silenced.
     """
+    g, half_tau = params.g, 0.5 * params.tau
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = -1j * (dw - params.delta) + 0.5 * params.tau
-        if params.g > 0.0:
-            dead = np.flatnonzero(x == 0.0)
-            if dead.size:
-                raise DegenerateDipole(
-                    "dipole term diverges at grid indices "
-                    f"{dead.tolist()}: probe exactly on a zero-linewidth dipole line"
+        x = np.multiply(-1j, dw - params.delta)
+        x += half_tau
+        coupling = None
+        if g > 0.0:
+            if half_tau == 0.0:  # Re x is tau/2 (or nan), so x is never 0 otherwise
+                dead = np.flatnonzero(x == 0.0)
+                if dead.size:
+                    raise DegenerateDipole(
+                        "dipole term diverges at grid indices "
+                        f"{dead.tolist()}: probe exactly on a zero-linewidth dipole line"
+                    )
+            coupling = np.divide(g * g, x)
+        denom = np.multiply(-1j, dw)
+        denom += params.gamma
+        denom += 0.5 * params.kappa
+        denom += 0.0 if coupling is None else coupling
+        # a sum of squares is finite only if every part is, and |D| >= Re D,
+        # so the exact per-point tests run only when one of these passes fails
+        if not (np.isfinite(np.vdot(denom, denom))
+                and np.min(denom.real, initial=np.inf) >= _DENOM_FLOOR):
+            bad = np.flatnonzero(~(np.isfinite(denom) & (np.abs(denom) >= _DENOM_FLOOR)))
+            if bad.size:
+                raise SingularDenominator(
+                    f"scattering denominator collapsed at {_grid_indices(bad)}"
                 )
-            coupling = params.g * params.g / x
-        else:
-            coupling = np.zeros_like(x)
-        denom = -1j * dw + params.gamma + 0.5 * params.kappa + coupling
-    # a sum of squares is finite only if every part is, and |D| >= Re D, so
-    # the exact per-point test runs only when one of these cheap passes fails
-    if not (np.isfinite(np.vdot(denom, denom))
-            and np.min(denom.real, initial=np.inf) >= _DENOM_FLOOR):
-        bad = np.flatnonzero(~(np.isfinite(denom) & (np.abs(denom) >= _DENOM_FLOOR)))
-        if bad.size:
-            shown = bad[:_SHOWN_INDICES].tolist()
-            more = f" and {bad.size - len(shown)} more" if bad.size > len(shown) else ""
-            raise SingularDenominator(
-                f"scattering denominator collapsed at grid indices {shown}{more}"
-            )
-    return x, denom, -params.gamma / denom
+            bad = np.flatnonzero(~np.isfinite(_ratio((denom.real, denom.imag))[2]))
+            if bad.size:
+                raise SingularDenominator(
+                    f"scattering denominator out of range at {_grid_indices(bad)}"
+                )
+    return x, denom, np.divide(-params.gamma, denom, out=coupling)
 
 
 def scattering_arrays(params: SystemParams, delta_omega: np.ndarray) -> ScatterArrays:
@@ -340,7 +375,7 @@ def steady_state_oracle(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: sweeps build one per row
 class FluxBudget:
     """Fractions of the input photon flux leaving by each channel."""
 
@@ -365,6 +400,110 @@ def _flux(
         cavity_loss=kappa * abs(b_amp) ** 2,
         dipole_loss=tau * abs(sigma_amp) ** 2,
     )
+
+
+# CPython's complex arithmetic written out on (re, im) pairs, each part a
+# float or a float64 array, so that array results carry the bits of the scalar
+# expressions.  A real operand enters as (f, 0.0), as CPython promotes it; on
+# float parts these are Python's own float operations.  numpy's complex
+# division multiplies by a reciprocal and its complex abs is not C hypot, so
+# neither is used.  Callers silence floating-point warnings: the rows that
+# raise them are the ones the scalar kernel refuses.
+
+_NEG_J = (-0.0, -1.0)  # the literal -1j
+
+
+def _c_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _c_mul(a, b):
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _ratio(b):
+    """``(wide, ratio, scale)`` of CPython's ``_Py_c_quot`` dividing by ``b``:
+    whether |Re b| >= |Im b|, the other part over that larger one, and the
+    real scale, larger + other * ratio, that the quotient is divided by.
+    Where b is 0, which Python refuses, the ratio is nan."""
+    br, bi = b
+    if type(br) is float and type(bi) is float:
+        wide = abs(br) >= abs(bi)
+        big, small = (br, bi) if wide else (bi, br)
+        ratio = small / big if big else math.nan
+    else:
+        wide = np.abs(br) >= np.abs(bi)
+        big, small = np.where(wide, br, bi), np.where(wide, bi, br)
+        ratio = np.divide(small, big)
+    return wide, ratio, big + small * ratio
+
+
+def _c_quot(a, b, by=None):
+    """``a / b``; ``by`` is ``_ratio(b)`` when already formed."""
+    ar, ai = a
+    wide, ratio, scale = by or _ratio(b)
+    if type(wide) is bool:
+        u, v = (ar, ai) if wide else (ai, ar)
+        ur = u * ratio
+        im = v - ur if wide else ur - v
+    else:
+        u, v = np.where(wide, ar, ai), np.where(wide, ai, ar)
+        ur = u * ratio
+        im = np.where(wide, v - ur, ur - v)
+    return (u + v * ratio) / scale, im / scale
+
+
+def _c_abs2(z):
+    """``abs(z) ** 2``: C ``hypot``, then C ``pow``, as CPython rounds them."""
+    return np.float_power(np.hypot(*z), 2.0)
+
+
+def _flux_arrays(gamma, g, tau, kappa, delta, dw):
+    """:func:`_flux` with float64 arrays in place of any of its floats.
+
+    Returns five arrays of the arguments' broadcast shape: the four flux
+    fractions, then a mask of the rows that ``_flux`` may refuse or that came
+    out non-finite: a denominator that is non-finite (x = 0 with g > 0 makes
+    it nan), near or below the floor, or out of range, or a non-finite
+    fraction.  On every other row each fraction has the bits ``_flux`` gives
+    on that row's floats.  Terms that no array argument reaches are formed
+    once, on floats.
+    """
+    # rows with g = 0 then get zero coupling and sigma, up to the sign of a
+    # zero, which no |.|^2 sees
+    coupled = type(g) is np.ndarray or g > 0.0
+    with np.errstate(all="ignore"):
+        x = _c_add(_c_mul(_NEG_J, (dw - delta, 0.0)), (0.5 * tau, 0.0))
+        by_x = _ratio(x) if coupled else None
+        coupling = _c_quot((g * g, 0.0), x, by_x) if coupled else (0.0, 0.0)
+        denom = _c_add(_c_mul(_NEG_J, (dw, 0.0)), (gamma, 0.0))
+        denom = _c_add(_c_add(denom, (0.5 * kappa, 0.0)), coupling)
+        by_denom = _ratio(denom)
+        # t_drop and b_amp share the denominator: one quotient, two rows
+        root = math.sqrt(gamma) if type(gamma) is float else np.sqrt(gamma)
+        numerators = np.reshape(np.array([-gamma, -root]), (2, -1))
+        quot = _c_quot((numerators, 0.0), denom, by_denom)
+        t_drop = quot[0][0], quot[1][0]
+        b_amp = quot[0][1], quot[1][1]
+        sigma_amp = (_c_quot(_c_mul(_c_mul(_NEG_J, (g, 0.0)), b_amp), x, by_x)
+                     if coupled else (0.0, 0.0))
+        drop_and_b = _c_abs2(quot)
+        fractions = (
+            _c_abs2(_c_add((1.0, 0.0), t_drop)),
+            drop_and_b[0],
+            kappa * drop_and_b[1],
+            tau * _c_abs2(sigma_amp),
+        )
+        # |D| < floor puts |scale| below 2 floors; a non-finite D, scale or
+        # fraction makes the sum non-finite
+        scale = by_denom[2]
+        total = fractions[0] + fractions[1] + fractions[2] + fractions[3] + scale
+        flagged = ~np.isfinite(total) | (np.abs(scale) < 4.0 * _DENOM_FLOOR)
+    # a fraction that no array argument reaches is a scalar or one row
+    shape = max(getattr(a, "shape", ()) for a in (gamma, g, tau, kappa, delta, dw))
+    return [f if type(f) is np.ndarray and f.shape == shape else np.broadcast_to(f, shape)
+            for f in (*fractions, flagged)]
 
 
 def flux_budget(params: SystemParams, probe: Probe) -> FluxBudget:

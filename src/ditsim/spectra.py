@@ -20,8 +20,10 @@ from .core import (  # flux_budget and scattering_arrays stay importable from he
     Probe,
     SystemParams,
     _drop_arrays,
+    _field_ok,
     _field_problem,
     _flux,
+    _flux_arrays,
     _number,
     _probe_value,
     flux_budget,  # noqa: F401
@@ -102,13 +104,12 @@ def transmission_spectrum(params: SystemParams, grid: DetuningGrid) -> SpectrumS
     amplitudes of :func:`~ditsim.core.scattering_arrays` are not needed.
     """
     points = grid.points()
-    t_drop = _drop_arrays(params, points)[2]
-    return SpectrumSeries(
-        grid=grid,
-        detuning=points,
-        through=np.abs(1.0 + t_drop) ** 2,
-        drop=np.abs(t_drop) ** 2,
-    )
+    x, _, t_drop = _drop_arrays(params, points)
+    through = np.abs(np.add(1.0, t_drop, out=x))  # x is spent: reuse its buffer
+    through **= 2
+    drop = np.abs(t_drop)
+    drop **= 2
+    return SpectrumSeries(grid=grid, detuning=points, through=through, drop=drop)
 
 
 def _half_crossing(x: np.ndarray, y: np.ndarray, peak_idx: int, level: float, side: int) -> float | None:
@@ -116,14 +117,13 @@ def _half_crossing(x: np.ndarray, y: np.ndarray, peak_idx: int, level: float, si
 
     ``side`` is -1 (left) or +1 (right); linear interpolation between the
     bracketing samples.  Returns None when the curve never reaches the level
-    on that side of the grid.
+    on that side of the grid.  A nan sample counts as reaching it.
     """
-    i = peak_idx
-    last = 0 if side < 0 else len(y) - 1
-    while i != last and y[i] > level:
-        i += side
-    if y[i] > level:
+    above = y[peak_idx::side] > level
+    steps = int(np.argmin(above))  # the first sample not above, if any
+    if above[steps]:
         return None
+    i = peak_idx + side * steps
     prev = i - side  # first sample still above the level
     span = y[i] - y[prev]
     frac = 0.0 if span == 0.0 else (level - y[prev]) / span
@@ -146,8 +146,14 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
     NoPeak
         If the maximum lies on a grid edge (monotone or dip-only spectra) or
         the peak is indistinguishable from the baseline at 1e-12 relative.
+    ValueError
+        If ``detuning`` and ``through`` differ in length.
     """
-    y = series.through
+    y, x = np.asarray(series.through), series.detuning
+    if len(x) != len(y):
+        raise ValueError(
+            f"spectrum has {len(x)} detunings but {len(y)} through samples"
+        )
     if len(y) < 3:
         raise NoPeak(f"need at least 3 samples to locate a peak, got {len(y)}")
     idx = int(np.argmax(y))
@@ -163,7 +169,6 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
     curvature = ym - 2.0 * y0 + yp
     offset = 0.0 if curvature == 0.0 else 0.5 * (ym - yp) / curvature
     offset = min(0.5, max(-0.5, offset))
-    x = series.detuning
     peak_detuning = float(x[idx]) + offset * series.grid.step
     peak_value = y0 - 0.25 * (ym - yp) * offset
 
@@ -179,7 +184,7 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
     return PeakReport(peak_detuning=peak_detuning, peak_value=float(peak_value), fwhm=float(right - left))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: a sweep builds one per row
 class SweepRow:
     """One sweep point: the parameter value and its flux budget, or the
     constructor/evaluation error that made the point unusable."""
@@ -201,26 +206,40 @@ def parameter_sweep(
 ) -> SweepTable:
     """Flux budget versus one swept parameter at a fixed probe detuning.
 
-    Each row is evaluated on plain floats, the base parameters with the swept
-    value substituted, without rebuilding a ``SystemParams``; the numbers are
-    those of ``flux_budget(replace(base, **{axis: value}), probe)``.  Invalid
-    points (for example a non-positive gamma) do not abort the sweep; the
-    offending row carries the ``SystemParams`` or evaluation error message and
-    a missing budget.  Row order follows ``values``.
+    The numbers of each row are those of
+    ``flux_budget(replace(base, **{axis: value}), probe)``, bit for bit.  All
+    rows are evaluated in one pass over arrays that repeats Python's complex
+    arithmetic operation by operation, with no ``SystemParams`` built.  A row
+    whose value is out of the field's range, or that this pass flags (a
+    diverging dipole term, a denominator outside the guard, a non-finite
+    fraction), is evaluated again on its own floats by the scalar kernel.
+    Invalid points (for example a non-positive gamma) do not abort the sweep;
+    the offending row carries the ``SystemParams`` or evaluation error message
+    and a missing budget.  Row order follows ``values``.
+
+    Every value must be a real number (strings are not parsed); all are
+    checked before any row is evaluated, and the first that is not raises
+    ``ValueError``.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     dw = _probe_value(probe)
+    if isinstance(values, np.ndarray):
+        values = values.tolist()  # the floats float() makes of its elements
+    values = [raw if type(raw) is float else _number(raw, f"{axis} sweep value")
+              for raw in values]
+    column = np.array(values, dtype=float)
     args = [getattr(base, name) for name in SWEEP_AXES] + [dw]
     slot = SWEEP_AXES.index(axis)
-    rows = []
-    for raw in values:
-        value = float(raw)
+    args[slot] = column
+    *fractions, flagged = _flux_arrays(*args)
+    rows = list(map(SweepRow, values, map(FluxBudget, *(f.tolist() for f in fractions))))
+    for i in np.flatnonzero(flagged | ~_field_ok(axis, column)).tolist():
+        value = args[slot] = values[i]
         try:
             if _field_problem(axis, value):
                 replace(base, **{axis: value})  # raises with the SystemParams message
-            args[slot] = value
-            rows.append(SweepRow(value, _flux(*args)))
+            rows[i] = SweepRow(value, _flux(*args))
         except (ValueError, NumericsError) as exc:
-            rows.append(SweepRow(value=value, budget=None, error=str(exc)))
+            rows[i] = SweepRow(value=value, budget=None, error=str(exc))
     return SweepTable(axis=axis, probe=dw, rows=tuple(rows))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +14,14 @@ from ditsim import (
     SingularDenominator,
     SystemParams,
     UndefinedDiagnostic,
+    NodeRouting,
     diagnostics,
     flux_budget,
+    parameter_sweep,
     scatter_coefficients,
     scattering_arrays,
     steady_state_oracle,
+    transmission_spectrum,
     weak_excitation_check,
 )
 
@@ -190,6 +194,28 @@ def test_singular_denominator_guard():
     p = SystemParams(gamma=1e-290, g=0.0, tau=1e-290, kappa=0.0)
     with pytest.raises(SingularDenominator):
         scatter_coefficients(p, 0.0)
+
+
+@pytest.mark.parametrize("params, probe", [
+    (SystemParams(1.5e308, 0.0, 1.0, 1.0), 1.5e308),  # |D| overflows
+    (SystemParams(1e308, 0.0, 0.0, 0.0), 1e308),  # D = 1e308 - 1e308j, |D| finite
+])
+def test_out_of_range_denominator_raises_everywhere(params, probe):
+    # complex division by D would overflow its scale and return 0, where
+    # the true t_drop = -gamma / D is about -(1 + 1j) / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (scatter_coefficients, flux_budget, NodeRouting.from_params):
+            with pytest.raises(SingularDenominator, match="out of range: D = "):
+                call(params, probe)
+        grid = np.array([0.0, probe])
+        with pytest.raises(SingularDenominator, match=r"out of range at grid indices \[1\]$"):
+            scattering_arrays(params, grid)
+        with pytest.raises(SingularDenominator, match=r"out of range at grid indices \[0\]$"):
+            transmission_spectrum(params, DetuningGrid(probe, probe, 1))
+        rows = parameter_sweep(params, "g", [0.0, 0.0], probe).rows
+    assert [row.budget for row in rows] == [None, None]
+    assert all(row.error.startswith("scattering denominator out of range") for row in rows)
 
 
 @given(

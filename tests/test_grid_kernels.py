@@ -9,11 +9,18 @@ current code must reproduce them bit for bit: every float by its bit pattern,
 every error row by its message.  The array path has since gained the
 denominator guard of the scalar path: where the reference's denominator is
 non-finite or below the floor, the spectrum must now raise
-``SingularDenominator`` naming exactly those grid indices.  The peak finder
+``SingularDenominator`` naming exactly those grid indices.  Both guards now
+also raise it, saying D is out of range, where complex division by a finite D
+overflows its real scale (the old code returned a zero quotient there, or
+the scalar path leaked ``OverflowError`` from ``abs``); the references carry
+that one change.  ``parameter_sweep`` now evaluates its rows on arrays with
+CPython's complex arithmetic written out, so that arithmetic is also checked
+against Python's own operators on edge values.  The peak finder
 used to rebuild the whole detuning array with ``grid.points()``; it now reads
 the detunings the spectrum was evaluated at, and must give the same bits.
 """
 
+import cmath
 import math
 import os
 import struct
@@ -38,6 +45,7 @@ from ditsim import (
     scattering_arrays,
     transmission_spectrum,
 )
+from ditsim import core
 from ditsim.core import _probe_value
 from ditsim.spectra import (
     SWEEP_AXES,
@@ -59,6 +67,16 @@ import workloads  # noqa: E402
 # ------------------------------------------------------------- references --
 
 
+def reference_out_of_range(denom):
+    """Whether the real scale of CPython's complex division by a finite,
+    nonzero ``denom`` overflows."""
+    re, im = denom.real, denom.imag
+    if not (math.isfinite(re) and math.isfinite(im)) or denom == 0:
+        return False
+    scale = re + im * (im / re) if abs(re) >= abs(im) else re * (re / im) + im
+    return not math.isfinite(scale)
+
+
 def reference_flux_budget(params, dw):
     """The scalar kernel and ``flux_budget`` as they were, on a SystemParams."""
     x = complex(-1j * (dw - params.delta) + 0.5 * params.tau)
@@ -69,6 +87,8 @@ def reference_flux_budget(params, dw):
         )
     coupling = params.g * params.g / x if params.g > 0.0 else 0.0j
     denom = -1j * dw + params.gamma + 0.5 * params.kappa + coupling
+    if reference_out_of_range(denom):
+        raise SingularDenominator(f"scattering denominator out of range: D = {denom!r}")
     if not np.isfinite(denom) or abs(denom) < 1e-280:
         raise SingularDenominator(f"scattering denominator collapsed: D = {denom!r}")
     t_drop = -params.gamma / denom
@@ -199,12 +219,15 @@ def _assert_same_spectrum(params, grid):
             assert str(info.value) == str(exc)
             return
         bad = np.flatnonzero(~(np.isfinite(denom) & (np.abs(denom) >= 1e-280)))
-        if bad.size:
-            more = f" and {bad.size - 10} more" if bad.size > 10 else ""
-            with pytest.raises(SingularDenominator) as info:
-                transmission_spectrum(params, grid)
-            assert str(info.value).endswith(f"grid indices {bad[:10].tolist()}{more}")
-            return
+        wild = np.flatnonzero([reference_out_of_range(complex(d)) for d in denom])
+        for indices, what in ((bad, "collapsed"), (wild, "out of range")):
+            if indices.size:
+                more = f" and {indices.size - 10} more" if indices.size > 10 else ""
+                with pytest.raises(SingularDenominator) as info:
+                    transmission_spectrum(params, grid)
+                assert str(info.value).endswith(
+                    f"{what} at grid indices {indices[:10].tolist()}{more}")
+                return
         series = transmission_spectrum(params, grid)
     assert series.through.tobytes() == through.tobytes()
     assert series.drop.tobytes() == drop.tobytes()
@@ -273,6 +296,26 @@ def test_sweep_special_values_match_reference(axis, g):
         _assert_same_sweep(base, axis, values, probe)
 
 
+@st.composite
+def long_values(draw):
+    """Up to 300 values: ordinary ones evaluate on the array pass, special and
+    out-of-range ones (negative rates, gamma = 0) fall back row by row."""
+    count = draw(st.integers(0, 300))
+    value = st.one_of(
+        st.floats(0.0, 5.0).map(lambda v: v * THZ),
+        st.floats(-5.0, 0.0).map(lambda v: v * THZ),
+        values_st,
+    )
+    return draw(st.lists(value, min_size=count, max_size=count))
+
+
+@settings(max_examples=80, deadline=None)
+@given(base=nodes(), axis=st.sampled_from(SWEEP_AXES), values=long_values(),
+       on_line=st.booleans(), probe=detunings)
+def test_long_sweep_matches_reference(base, axis, values, on_line, probe):
+    _assert_same_sweep(base, axis, values, base.delta if on_line else probe)
+
+
 def test_sweep_tau_zero_on_the_dipole_line_matches_reference():
     base = SystemParams(gamma=1.0 * THZ, g=0.33 * THZ, tau=0.001 * THZ, delta=0.02 * THZ)
     # tau/2 underflows to 0 at 5e-324; at 1e-300, g^2 / (tau/2) overflows
@@ -281,6 +324,88 @@ def test_sweep_tau_zero_on_the_dipole_line_matches_reference():
     assert all("dipole term diverges" in e for e in errors[:3])
     assert "denominator collapsed" in errors[3] and errors[4] == ""
     _assert_same_sweep(base, "tau", values, base.delta)
+
+
+# ------------------------------------------- the sweep kernel's arithmetic --
+
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-308, 1e-300, 0.75, -2.5, 3e154,
+         1e308, -1e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan)
+
+
+def _edge_pairs():
+    """Every pair of edge values, and random ones with exponents near the range ends."""
+    rng = np.random.default_rng(11)
+    edge = np.array(EDGES)
+    re, im = np.meshgrid(edge, edge)
+    rand = rng.choice([-1.0, 1.0], (2, 4000)) * 10.0 ** rng.uniform(-323, 308, (2, 4000))
+    return np.concatenate([re.ravel(), rand[0]]), np.concatenate([im.ravel(), rand[1]])
+
+
+def _same_float(got, want):
+    return math.isnan(got) and math.isnan(want) or _bits(got) == _bits(want)
+
+
+def _python(op, *args):
+    try:
+        return op(*args)
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+
+
+def test_kernel_division_matches_python():
+    ar, ai = _edge_pairs()
+    rng = np.random.default_rng(12)
+    br, bi = rng.permutation(ar), rng.permutation(ai)
+    # each numerator against the edge divisors, and every pair shuffled
+    edge_r, edge_i = ar[:len(EDGES) ** 2], ai[:len(EDGES) ** 2]
+    ar = np.concatenate([np.repeat(ar[:400], edge_r.size), ar])
+    ai = np.concatenate([np.repeat(ai[:400], edge_i.size), ai])
+    br = np.concatenate([np.tile(edge_r, 400), br])
+    bi = np.concatenate([np.tile(edge_i, 400), bi])
+    with np.errstate(all="ignore"):
+        arrays = core._c_quot((ar, ai), (br, bi))
+    for i in range(ar.size):
+        a, b = (float(ar[i]), float(ai[i])), (float(br[i]), float(bi[i]))
+        want = _python(complex.__truediv__, complex(*a), complex(*b))
+        floats = core._c_quot(a, b) if i % 7 == 0 else None  # the path for constant terms
+        for got in filter(None, ((float(arrays[0][i]), float(arrays[1][i])), floats)):
+            if want is ZeroDivisionError:  # b = 0: the kernel returns nan
+                assert math.isnan(got[0]) and math.isnan(got[1]), (a, b)
+            else:
+                assert _same_float(got[0], want.real) and _same_float(got[1], want.imag), (a, b)
+
+
+def test_kernel_product_and_sum_match_python():
+    ar, ai = _edge_pairs()
+    br, bi = np.roll(ar, 17), np.roll(ai, 5)
+    with np.errstate(all="ignore"):
+        product, total = core._c_mul((ar, ai), (br, bi)), core._c_add((ar, ai), (br, bi))
+    for i in range(ar.size):
+        a, b = complex(ar[i], ai[i]), complex(br[i], bi[i])
+        for got, want in ((product, a * b), (total, a + b)):
+            assert _same_float(float(got[0][i]), want.real), (a, b)
+            assert _same_float(float(got[1][i]), want.imag), (a, b)
+
+
+def test_kernel_abs_and_square_match_python():
+    re, im = _edge_pairs()
+    with np.errstate(all="ignore"):
+        kernel_abs = np.hypot(re, im)
+        squares = core._c_abs2((re, im))
+        kernel_square = np.float_power(np.abs(re), 2.0)
+    for i in range(re.size):
+        z = complex(re[i], im[i])
+        # abs is nan here, but CPython reads errno left over from an earlier
+        # overflow and may raise OverflowError instead
+        size = math.nan if cmath.isnan(z) and not cmath.isinf(z) else _python(abs, z)
+        if size is OverflowError:  # finite parts, |z| beyond the float range
+            assert kernel_abs[i] == math.inf and squares[i] == math.inf
+        else:
+            assert _same_float(float(kernel_abs[i]), size)
+            square = _python(pow, size, 2)
+            assert _same_float(float(squares[i]), math.inf if square is OverflowError else square)
+        square = _python(pow, abs(float(re[i])), 2)
+        assert _same_float(float(kernel_square[i]), math.inf if square is OverflowError else square)
 
 
 # --------------------------------------------------------------- spectrum --

@@ -515,7 +515,7 @@ def test_repeater_entry_points_raise_only_contract_errors(bad, node, slot):
         _only_contract_errors(parity_probe, node, node, odd, good_probe, 1.0)
 
 
-@pytest.mark.parametrize("bad", [None, "0.5", "1e9", b"1", 1 + 2j, [0.5]])
+@pytest.mark.parametrize("bad", [None, "0.5", "1e9", b"1", 1 + 2j, [0.5], np.complex128(0.5)])
 def test_non_numbers_are_refused_by_name(baseline, bad):
     state = TwoDipoleState.bell("phi_plus")
     for fn in (parity_probe, bell_measurement):

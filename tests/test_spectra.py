@@ -149,6 +149,17 @@ def test_no_peak_on_flat_series(baseline):
         locate_transparency_peak(flat)
 
 
+def test_peak_rejects_mismatched_lengths():
+    from ditsim.spectra import SpectrumSeries
+
+    grid = DetuningGrid(-1.0 * THZ, 1.0 * THZ, 5)
+    curve = np.array([0.2, 0.1, 0.5, 0.9, 0.5, 0.1, 0.2])
+    for detuning in (grid.points(), np.linspace(-1.0, 1.0, 9) * THZ):
+        series = SpectrumSeries(grid=grid, detuning=detuning, through=curve, drop=1.0 - curve)
+        with pytest.raises(ValueError, match=f"{len(detuning)} detunings but 7 through samples"):
+            locate_transparency_peak(series)
+
+
 def test_no_peak_with_too_few_samples(baseline):
     series = transmission_spectrum(baseline, DetuningGrid(-1.0 * THZ, 1.0 * THZ, 2))
     with pytest.raises(NoPeak):
@@ -212,3 +223,22 @@ def test_sweep_budgets_conserve_flux(baseline):
     table = parameter_sweep(baseline, "kappa", values, 0.2 * THZ)
     for row in table.rows:
         assert abs(row.budget.total - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("bad", [None, 1.0 + 0.5j, np.complex128(1.0), [1.0], "1e11", b"1",
+                                 pytest.param(10**400, id="int_beyond_float")])
+def test_sweep_values_must_be_real_numbers(baseline, bad):
+    # every value is checked before any row is evaluated, so a bad last value
+    # refuses the whole sweep, naming the value
+    with pytest.raises(ValueError, match=r"g sweep value must be a real number, got ") as info:
+        parameter_sweep(baseline, "g", [0.1 * THZ, 0.2 * THZ, bad], 0.0)
+    assert repr(bad) in str(info.value)
+
+
+def test_sweep_values_accept_ints_and_numpy_numbers(baseline):
+    values = [0, np.float64(0.33 * THZ), np.int64(10**11), np.float32(1e11)]
+    rows = parameter_sweep(baseline, "g", values, 0.0).rows
+    assert [row.value for row in rows] == [0.0, 0.33 * THZ, 1e11, float(np.float32(1e11))]
+    assert all(type(row.value) is float and row.error is None for row in rows)
+    as_array = parameter_sweep(baseline, "g", np.array([0.0, 0.33]) * THZ, 0.0).rows
+    assert [row.budget for row in as_array] == [row.budget for row in rows[:2]]

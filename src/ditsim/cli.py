@@ -319,11 +319,10 @@ def _json_column(column: tuple) -> list[str]:
     return list(map(json.dumps, column))
 
 
-def _formatted_chunks(rows: Sequence[tuple], format_column) -> Iterator[Iterator[tuple]]:
-    """Rows in chunks of ``_CHUNK_ROWS``, each formatted one column at a time."""
+def _column_chunks(rows: Sequence[tuple]) -> Iterator[list[tuple]]:
+    """The columns of each chunk of ``_CHUNK_ROWS`` rows."""
     for start in range(0, len(rows), _CHUNK_ROWS):
-        columns = map(format_column, zip(*rows[start:start + _CHUNK_ROWS]))
-        yield zip(*columns)
+        yield list(zip(*rows[start:start + _CHUNK_ROWS]))
 
 
 def _csv_text(rows) -> str:
@@ -332,10 +331,18 @@ def _csv_text(rows) -> str:
     return buffer.getvalue()
 
 
+def _csv_chunk(columns: list[tuple]) -> str:
+    if all(set(map(type, column)) == _FLOAT_ONLY for column in columns):
+        # a .17g float never needs quoting, so the cells are joined directly
+        cells = zip(*(map(float.__format__, column, repeat(".17g")) for column in columns))
+        return "\n".join(map(",".join, cells)) + "\n"
+    return _csv_text(zip(*map(_csv_column, columns)))
+
+
 def _csv_pieces(table: ResultTable) -> Iterator[str]:
     yield f"# metadata: {json.dumps(table.metadata, sort_keys=True)}\n"
     yield _csv_text([table.columns])
-    yield from map(_csv_text, _formatted_chunks(table.rows, _csv_column))
+    yield from map(_csv_chunk, _column_chunks(table.rows))
 
 
 def _json_pieces(table: ResultTable) -> Iterator[str]:
@@ -349,9 +356,10 @@ def _json_pieces(table: ResultTable) -> Iterator[str]:
         return
     # "rows" sorts last, so the document ends with its empty list
     yield head.removesuffix("[]\n}") + "[\n    [\n      "
-    for i, rows in enumerate(_formatted_chunks(table.rows, _json_column)):
+    for i, columns in enumerate(_column_chunks(table.rows)):
         if i:
             yield _JSON_ROW_SEP
+        rows = zip(*map(_json_column, columns))
         yield _JSON_ROW_SEP.join(map(_JSON_CELL_SEP.join, rows))
     yield "\n    ]\n  ]\n}\n"
 
@@ -361,8 +369,10 @@ def write_result_table(table: ResultTable, path: str, fmt: str) -> None:
 
     Cells are ``None``, ``bool``, ``int``, ``float`` (numpy floats included)
     or ``str``.  CSV: a ``# metadata: {...}`` line with the metadata as
-    sorted-key JSON, then the column names and the rows through the ``csv``
-    module (minimal quoting, LF endings); floats are written with ``.17g``,
+    sorted-key JSON, then the column names and the rows as the ``csv``
+    module writes them (minimal quoting, LF endings; a chunk of rows whose
+    cells are all floats is joined directly, since such cells never need
+    quoting); floats are written with ``.17g``,
     ``None`` as an empty cell, anything else with ``str``.  JSON: the
     document ``json.dumps({"metadata", "columns", "rows"}, sort_keys=True,
     indent=2)`` would give, plus a final newline, with ``NaN``, ``Infinity``

@@ -48,7 +48,8 @@ class NumericsError(Exception):
 
 
 class DegenerateDipole(NumericsError):
-    """Dipole linewidth is zero and the probe sits exactly on its line."""
+    """Dipole linewidth is zero and the probe sits exactly on its line, or
+    the linewidth is so small that the dipole-loss term overflows."""
 
 
 class SingularDenominator(NumericsError):
@@ -80,6 +81,11 @@ def _field_problem(name: str, value, check_range: bool = True) -> str | None:
         if name in ("g", "tau", "kappa", "omega0") and value < 0.0:
             return f"{name} must be >= 0, got {float(value)}"
     return None
+
+
+def _invalid_params(problems) -> str:
+    """Message of the ``ValueError`` an invalid :class:`SystemParams` raises."""
+    return "invalid SystemParams: " + "; ".join(problems)
 
 
 def _field_ok(name: str, values: np.ndarray) -> np.ndarray:
@@ -137,7 +143,7 @@ class SystemParams:
             # range problems are reported only once every field is a finite number
             finite = [p for name in _FIELDS
                       if (p := _field_problem(name, getattr(self, name), check_range=False))]
-            raise ValueError("invalid SystemParams: " + "; ".join(finite or problems))
+            raise ValueError(_invalid_params(finite or problems))
 
     @property
     def quality_factor(self) -> float | None:
@@ -375,8 +381,7 @@ def steady_state_oracle(
     )
 
 
-@dataclass(frozen=True, slots=True)  # slots: sweeps build one per row
-class FluxBudget:
+class FluxBudget(NamedTuple):  # a tuple: sweeps build one per row
     """Fractions of the input photon flux leaving by each channel."""
 
     through: float
@@ -394,11 +399,18 @@ def _flux(
 ) -> FluxBudget:
     """:func:`flux_budget` on plain floats, without building a ``SystemParams``."""
     t_drop, b_amp, sigma_amp = _amplitudes(gamma, g, tau, kappa, delta, dw)
+    try:
+        sigma2 = abs(sigma_amp) ** 2
+    except OverflowError:  # a subnormal tau probed on the dipole line
+        raise DegenerateDipole(
+            f"dipole-loss term tau*|sigma|^2 overflows: dipole linewidth tau = {tau!r} "
+            f"is too small for g = {g!r} (delta_omega = {dw!r})"
+        ) from None
     return FluxBudget(
         through=abs(1.0 + t_drop) ** 2,
         drop=abs(t_drop) ** 2,
         cavity_loss=kappa * abs(b_amp) ** 2,
-        dipole_loss=tau * abs(sigma_amp) ** 2,
+        dipole_loss=tau * sigma2,
     )
 
 
@@ -507,7 +519,12 @@ def _flux_arrays(gamma, g, tau, kappa, delta, dw):
 
 
 def flux_budget(params: SystemParams, probe: Probe) -> FluxBudget:
-    """Steady-state flux fractions; their total is 1 for any valid params."""
+    """Steady-state flux fractions; their total is 1 for any valid params.
+
+    Raises what :func:`scatter_coefficients` raises, and
+    :class:`DegenerateDipole` where the dipole linewidth is so small that
+    |sigma_amp|^2 overflows.
+    """
     return _flux(
         params.gamma, params.g, params.tau, params.kappa, params.delta, _probe_value(probe)
     )

@@ -9,8 +9,11 @@ the full flux budget per point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+import operator
+from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from .core import (  # flux_budget and scattering_arrays stay importable from he
     _field_problem,
     _flux,
     _flux_arrays,
+    _invalid_params,
     _number,
     _probe_value,
     flux_budget,  # noqa: F401
@@ -31,6 +35,9 @@ from .core import (  # flux_budget and scattering_arrays stay importable from he
 )
 
 SWEEP_AXES = ("gamma", "g", "tau", "kappa", "delta")  # leading arguments of core._flux
+# points per kernel call in transmission_spectrum: 128 KiB per complex buffer,
+# so the temporaries stay in cache instead of coming back as fresh pages
+_BLOCK = 8192
 
 
 class NoPeak(NumericsError):
@@ -53,8 +60,13 @@ class DetuningGrid:
         for name in ("start", "stop"):
             if not math.isfinite(_number(getattr(self, name), f"grid endpoint {name}")):
                 raise ValueError("grid endpoints must be finite")
-        if not isinstance(self.count, int) or self.count < 1:
+        try:
+            count = operator.index(self.count)  # any integer, numpy's included
+        except TypeError:
+            count = 0
+        if count < 1:
             raise ValueError(f"count must be a positive integer, got {self.count!r}")
+        object.__setattr__(self, "count", count)
         if self.count == 1:
             if self.start != self.stop:
                 raise ValueError("a 1-point grid requires start == stop")
@@ -101,15 +113,32 @@ def transmission_spectrum(params: SystemParams, grid: DetuningGrid) -> SpectrumS
     """Evaluate |t_through|^2 and |t_drop|^2 on every grid point.
 
     Only the waveguide amplitudes are formed; the intracavity and dipole
-    amplitudes of :func:`~ditsim.core.scattering_arrays` are not needed.
+    amplitudes of :func:`~ditsim.core.scattering_arrays` are not needed.  The
+    grid is evaluated in blocks of ``_BLOCK`` points, each squared into the
+    result arrays before the next, so the complex temporaries stay small;
+    every point goes through the same ufuncs as a whole-grid evaluation and
+    gets the same bits.  When a block fails its guard, the whole grid is
+    evaluated at once so that the error names the bad indices of the whole
+    grid, with a degenerate dipole point anywhere reported first.
     """
     points = grid.points()
-    x, _, t_drop = _drop_arrays(params, points)
-    through = np.abs(np.add(1.0, t_drop, out=x))  # x is spent: reuse its buffer
-    through **= 2
-    drop = np.abs(t_drop)
-    drop **= 2
-    return SpectrumSeries(grid=grid, detuning=points, through=through, drop=drop)
+    through, drop = np.empty_like(points), np.empty_like(points)
+    for start in range(0, points.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        try:
+            x, _, t_drop = _drop_arrays(params, points[block])
+        except NumericsError as exc:
+            error = exc
+            break
+        block_through, block_drop = through[block], drop[block]
+        np.abs(np.add(1.0, t_drop, out=x), out=block_through)  # x is spent: reuse it
+        block_through **= 2
+        np.abs(t_drop, out=block_drop)
+        block_drop **= 2
+    else:
+        return SpectrumSeries(grid=grid, detuning=points, through=through, drop=drop)
+    _drop_arrays(params, points)  # raises the whole grid's error
+    raise error
 
 
 def _half_crossing(x: np.ndarray, y: np.ndarray, peak_idx: int, level: float, side: int) -> float | None:
@@ -184,14 +213,18 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
     return PeakReport(peak_detuning=peak_detuning, peak_value=float(peak_value), fwhm=float(right - left))
 
 
-@dataclass(frozen=True, slots=True)  # slots: a sweep builds one per row
-class SweepRow:
+class SweepRow(NamedTuple):  # a tuple: a sweep builds one per row
     """One sweep point: the parameter value and its flux budget, or the
     constructor/evaluation error that made the point unusable."""
 
     value: float
     budget: FluxBudget | None
     error: str | None = None
+
+
+# build from a tuple of every field, skipping the keyword handling of __new__
+_new_budget = partial(tuple.__new__, FluxBudget)
+_new_row = partial(tuple.__new__, SweepRow)
 
 
 @dataclass(frozen=True)
@@ -210,12 +243,12 @@ def parameter_sweep(
     ``flux_budget(replace(base, **{axis: value}), probe)``, bit for bit.  All
     rows are evaluated in one pass over arrays that repeats Python's complex
     arithmetic operation by operation, with no ``SystemParams`` built.  A row
-    whose value is out of the field's range, or that this pass flags (a
-    diverging dipole term, a denominator outside the guard, a non-finite
-    fraction), is evaluated again on its own floats by the scalar kernel.
-    Invalid points (for example a non-positive gamma) do not abort the sweep;
-    the offending row carries the ``SystemParams`` or evaluation error message
-    and a missing budget.  Row order follows ``values``.
+    that this pass flags (a diverging dipole term, a denominator outside the
+    guard, a non-finite fraction) is evaluated again on its own floats by the
+    scalar kernel.  Invalid points (for example a non-positive gamma) do not
+    abort the sweep; the offending row carries the message ``SystemParams``
+    or the scalar kernel would raise, and a missing budget.  Row order
+    follows ``values``.
 
     Every value must be a real number (strings are not parsed); all are
     checked before any row is evaluated, and the first that is not raises
@@ -233,13 +266,17 @@ def parameter_sweep(
     slot = SWEEP_AXES.index(axis)
     args[slot] = column
     *fractions, flagged = _flux_arrays(*args)
-    rows = list(map(SweepRow, values, map(FluxBudget, *(f.tolist() for f in fractions))))
+    budgets = map(_new_budget, zip(*(f.tolist() for f in fractions)))
+    rows = list(map(_new_row, zip(values, budgets, repeat(None))))
     for i in np.flatnonzero(flagged | ~_field_ok(axis, column)).tolist():
         value = args[slot] = values[i]
+        # base's other fields are valid, so this is what SystemParams reports
+        problem = _field_problem(axis, value)
+        if problem:
+            rows[i] = SweepRow(value, None, _invalid_params([problem]))
+            continue
         try:
-            if _field_problem(axis, value):
-                replace(base, **{axis: value})  # raises with the SystemParams message
             rows[i] = SweepRow(value, _flux(*args))
-        except (ValueError, NumericsError) as exc:
-            rows[i] = SweepRow(value=value, budget=None, error=str(exc))
+        except NumericsError as exc:
+            rows[i] = SweepRow(value, None, str(exc))
     return SweepTable(axis=axis, probe=dw, rows=tuple(rows))

@@ -470,6 +470,15 @@ def test_long_table_bytes_match_reference(block, count):
     assert_same_table_bytes(ResultTable(block.metadata, block.columns, rows[:count]))
 
 
+def test_float_chunk_then_mixed_chunk_match_reference():
+    # the first chunk holds only floats and is joined without csv.writer; the
+    # None and the quoted string send the second through it
+    rows = [(float(i), -i / 7.0, math.nan, -math.inf, 5e-324) for i in range(cli._CHUNK_ROWS + 3)]
+    rows[-1] = (1.0, None, "a,b", 'say "hi"', 2)
+    assert_same_table_bytes(ResultTable({"n": len(rows)}, ("a", "b", "c", "d", "e"), tuple(rows)))
+    assert_same_table_bytes(ResultTable({}, ("x",), tuple((float(i),) for i in range(9))))
+
+
 def test_ragged_table_rejected(tmp_path):
     table = ResultTable({}, ("a", "b"), ((1.0, 2.0), (3.0,)))
     for fmt in ("csv", "json"):

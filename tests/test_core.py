@@ -245,6 +245,27 @@ def test_flux_budget_components(baseline):
     assert abs(b.through - TRANSPARENCY) < 1e-12
 
 
+def test_dipole_loss_overflow_raises_degenerate_dipole():
+    # g^2 = 1e-340 underflows out of D, while |sigma|^2 = |g b / x|^2 overflows;
+    # the finite total would be 1 + 4e-7 with the dipole dropped from the model
+    params = SystemParams(1e-10, 1e-170, 1e-323, 0.0)
+    with pytest.raises(DegenerateDipole, match=r"^dipole-loss term tau\*\|sigma\|\^2 overflows: "):
+        flux_budget(params, 0.0)
+    rows = parameter_sweep(params, "tau", [1e-323, 1e-3], 0.0).rows
+    assert rows[0].budget is None and rows[0].error.startswith("dipole-loss term")
+    assert rows[1].budget == flux_budget(SystemParams(1e-10, 1e-170, 1e-3, 0.0), 0.0)
+
+
+def test_large_dipole_loss_term_keeps_its_bits():
+    # |sigma|^2 is about 4e270 here: finite, so the budget is the plain formula
+    params = SystemParams(1e-10, 1e-170, 1e-300, 0.0)
+    sigma = scatter_coefficients(params, 0.0).sigma_amp
+    budget = flux_budget(params, 0.0)
+    assert abs(sigma) ** 2 > 1e270
+    assert budget.dipole_loss.hex() == (params.tau * abs(sigma) ** 2).hex()
+    assert parameter_sweep(params, "tau", [1e-300], 0.0).rows[0].budget == budget
+
+
 @given(
     gamma=rate_thz, g=rate_thz, tau=rate_thz, kappa=rate_thz,
     delta=detuning_thz, probe=detuning_thz,

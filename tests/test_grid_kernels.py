@@ -55,6 +55,7 @@ from ditsim.spectra import (
     SpectrumSeries,
     SweepRow,
     SweepTable,
+    _BLOCK,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -442,6 +443,48 @@ def test_array_guard_names_the_singular_points():
     with pytest.raises(SingularDenominator, match=r"\[0, 1\]$"):  # g^2 overflows
         scattering_arrays(SystemParams(gamma=1.0, g=1e300, tau=1.0), np.array([1e300, 0.0]))
     assert scattering_arrays(params, np.array([])).t_drop.shape == (0,)
+
+
+# ------------------------------------------------------ spectrum in blocks --
+
+
+@pytest.mark.parametrize("count", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_blocked_spectrum_matches_reference(count):
+    params = SystemParams(gamma=1.0 * THZ, g=0.33 * THZ, tau=0.001 * THZ, kappa=0.1 * THZ,
+                          delta=0.02 * THZ)
+    stop = -3.0 * THZ if count == 1 else 3.0 * THZ
+    _assert_same_spectrum(params, DetuningGrid(-3.0 * THZ, stop, count))
+
+
+# D = 1e-300 - i dw collapses where |dw| < 1e-280; points of this grid are whole numbers
+COLLAPSING = SystemParams(gamma=1e-300, g=0.0, tau=0.0, kappa=0.0)
+WHOLE_NUMBERS = DetuningGrid(-10000.0, 30000.0, 40001)  # 0.0 at index 10000, a later block
+
+
+def test_blocked_spectrum_names_a_bad_point_past_the_first_block():
+    assert WHOLE_NUMBERS.points()[10000] == 0.0 and 10000 > _BLOCK
+    with pytest.raises(SingularDenominator, match=r"collapsed at grid indices \[10000\]$"):
+        transmission_spectrum(COLLAPSING, WHOLE_NUMBERS)
+    _assert_same_spectrum(COLLAPSING, WHOLE_NUMBERS)
+
+
+def test_blocked_spectrum_counts_bad_points_over_several_blocks():
+    # the last quarter of the grid collapses: blocks 1 to 3, thousands of points
+    grid = DetuningGrid(-3e-280, 1e-280, 3 * _BLOCK + 5)
+    with pytest.raises(SingularDenominator, match=r"\] and \d+ more$") as info:
+        transmission_spectrum(COLLAPSING, grid)
+    first = int(str(info.value).split("[")[1].split(",")[0])
+    assert first > _BLOCK
+    _assert_same_spectrum(COLLAPSING, grid)
+
+
+def test_blocked_spectrum_reports_a_later_degenerate_point_first():
+    # g^2 underflows to 0, so D collapses at dw = 0 (index 10000) as above,
+    # while the probe sits on the zero-linewidth dipole line at index 30000
+    params = SystemParams(gamma=1e-300, g=1e-200, tau=0.0, kappa=0.0, delta=20000.0)
+    with pytest.raises(DegenerateDipole, match=r"grid indices \[30000\]:"):
+        transmission_spectrum(params, WHOLE_NUMBERS)
+    _assert_same_spectrum(params, WHOLE_NUMBERS)
 
 
 # ------------------------------------------------------------------- peak --

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from ditsim import (
     THZ,
     DetuningGrid,
+    FluxBudget,
     NoPeak,
+    SweepRow,
     SystemParams,
     locate_transparency_peak,
     parameter_sweep,
@@ -54,6 +56,17 @@ def test_single_point_grid():
 def test_grid_rejects_bad_shapes(start, stop, count):
     with pytest.raises(ValueError):
         DetuningGrid(start, stop, count)
+
+
+def test_grid_count_accepts_any_integer():
+    for count in (np.int64(5), np.int32(5), np.uint8(5)):
+        grid = DetuningGrid(0.0, 1.0, count)
+        assert type(grid.count) is int and grid.count == 5
+        assert grid.points().tobytes() == DetuningGrid(0.0, 1.0, 5).points().tobytes()
+    for bad in (np.int64(0), -1, 5.0, np.float64(5.0), "5", None):
+        with pytest.raises(ValueError, match=r"^count must be a positive integer, got ") as info:
+            DetuningGrid(0.0, 1.0, bad)
+        assert str(info.value).endswith(repr(bad))
 
 
 def test_default_grid_spans_three_linewidths(baseline):
@@ -242,3 +255,43 @@ def test_sweep_values_accept_ints_and_numpy_numbers(baseline):
     assert all(type(row.value) is float and row.error is None for row in rows)
     as_array = parameter_sweep(baseline, "g", np.array([0.0, 0.33]) * THZ, 0.0).rows
     assert [row.budget for row in as_array] == [row.budget for row in rows[:2]]
+
+
+# -------------------------------------------------------------- row types --
+
+# the text the frozen dataclasses these types replaced gave
+BUDGET_REPR = "FluxBudget(through=0.25, drop=0.5, cavity_loss=0.125, dipole_loss=0.125)"
+
+
+def test_sweep_row_types_keep_their_contract():
+    budget = FluxBudget(through=0.25, drop=0.5, cavity_loss=0.125, dipole_loss=0.125)
+    row = SweepRow(value=1.5, budget=budget)
+    assert row.error is None and budget.total == 1.0
+    assert repr(budget) == BUDGET_REPR
+    assert repr(row) == f"SweepRow(value=1.5, budget={BUDGET_REPR}, error=None)"
+    assert repr(SweepRow(value=-1.0, budget=None, error="bad 'x'")) == (
+        "SweepRow(value=-1.0, budget=None, error=\"bad 'x'\")")
+    for obj, name in ((budget, "drop"), (row, "budget"), (row, "error")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    same = FluxBudget(0.25, 0.5, 0.125, 0.125)
+    assert same == budget and hash(same) == hash(budget)
+    assert SweepRow(1.5, same) == row and hash(SweepRow(1.5, same)) == hash(row)
+    assert budget != FluxBudget(0.25, 0.5, 0.125, 0.0) and row != SweepRow(1.5, None)
+    # gained as tuples: indexing, unpacking and == with plain tuples
+    value, got, error = row
+    assert (value, got, error) == (1.5, budget, None) and row[1] is budget
+    assert budget == (0.25, 0.5, 0.125, 0.125)
+    assert budget._replace(dipole_loss=0.0)._asdict() == {
+        "through": 0.25, "drop": 0.5, "cavity_loss": 0.125, "dipole_loss": 0.0}
+    assert SweepRow._fields == ("value", "budget", "error")
+
+
+def test_sweep_builds_rows_of_the_public_types(baseline):
+    rows = parameter_sweep(baseline, "gamma", [1.0 * THZ, -1.0], 0.0).rows
+    assert [type(row) for row in rows] == [SweepRow, SweepRow]
+    assert type(rows[0].budget) is FluxBudget and rows[0].error is None
+    assert rows[1] == SweepRow(-1.0, None, "invalid SystemParams: gamma must be > 0, got -1.0")
+    assert repr(rows[1]) == (
+        "SweepRow(value=-1.0, budget=None, "
+        "error='invalid SystemParams: gamma must be > 0, got -1.0')")

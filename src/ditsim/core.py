@@ -394,18 +394,23 @@ class FluxBudget(NamedTuple):  # a tuple: sweeps build one per row
         return self.through + self.drop + self.cavity_loss + self.dipole_loss
 
 
-def _flux(
-    gamma: float, g: float, tau: float, kappa: float, delta: float, dw: float
-) -> FluxBudget:
-    """:func:`flux_budget` on plain floats, without building a ``SystemParams``."""
-    t_drop, b_amp, sigma_amp = _amplitudes(gamma, g, tau, kappa, delta, dw)
+def _sigma_power(sigma_amp: complex, g: float, tau: float, dw: float) -> float:
+    """``abs(sigma_amp) ** 2``, or :class:`DegenerateDipole` where it overflows."""
     try:
-        sigma2 = abs(sigma_amp) ** 2
+        return abs(sigma_amp) ** 2
     except OverflowError:  # a subnormal tau probed on the dipole line
         raise DegenerateDipole(
             f"dipole-loss term tau*|sigma|^2 overflows: dipole linewidth tau = {tau!r} "
             f"is too small for g = {g!r} (delta_omega = {dw!r})"
         ) from None
+
+
+def _flux(
+    gamma: float, g: float, tau: float, kappa: float, delta: float, dw: float
+) -> FluxBudget:
+    """:func:`flux_budget` on plain floats, without building a ``SystemParams``."""
+    t_drop, b_amp, sigma_amp = _amplitudes(gamma, g, tau, kappa, delta, dw)
+    sigma2 = _sigma_power(sigma_amp, g, tau, dw)
     return FluxBudget(
         through=abs(1.0 + t_drop) ** 2,
         drop=abs(t_drop) ** 2,
@@ -590,6 +595,6 @@ def weak_excitation_check(params: SystemParams, input_flux: float) -> WeakExcita
     """
     if not math.isfinite(input_flux) or input_flux < 0.0:
         raise ValueError(f"input_flux must be a finite non-negative rate, got {input_flux!r}")
-    c = scatter_coefficients(params, 0.0)
-    occupancy = input_flux * abs(c.sigma_amp) ** 2
+    sigma_amp = scatter_coefficients(params, 0.0).sigma_amp
+    occupancy = input_flux * _sigma_power(sigma_amp, params.g, params.tau, 0.0)
     return WeakExcitationReport(valid=bool(occupancy < 0.1), sigma_occupancy_estimate=occupancy)

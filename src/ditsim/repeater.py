@@ -275,8 +275,8 @@ def _mean_photons(value) -> float:
     return nbar
 
 
-def _pointer_matrix(route_a: NodeRouting, route_b: NodeRouting, alpha: float) -> np.ndarray:
-    """4x6 coherent amplitudes, rows over BASIS, columns over PORTS.
+def _pointer_rows(route_a: NodeRouting, route_b: NodeRouting, alpha: float) -> list[list]:
+    """4x6 coherent amplitudes as lists, rows over BASIS, columns over PORTS.
 
     The probe enters waveguide 1 of node A; both waveguides continue into
     node B.  Port 'even' is the final waveguide-1 output, 'odd' the final
@@ -289,26 +289,24 @@ def _pointer_matrix(route_a: NodeRouting, route_b: NodeRouting, alpha: float) ->
         loss_a = (ra.loss_kappa * alpha, ra.loss_tau * alpha)
         for rb in (route_b.label_g, route_b.label_m):
             drive_b = w1 + w2
-            rows.append(
-                [
-                    rb.through * w1 + rb.drop * w2,
-                    rb.drop * w1 + rb.through * w2,
-                    loss_a[0],
-                    loss_a[1],
-                    rb.loss_kappa * drive_b,
-                    rb.loss_tau * drive_b,
-                ]
-            )
-    return np.array(rows, dtype=complex)
+            rows.append([rb.through * w1 + rb.drop * w2, rb.drop * w1 + rb.through * w2,
+                         *loss_a, rb.loss_kappa * drive_b, rb.loss_tau * drive_b])
+    return rows
 
 
 _OUTCOMES = ("even", "odd", "both", "none")
+# (even port, odd port) per outcome: 0 clicks, 1 stays silent
+_DETECTOR_STATES = {"even": (0, 1), "odd": (1, 0), "both": (0, 0), "none": (1, 1)}
 
 
-def _threshold_factors(
-    amps: np.ndarray, outcomes: Sequence[str] = _OUTCOMES
-) -> dict[str, np.ndarray]:
+def _threshold_factors(amps: np.ndarray, outcomes: Sequence[str] = _OUTCOMES) -> np.ndarray:
     """Per-outcome coherence factors M[s, s'] for threshold detection.
+
+    ``amps`` is a stack of pointer matrices of shape (..., 4, 6); the result
+    has shape (len(outcomes), ..., 4, 4), entry [k, ...] holding the factors
+    of ``outcomes[k]`` for the pointer matrix at [...].  Every entry comes
+    from the same elementwise operations in the same order whatever the
+    stack, so one stacked call returns the bits of one call per matrix.
 
     Modes 0/1 (even/odd ports) end on threshold detectors, the remaining
     modes are traced.  For coherent pointer rows the conditioned two-dipole
@@ -324,19 +322,13 @@ def _threshold_factors(
     diagnostic diagonal equal to the outcome probability per basis state.
     """
     n = np.abs(amps) ** 2
-    pair_n = 0.5 * (n[:, None, :] + n[None, :, :])  # (s, s', mode)
-    cross = amps[:, None, :] * np.conj(amps[None, :, :])
-    traced = np.exp(-pair_n + cross)  # full trace of one mode
-    silent = np.exp(-pair_n[:, :, :2])  # vacuum projection (no click)
-    click = traced[:, :, :2] - silent
-    loss = np.prod(traced[:, :, 2:], axis=2)
-    detectors = {
-        "even": (click[:, :, 0], silent[:, :, 1]),
-        "odd": (silent[:, :, 0], click[:, :, 1]),
-        "both": (click[:, :, 0], click[:, :, 1]),
-        "none": (silent[:, :, 0], silent[:, :, 1]),
-    }
-    return {o: detectors[o][0] * detectors[o][1] * loss for o in outcomes}
+    neg = -0.5 * (n[..., :, None, :] + n[..., None, :, :])  # (..., s, s', mode)
+    traced = np.exp(neg + amps[..., :, None, :] * np.conj(amps[..., None, :, :]))
+    silent = np.exp(neg[..., :2])  # vacuum projection (no click)
+    detectors = (traced[..., :2] - silent, silent)  # click, silent
+    loss = np.multiply.reduce(traced[..., 2:], axis=-1)
+    ports = map(_DETECTOR_STATES.__getitem__, outcomes)
+    return np.array([detectors[e][..., 0] * detectors[o][..., 1] * loss for e, o in ports])
 
 
 def _probe_pass(
@@ -347,10 +339,8 @@ def _probe_pass(
     ``mean_photons`` is validated before either node is resolved.
     """
     nbar = _mean_photons(mean_photons)
-    amps = _pointer_matrix(
-        _routing(node_a, probe), _routing(node_b, probe), math.sqrt(nbar)
-    )
-    return nbar, amps
+    rows = _pointer_rows(_routing(node_a, probe), _routing(node_b, probe), math.sqrt(nbar))
+    return nbar, np.array(rows, dtype=complex)
 
 
 def _fluxes(weights: np.ndarray, amps: np.ndarray) -> tuple[float, float]:
@@ -361,12 +351,23 @@ def _fluxes(weights: np.ndarray, amps: np.ndarray) -> tuple[float, float]:
     )
 
 
-def _condition(rho: np.ndarray, factor: np.ndarray) -> tuple[float, np.ndarray | None]:
-    unnormalized = rho * factor
-    p = float(unnormalized.trace().real)
-    if p <= _PROB_FLOOR:
-        return 0.0, None
-    return p, unnormalized / p
+def _herald(p: list, rho: np.ndarray, amps: np.ndarray) -> tuple[int, int, list]:
+    """Outcomes ``lo:hi`` of ("even", "odd") that can fire on ``rho``, with their
+    probabilities ``p`` normalized over that range.  Only an outcome at or below
+    ``_PROB_FLOOR`` is dropped: a nan one stays, so the total is nan and refused."""
+    lo, hi = int(p[0] <= _PROB_FLOOR), 2 - int(p[1] <= _PROB_FLOOR)
+    total = sum(p[lo:hi])
+    if total <= _PROB_FLOOR:
+        rest = _threshold_factors(amps, ("both", "none"))
+        p_both, p_none = ((rho * f).trace().real for f in rest)
+        if p_both > p_none:
+            cause = f"both detectors click with certainty (P(both) = {p_both:.3g})"
+        else:
+            cause = f"no probe flux reaches the detectors (P(none) = {p_none:.3g})"
+        raise InvalidRegime(f"parity herald cannot fire: {cause}")
+    if not math.isfinite(total):
+        raise InvalidRegime(f"parity herald probability is not finite: P = {total!r}")
+    return lo, hi, [q / total for q in p[lo:hi]]
 
 
 def _dominant_pure_state(rho: np.ndarray) -> TwoDipoleState:
@@ -376,7 +377,7 @@ def _dominant_pure_state(rho: np.ndarray) -> TwoDipoleState:
     lead = int(np.argmax(np.abs(vec)))
     phase = vec[lead] / abs(vec[lead])
     vec = vec / phase
-    return TwoDipoleState(tuple(vec))
+    return TwoDipoleState(vec.tolist())
 
 
 # ========================================================= parity / Bell ==
@@ -423,17 +424,21 @@ def parity_probe(
     factors = _threshold_factors(amps)
     c = _unit_vector(state)
     weights = np.abs(c) ** 2
-    rho = np.outer(c, np.conj(c))
+    probabilities = dict(zip(_OUTCOMES, (weights * factors.diagonal(0, 1, 2).real).sum(1).tolist()))
+    for outcome, p in probabilities.items():
+        if not math.isfinite(p):
+            raise InvalidRegime(f"parity herald probability is not finite: P({outcome}) = {p!r}")
+    heralded = c[:, None] * np.conj(c) * factors[:2]  # even and odd, unnormalized
+    traces = heralded.trace(0, 1, 2).real.tolist()
     even_flux, odd_flux = _fluxes(weights, amps)
     return ParityProbeResult(
         pointer=PointerRecord(nbar, amps),
         even_flux=even_flux,
         odd_flux=odd_flux,
-        outcome_probabilities={
-            outcome: float((weights * factors[outcome].diagonal().real).sum())
-            for outcome in _OUTCOMES
+        outcome_probabilities=probabilities,
+        post_states={
+            o: None if p <= _PROB_FLOOR else u / p for o, p, u in zip(_OUTCOMES, traces, heralded)
         },
-        post_states={o: _condition(rho, factors[o])[1] for o in ("even", "odd")},
     )
 
 
@@ -445,7 +450,7 @@ def false_even_probability(node_a: Node, node_b: Node, probe: Probe) -> float:
     count as detected.  This is the probability that a single detected
     photon misreports odd parity as even.
     """
-    amps = _pointer_matrix(_routing(node_a, probe), _routing(node_b, probe), 1.0)
+    amps = np.array(_pointer_rows(_routing(node_a, probe), _routing(node_b, probe), 1.0), complex)
     even_flux, odd_flux = _fluxes(_PSI_PLUS_WEIGHTS, amps)
     total = even_flux + odd_flux
     if total <= _PROB_FLOOR:
@@ -469,6 +474,13 @@ class BellOutcome:
     label: str
     first_parity: str
     second_parity: str
+
+
+# verdicts by (first, second) parity index into ("even", "odd")
+_BELL_OUTCOMES = tuple(
+    tuple(BellOutcome(PARITY_TO_BELL[(first, second)], first, second) for second in ("even", "odd"))
+    for first in ("even", "odd")
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,46 +517,33 @@ def bell_measurement(
     _, amps = _probe_pass(node_a, node_b, probe, mean_photons)
     factors = _threshold_factors(amps, ("even", "odd"))
     c = _unit_vector(state)
-
-    def herald(rho: np.ndarray) -> dict[str, tuple[float, np.ndarray]]:
-        branches = {}
-        for outcome in ("even", "odd"):
-            p, conditioned = _condition(rho, factors[outcome])
-            if conditioned is not None:
-                branches[outcome] = (p, conditioned)
-        total = sum(p for p, _ in branches.values())
-        if total <= _PROB_FLOOR:
-            rest = _threshold_factors(amps, ("both", "none"))
-            p_both, p_none = ((rho * rest[o]).trace().real for o in ("both", "none"))
-            if p_both > p_none:
-                cause = f"both detectors click with certainty (P(both) = {p_both:.3g})"
-            else:
-                cause = f"no probe flux reaches the detectors (P(none) = {p_none:.3g})"
-            raise InvalidRegime(f"parity herald cannot fire: {cause}")
-        return {o: (p / total, r) for o, (p, r) in branches.items()}
-
+    rho = c[:, None] * np.conj(c)
     h = _HADAMARD_PAIR
-    chains = []  # (outcome, probability, conditioned state still in the rotated basis)
-    for first, (p1, rho1) in herald(np.outer(c, np.conj(c))).items():
-        rotated = h @ rho1 @ h
-        for second, (p2, rho2) in herald(rotated).items():
-            outcome = BellOutcome(
-                label=PARITY_TO_BELL[(first, second)],
-                first_parity=first,
-                second_parity=second,
-            )
-            chains.append((outcome, p1 * p2, rho2))
+    # first stage: both outcomes at once, then both surviving branches rotated
+    first = rho * factors
+    p1 = first.trace(0, 1, 2).real
+    lo, hi, w1 = _herald(p1.tolist(), rho, amps)
+    rotated = h @ (first[lo:hi] / p1[lo:hi, None, None]) @ h
+    # second stage on every surviving branch: a trace reads only the diagonal
+    # of rho * factor, so only the picked chain forms and normalizes its state
+    diagonals = rotated.diagonal(0, 1, 2)[:, None] * factors.diagonal(0, 1, 2)
+    p2 = diagonals.sum(2).real.tolist()
+    chains = []  # (first index, second index, probability)
+    for i, q1, rho1, q2 in zip(range(lo, hi), w1, rotated, p2):
+        lo2, hi2, w2 = _herald(q2, rho1, amps)
+        chains += [(i, j, q1 * q) for j, q in zip(range(lo2, hi2), w2)]
 
     if rng is None:
-        pick = max(range(len(chains)), key=lambda i: chains[i][1])
+        pick = max(range(len(chains)), key=lambda k: chains[k][2])
     else:
-        cumulative = np.cumsum([p for _, p, _ in chains])
+        cumulative = np.cumsum([p for _, _, p in chains])
         draw = float(rng.random())
         pick = int(np.searchsorted(cumulative, draw, side="right"))
         pick = min(pick, len(chains) - 1)  # rounding can leave the sum below 1
 
-    outcome, probability, rho2 = chains[pick]
-    final = h @ rho2 @ h  # undo the rotation: qubits keep the labeled state
+    i, j, probability = chains[pick]
+    final = h @ (rotated[i - lo] * factors[j] / p2[i - lo][j]) @ h  # undo the rotation
+    outcome = _BELL_OUTCOMES[i][j]
     target = _BELL_VECTORS[outcome.label]
     fidelity = float(np.real(np.conj(target) @ final @ target))
     result = ProtocolResult(
@@ -555,7 +554,7 @@ def bell_measurement(
     return BellMeasurementRecord(
         outcome=outcome,
         result=result,
-        distribution=tuple((o, p) for o, p, _ in chains),
+        distribution=tuple((_BELL_OUTCOMES[i][j], p) for i, j, p in chains),
     )
 
 
@@ -576,9 +575,10 @@ def entanglement_generation(
     and, for identical nodes, projects the pair onto the singlet
     (|g,m> - |m,g>)/sqrt2.  The bookkeeping is first order: one detected
     photon is taken to leave every other mode in vacuum, and the kappa and
-    tau loss ports are dropped, not traced.  They hold different amplitudes
-    for |g> and |m>, so a loss-traced fidelity is lower (about 0.9988 at the
-    reference node with nbar = 0.05) than the first-order one reported here.
+    tau loss ports are dropped, not traced.  So the fidelity leaves out both
+    multi-photon heralds and loss: at the reference node with nbar = 0.05,
+    heralding on threshold clicks with every other port traced gives about
+    0.9877, of which multi-photon heralds cost 0.011 and the loss ports 0.0012.
 
     Returns the heralded state, its fidelity to the singlet and the herald
     probability per probe pulse.  ``mean_photons`` that is nan, infinite or
@@ -600,13 +600,10 @@ def entanglement_generation(
     # Dark-port amplitudes per branch; input split alpha/sqrt2 into A and
     # i*alpha/sqrt2 into B, recombiners (i*armA + armB)/sqrt2 bright and
     # (armA + i*armB)/sqrt2 dark, which reduce to contrast/2 and sum/2.
-    dark_through = np.zeros(4, dtype=complex)
-    dark_drop = np.zeros(4, dtype=complex)
-    for i, (sa, sb) in enumerate((a + b for a in "gm" for b in "gm")):
-        ra = route_a.for_label(sa)
-        rb = route_b.for_label(sb)
-        dark_through[i] = 0.5 * alpha * (ra.through - rb.through)
-        dark_drop[i] = 0.5 * alpha * (ra.drop - rb.drop)
+    labels_a, labels_b = (route_a.label_g, route_a.label_m), (route_b.label_g, route_b.label_m)
+    branches = [(ra, rb) for ra in labels_a for rb in labels_b]
+    dark_through = np.array([0.5 * alpha * (a.through - b.through) for a, b in branches], complex)
+    dark_drop = np.array([0.5 * alpha * (a.drop - b.drop) for a, b in branches], complex)
 
     superposition = 0.5 * np.ones(4)  # (g+m)/sqrt2 on each node
     click_t = superposition * dark_through
@@ -669,29 +666,26 @@ def fidelity_success_tradeoff(
     measurement at all: fidelity 1, success 0.
     """
     nbars = [_mean_photons(raw) for raw in mean_photons_grid]
-    if any(nbars):
-        # routing does not depend on the probe strength: resolve it once
+    probed = [nbar for nbar in nbars if nbar != 0.0]
+    measured = iter(())  # (nbar, fidelity, success) of the probed points, in order
+    if probed:
+        # routing does not depend on the probe strength: resolve it once and
+        # take every probed point through the engine in one stacked pass
         route_a, route_b = _routing(node_a, probe), _routing(node_b, probe)
-    vec = _BELL_VECTORS["phi_plus"]
-    points = []
-    for nbar in nbars:
-        if nbar == 0.0:
-            points.append(TradeoffPoint(0.0, 1.0, 0.0))
-            continue
-        amps = _pointer_matrix(route_a, route_b, math.sqrt(nbar))
-        even = _threshold_factors(amps, ("even",))["even"]
-        conditioned = _condition(_PHI_PLUS_RHO, even)[1]
-        if conditioned is None:
-            raise InvalidRegime(
-                "even-parity herald cannot fire for this node configuration"
-            )
-        fidelity = float(np.real(np.conj(vec) @ conditioned @ vec))
-        even_flux, odd_flux = _fluxes(_PHI_PLUS_WEIGHTS, amps)
-        points.append(
-            TradeoffPoint(
-                mean_photons=nbar,
-                fidelity=fidelity,
-                success_probability=float(1.0 - math.exp(-(even_flux + odd_flux))),
-            )
-        )
-    return TradeoffTable(points=tuple(points))
+        amps = np.array([_pointer_rows(route_a, route_b, math.sqrt(n)) for n in probed], complex)
+        unnormalized = _PHI_PLUS_RHO * _threshold_factors(amps, ("even",))[0]
+        p = unnormalized.trace(0, 1, 2).real
+        if any(q <= _PROB_FLOOR for q in p.tolist()):
+            raise InvalidRegime("even-parity herald cannot fire for this node configuration")
+        vec = _BELL_VECTORS["phi_plus"]
+        # a row times a column per point, the product one matrix would take
+        fidelity = ((np.conj(vec) @ (unnormalized / p[:, None, None]))[:, None] @ vec).real
+        # the detector columns as contiguous rows, each dotted as _fluxes does
+        even, odd = np.abs(amps[:, :, 0]) ** 2, np.abs(amps[:, :, 1]) ** 2
+        w = _PHI_PLUS_WEIGHTS
+        success = [1.0 - math.exp(-(float(w @ e) + float(w @ o))) for e, o in zip(even, odd)]
+        measured = zip(probed, fidelity[:, 0].tolist(), success)
+    return TradeoffTable(
+        points=tuple(TradeoffPoint(0.0, 1.0, 0.0) if nbar == 0.0 else TradeoffPoint(*next(measured))
+                     for nbar in nbars)
+    )

@@ -251,6 +251,8 @@ def test_dipole_loss_overflow_raises_degenerate_dipole():
     params = SystemParams(1e-10, 1e-170, 1e-323, 0.0)
     with pytest.raises(DegenerateDipole, match=r"^dipole-loss term tau\*\|sigma\|\^2 overflows: "):
         flux_budget(params, 0.0)
+    with pytest.raises(DegenerateDipole, match=r"^dipole-loss term tau\*\|sigma\|\^2 overflows: "):
+        weak_excitation_check(params, 1.0)
     rows = parameter_sweep(params, "tau", [1e-323, 1e-3], 0.0).rows
     assert rows[0].budget is None and rows[0].error.startswith("dipole-loss term")
     assert rows[1].budget == flux_budget(SystemParams(1e-10, 1e-170, 1e-3, 0.0), 0.0)

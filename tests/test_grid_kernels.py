@@ -13,7 +13,9 @@ non-finite or below the floor, the spectrum must now raise
 also raise it, saying D is out of range, where complex division by a finite D
 overflows its real scale (the old code returned a zero quotient there, or
 the scalar path leaked ``OverflowError`` from ``abs``); the references carry
-that one change.  ``parameter_sweep`` now evaluates its rows on arrays with
+that change.  They also carry the dipole-loss guard: where ``abs(sigma) ** 2``
+overflows, the flux budget raises ``DegenerateDipole`` instead of leaking
+``OverflowError`` and aborting the sweep.  ``parameter_sweep`` now evaluates its rows on arrays with
 CPython's complex arithmetic written out, so that arithmetic is also checked
 against Python's own operators on edge values.  The peak finder
 used to rebuild the whole detuning array with ``grid.points()``; it now reads
@@ -29,7 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ditsim import (
@@ -95,11 +97,18 @@ def reference_flux_budget(params, dw):
     t_drop = -params.gamma / denom
     b_amp = -math.sqrt(params.gamma) / denom
     sigma_amp = -1j * params.g * b_amp / x if params.g > 0.0 else 0.0j
+    try:
+        sigma2 = abs(complex(sigma_amp)) ** 2
+    except OverflowError:
+        raise DegenerateDipole(
+            f"dipole-loss term tau*|sigma|^2 overflows: dipole linewidth tau = {params.tau!r} "
+            f"is too small for g = {params.g!r} (delta_omega = {dw!r})"
+        ) from None
     return FluxBudget(
         through=abs(complex(1.0 + t_drop)) ** 2,
         drop=abs(complex(t_drop)) ** 2,
         cavity_loss=params.kappa * abs(complex(b_amp)) ** 2,
-        dipole_loss=params.tau * abs(complex(sigma_amp)) ** 2,
+        dipole_loss=params.tau * sigma2,
     )
 
 
@@ -283,6 +292,10 @@ def grids(draw):
     values=st.lists(values_st, max_size=12),
     on_line=st.booleans(),
     probe=detunings,
+)
+@example(  # |sigma|^2 overflows on a subnormal tau: a DegenerateDipole row
+    base=SystemParams(gamma=1e300, g=6.103515625e-05, tau=0.0, kappa=0.0, delta=0.0),
+    axis="tau", values=[2.2250738585e-313], on_line=False, probe=0.0,
 )
 def test_sweep_matches_reference(base, axis, values, on_line, probe):
     _assert_same_sweep(base, axis, values, base.delta if on_line else probe)

@@ -167,6 +167,15 @@ def reference_parity_probe(node_a, node_b, state, probe, mean_photons):
     )
 
 
+def reference_checked_parity_probe(node_a, node_b, state, probe, mean_photons):
+    # a non-finite outcome probability is refused, as in the Bell classifier
+    result = reference_parity_probe(node_a, node_b, state, probe, mean_photons)
+    for outcome, p in result.outcome_probabilities.items():
+        if not math.isfinite(p):
+            raise InvalidRegime(f"parity herald probability is not finite: P({outcome}) = {p!r}")
+    return result
+
+
 def reference_false_even_probability(node_a, node_b, probe):
     result = reference_parity_probe(
         node_a, node_b, TwoDipoleState.bell("psi_plus"), probe, mean_photons=1.0
@@ -195,6 +204,8 @@ def reference_bell_measurement(node_a, node_b, state, probe, mean_photons, rng=N
             else:
                 cause = f"no probe flux reaches the detectors (P(none) = {p_none:.3g})"
             raise InvalidRegime(f"parity herald cannot fire: {cause}")
+        if not math.isfinite(total):
+            raise InvalidRegime(f"parity herald probability is not finite: P = {total!r}")
         return {o: (p / total, r) for o, (p, r) in branches.items()}
 
     h = _HADAMARD_PAIR
@@ -315,7 +326,7 @@ def _assert_same(fn, reference, *args, **kwargs):
 
 
 def _assert_same_protocols(node_a, node_b, state, probe, nbar, grid, rng_seed=7):
-    _assert_same(parity_probe, reference_parity_probe, node_a, node_b, state, probe, nbar)
+    _assert_same(parity_probe, reference_checked_parity_probe, node_a, node_b, state, probe, nbar)
     _assert_same(bell_measurement, reference_bell_measurement, node_a, node_b, state, probe, nbar)
     got = _outcome(bell_measurement, node_a, node_b, state, probe, nbar,
                    rng=np.random.default_rng(rng_seed))
@@ -330,6 +341,8 @@ def _assert_same_protocols(node_a, node_b, state, probe, nbar, grid, rng_seed=7)
 
 
 # ------------------------------------------------------------- strategies --
+
+OUTCOMES = ("even", "odd", "both", "none")
 
 BASELINE = SystemParams(gamma=1.0 * THZ, g=0.33 * THZ, tau=0.001 * THZ, kappa=0.1 * THZ)
 thz = st.floats(1e-3, 10.0).map(lambda v: v * THZ)
@@ -385,9 +398,36 @@ def test_threshold_factors_match_reference(node_a, node_b, nbar):
         return
     amps = reference_pointer_matrix(route_a, route_b, math.sqrt(nbar))
     want = reference_threshold_factors(amps)
-    assert _bits(_threshold_factors(amps)) == _bits(want)
+    # the factors come back stacked in the order asked for
+    assert _bits(list(_threshold_factors(amps))) == _bits([want[o] for o in OUTCOMES])
     for subset in (("even",), ("even", "odd"), ("both", "none")):
-        assert _bits(_threshold_factors(amps, subset)) == _bits({o: want[o] for o in subset})
+        assert _bits(list(_threshold_factors(amps, subset))) == _bits([want[o] for o in subset])
+
+
+def _special_nodes():
+    off_line = replace(BASELINE, tau=0.0, delta=0.02 * THZ)  # tau = 0, probe off the line
+    dead = NodeRouting(RouteAmplitudes(0j, 0j, 0j, 0j), RouteAmplitudes(0j, 0j, 0j, 0j))
+    return [BASELINE, replace(BASELINE, g=0.0), off_line, NodeRouting.ideal(), dead]
+
+
+@settings(max_examples=200, deadline=None)
+@given(node_a=st.one_of(any_nodes, st.sampled_from(_special_nodes())),
+       node_b=st.one_of(any_nodes, st.sampled_from(_special_nodes())),
+       nbars=st.lists(photons, min_size=1, max_size=8),
+       outcomes=st.lists(st.sampled_from(OUTCOMES), min_size=1, max_size=4, unique=True))
+def test_stacked_threshold_factors_match_each_matrix(node_a, node_b, nbars, outcomes):
+    try:
+        route_a, route_b = reference_routing(node_a, 0.0), reference_routing(node_b, 0.0)
+    except NumericsError:  # a tau = 0 node with its dipole line on the probe
+        return
+    amps = np.array([reference_pointer_matrix(route_a, route_b, math.sqrt(n)) for n in nbars])
+    stacked = _threshold_factors(amps, outcomes)
+    assert stacked.shape == (len(outcomes), len(nbars), 4, 4)
+    for j, single in enumerate(amps):
+        want = reference_threshold_factors(single)
+        assert _bits(list(stacked[:, j])) == _bits([want[o] for o in outcomes])
+    # one more stack axis changes no bit either
+    assert _bits(_threshold_factors(amps[None], outcomes)[:, 0]) == _bits(stacked)
 
 
 @settings(max_examples=150, deadline=None)
@@ -433,7 +473,7 @@ def test_protocols_pool_matches_reference():
         want = _bits(reference_bell_measurement(a, b, case.state, probe, case.nbar_bell,
                                                 rng=np.random.default_rng(case.rng_seed)))
         assert got == want
-        _assert_same(parity_probe, reference_parity_probe, a, b, case.state, probe,
+        _assert_same(parity_probe, reference_checked_parity_probe, a, b, case.state, probe,
                      case.nbar_parity)
         _assert_same(false_even_probability, reference_false_even_probability, a, b, probe)
         _assert_same(entanglement_generation, reference_entanglement_generation,

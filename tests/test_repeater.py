@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -433,6 +434,34 @@ def test_tradeoff_resolves_routing_once(baseline, monkeypatch):
     calls.clear()
     fidelity_success_tradeoff(baseline, baseline, PROBE, [0.0, 0.0])
     assert calls == []
+
+
+def test_ideal_nodes_raise_no_runtime_warnings():
+    # on ideal nodes one parity branch of each Bell state has probability 0
+    ideal = NodeRouting.ideal()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for label in BELL_LABELS:
+            state = TwoDipoleState.bell(label)
+            probabilities = parity_probe(ideal, ideal, state, PROBE, 1.0).outcome_probabilities
+            assert min(probabilities["even"], probabilities["odd"]) == 0.0
+            bell_measurement(ideal, ideal, state, PROBE, 1.0)
+            bell_measurement(ideal, ideal, state, PROBE, 1.0, rng=np.random.default_rng(1))
+        fidelity_success_tradeoff(ideal, ideal, PROBE, [0.0, 0.5, 1.0, 2.0])
+        entanglement_generation(ideal, ideal, PROBE, 0.05)
+        false_even_probability(ideal, ideal, PROBE)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_herald_probability_is_refused():
+    # at 1e300 photons the coherent-state factors overflow to inf and nan
+    node_a = SystemParams(gamma=1e12, g=0, tau=0, kappa=0)
+    node_b = NodeRouting(RouteAmplitudes(0, 0, 0, 0), RouteAmplitudes(0, 0, 0, 1.5 + 1j))
+    state = TwoDipoleState((0, 0, 0, 1))
+    with pytest.raises(InvalidRegime, match=r"^parity herald probability is not finite: P = nan$"):
+        bell_measurement(node_a, node_b, state, 0.0, 1e300)
+    with pytest.raises(InvalidRegime, match=r"^parity herald probability is not finite: P\(even\)"):
+        parity_probe(node_a, node_b, state, 0.0, 1e300)
 
 
 def test_bell_herald_failure_names_its_cause(baseline):

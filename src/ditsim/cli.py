@@ -24,8 +24,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from itertools import repeat
-from typing import Callable, Iterator, Mapping, Sequence
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -293,6 +293,10 @@ class ResultTable:
 _CHUNK_ROWS = 4096
 _FLOAT_ONLY = {float}
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# float chunks and columns of at least this many cells go through the array
+# formatter ``_numtext``, by style; below that, cell by cell is cheaper.  It
+# is imported on first use, so runs with small tables never load it.
+_KERNEL_CELLS = {".17g": 400, "json": 1000}
 # indent=2 layout of the rows block: rows at depth 2, cells at depth 3
 _JSON_CELL_SEP = ",\n      "
 _JSON_ROW_SEP = "\n    ],\n    [\n      "
@@ -306,23 +310,46 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _float_only(cells) -> bool:
+    return set(map(type, cells)) == _FLOAT_ONLY
+
+
+def _kernel_text(cells: Iterable[float], rows: int, style: str, seps: list[str]) -> str | None:
+    """``rows`` rows of ``len(seps)`` float cells, given row by row, joined
+    through the array formatter, or None when there are too few cells to pay
+    for it."""
+    count = rows * len(seps)
+    if count < _KERNEL_CELLS[style]:
+        return None
+    from . import _numtext
+
+    values = np.fromiter(cells, float, count).reshape(rows, len(seps))
+    return _numtext.join_cells(values, style, seps)
+
+
 def _csv_column(column: tuple) -> list[str]:
-    if set(map(type, column)) == _FLOAT_ONLY:
+    if _float_only(column):
+        text = _kernel_text(column, len(column), ".17g", ["\n"])
+        if text is not None:
+            return text.split("\n")
         return list(map(float.__format__, column, repeat(".17g")))
     return list(map(_cell, column))
 
 
 def _json_column(column: tuple) -> list[str]:
-    if set(map(type, column)) == _FLOAT_ONLY:
+    if _float_only(column):
+        text = _kernel_text(column, len(column), "json", ["\n"])
+        if text is not None:
+            return text.split("\n")
         text = list(map(float.__repr__, column))
         return list(map(_JSON_NONFINITE.get, text, text))
     return list(map(json.dumps, column))
 
 
-def _column_chunks(rows: Sequence[tuple]) -> Iterator[list[tuple]]:
-    """The columns of each chunk of ``_CHUNK_ROWS`` rows."""
+def _row_chunks(rows: Sequence[tuple]) -> Iterator[Sequence[tuple]]:
+    """Each chunk of ``_CHUNK_ROWS`` rows."""
     for start in range(0, len(rows), _CHUNK_ROWS):
-        yield list(zip(*rows[start:start + _CHUNK_ROWS]))
+        yield rows[start:start + _CHUNK_ROWS]
 
 
 def _csv_text(rows) -> str:
@@ -331,18 +358,33 @@ def _csv_text(rows) -> str:
     return buffer.getvalue()
 
 
-def _csv_chunk(columns: list[tuple]) -> str:
-    if all(set(map(type, column)) == _FLOAT_ONLY for column in columns):
+def _csv_chunk(rows: Sequence[tuple]) -> str:
+    if _float_only(chain.from_iterable(rows)):
         # a .17g float never needs quoting, so the cells are joined directly
+        seps = [","] * (len(rows[0]) - 1) + ["\n"]
+        text = _kernel_text(chain.from_iterable(rows), len(rows), ".17g", seps)
+        if text is not None:
+            return text + "\n"
+        columns = zip(*rows)
         cells = zip(*(map(float.__format__, column, repeat(".17g")) for column in columns))
         return "\n".join(map(",".join, cells)) + "\n"
-    return _csv_text(zip(*map(_csv_column, columns)))
+    return _csv_text(zip(*map(_csv_column, zip(*rows))))
+
+
+def _json_chunk(rows: Sequence[tuple]) -> str:
+    if _float_only(chain.from_iterable(rows)):
+        seps = [_JSON_CELL_SEP] * (len(rows[0]) - 1) + [_JSON_ROW_SEP]
+        text = _kernel_text(chain.from_iterable(rows), len(rows), "json", seps)
+        if text is not None:
+            return text
+    cells = zip(*map(_json_column, zip(*rows)))
+    return _JSON_ROW_SEP.join(map(_JSON_CELL_SEP.join, cells))
 
 
 def _csv_pieces(table: ResultTable) -> Iterator[str]:
     yield f"# metadata: {json.dumps(table.metadata, sort_keys=True)}\n"
     yield _csv_text([table.columns])
-    yield from map(_csv_chunk, _column_chunks(table.rows))
+    yield from map(_csv_chunk, _row_chunks(table.rows))
 
 
 def _json_pieces(table: ResultTable) -> Iterator[str]:
@@ -356,11 +398,10 @@ def _json_pieces(table: ResultTable) -> Iterator[str]:
         return
     # "rows" sorts last, so the document ends with its empty list
     yield head.removesuffix("[]\n}") + "[\n    [\n      "
-    for i, columns in enumerate(_column_chunks(table.rows)):
+    for i, rows in enumerate(_row_chunks(table.rows)):
         if i:
             yield _JSON_ROW_SEP
-        rows = zip(*map(_json_column, columns))
-        yield _JSON_ROW_SEP.join(map(_JSON_CELL_SEP.join, rows))
+        yield _json_chunk(rows)
     yield "\n    ]\n  ]\n}\n"
 
 
@@ -377,7 +418,9 @@ def write_result_table(table: ResultTable, path: str, fmt: str) -> None:
     document ``json.dumps({"metadata", "columns", "rows"}, sort_keys=True,
     indent=2)`` would give, plus a final newline, with ``NaN``, ``Infinity``
     and ``-Infinity`` for non-finite floats.  Both formats are built a column
-    at a time in chunks of rows; the bytes are those of that definition.
+    at a time in chunks of rows; float chunks and columns of at least
+    ``_KERNEL_CELLS`` cells go through the array formatter
+    ``_numtext.join_cells``.  The bytes are those of that definition.
     The file is opened only after the whole text is formatted.
     """
     if fmt not in ("csv", "json"):

@@ -593,6 +593,7 @@ def weak_excitation_check(params: SystemParams, input_flux: float) -> WeakExcita
     transparency point (probe on the bare cavity line) is estimated as
     input_flux * |sigma_amp|^2; the report flags valid when it is below 0.1.
     """
+    input_flux = _number(input_flux, "input_flux")
     if not math.isfinite(input_flux) or input_flux < 0.0:
         raise ValueError(f"input_flux must be a finite non-negative rate, got {input_flux!r}")
     sigma_amp = scatter_coefficients(params, 0.0).sigma_amp

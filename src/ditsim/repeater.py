@@ -675,8 +675,11 @@ def fidelity_success_tradeoff(
         amps = np.array([_pointer_rows(route_a, route_b, math.sqrt(n)) for n in probed], complex)
         unnormalized = _PHI_PLUS_RHO * _threshold_factors(amps, ("even",))[0]
         p = unnormalized.trace(0, 1, 2).real
-        if any(q <= _PROB_FLOOR for q in p.tolist()):
-            raise InvalidRegime("even-parity herald cannot fire for this node configuration")
+        for q in p.tolist():
+            if q <= _PROB_FLOOR:
+                raise InvalidRegime("even-parity herald cannot fire for this node configuration")
+            if not math.isfinite(q):
+                raise InvalidRegime(f"even-parity herald probability is not finite: P = {q!r}")
         vec = _BELL_VECTORS["phi_plus"]
         # a row times a column per point, the product one matrix would take
         fidelity = ((np.conj(vec) @ (unnormalized / p[:, None, None]))[:, None] @ vec).real

@@ -16,6 +16,9 @@ import numpy as np
 
 _PALETTE = ("#1f6feb", "#d73a49", "#2da44e", "#b08800", "#8250df", "#57606a")
 _POINT = "{:.2f},{:.2f}"
+# lines of at least this many points are formatted by the array formatter
+# ``_numtext`` (imported on first use); shorter ones are cheaper point by point
+_KERNEL_POINTS = 200
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,8 @@ def render_lines(
     # px/py on whole arrays: same operations in the same order as on scalars;
     # overflow gives inf there, as float arithmetic does
     with np.errstate(all="ignore"):
-        xs, ys = px(x_all).tolist(), py(y_all).tolist()
+        sx, sy = px(x_all), py(y_all)
+    xs, ys = sx.tolist(), sy.tolist()
     x0 = y0 = 0
     for i, (nx, ny) in enumerate(sizes):
         color = _PALETTE[i % len(_PALETTE)]
@@ -171,14 +175,20 @@ def render_lines(
                     f'<circle cx="{xs[x0 + start]:.2f}" cy="{ys[y0 + start]:.2f}" '
                     f'r="2.5" fill="{color}"/>'
                 )
+                continue
+            if stop - start >= _KERNEL_POINTS:
+                from . import _numtext
+
+                pairs = np.column_stack((sx[x0 + start:x0 + stop], sy[y0 + start:y0 + stop]))
+                points = _numtext.join_cells(pairs, _numtext.F2, [",", " "])
             else:
                 points = " ".join(
                     map(_POINT.format, xs[x0 + start:x0 + stop], ys[y0 + start:y0 + stop])
                 )
-                parts.append(
-                    f'<polyline points="{points}" fill="none" '
-                    f'stroke="{color}" stroke-width="1.5"/>'
-                )
+            parts.append(
+                f'<polyline points="{points}" fill="none" '
+                f'stroke="{color}" stroke-width="1.5"/>'
+            )
         x0 += nx
         y0 += ny
 

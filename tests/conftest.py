@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ditsim import THZ, SystemParams
+
+# a long run of the property tests that set no example count of their own
+# (the formatter tests): ``pytest --hypothesis-profile=soak``
+settings.register_profile("soak", max_examples=20_000, deadline=None)
 
 
 @pytest.fixture

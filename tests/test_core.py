@@ -359,3 +359,9 @@ def test_weak_excitation_flags(baseline):
 def test_weak_excitation_rejects_negative_flux(baseline):
     with pytest.raises(ValueError):
         weak_excitation_check(baseline, -1.0)
+
+
+@pytest.mark.parametrize("bad", [None, "1", 1 + 2j])
+def test_weak_excitation_rejects_non_numbers_by_name(baseline, bad):
+    with pytest.raises(ValueError, match="^input_flux must be a real number"):
+        weak_excitation_check(baseline, bad)

@@ -284,6 +284,9 @@ def reference_fidelity_success_tradeoff(node_a, node_b, probe, mean_photons_grid
         conditioned = probed.post_states["even"]
         if conditioned is None:
             raise InvalidRegime("even-parity herald cannot fire for this node configuration")
+        p_even = probed.outcome_probabilities["even"]
+        if not math.isfinite(p_even):
+            raise InvalidRegime(f"even-parity herald probability is not finite: P = {p_even!r}")
         fidelity = float(np.real(np.conj(vec) @ conditioned @ vec))
         detected = probed.even_flux + probed.odd_flux
         points.append(TradeoffPoint(nbar, fidelity, float(1.0 - math.exp(-detected))))
@@ -458,6 +461,15 @@ def test_special_nodes_and_photon_numbers_match_reference(baseline, nbar):
 def test_photon_number_errors_match_reference(baseline, bad):
     state = TwoDipoleState.bell("phi_plus")
     _assert_same_protocols(baseline, baseline, state, 0.0, bad, [0.5, bad])
+
+
+def test_non_finite_tradeoff_herald_matches_reference():
+    # at 1e300 photons the even-outcome probability is nan: both refuse it
+    node_a, node_b = SystemParams(1e12, 0, 0, 0), SystemParams(8e12, 0, 0, 0)
+    with pytest.raises(InvalidRegime, match=r"^even-parity herald probability is not finite: P = nan$"):
+        reference_fidelity_success_tradeoff(node_a, node_b, 1e12, [1e300])
+    _assert_same(fidelity_success_tradeoff, reference_fidelity_success_tradeoff,
+                 node_a, node_b, 1e12, [0.0, 1.0, 1e300])
 
 
 def test_protocols_pool_matches_reference():

@@ -462,6 +462,8 @@ def test_non_finite_herald_probability_is_refused():
         bell_measurement(node_a, node_b, state, 0.0, 1e300)
     with pytest.raises(InvalidRegime, match=r"^parity herald probability is not finite: P\(even\)"):
         parity_probe(node_a, node_b, state, 0.0, 1e300)
+    with pytest.raises(InvalidRegime, match=r"^even-parity herald probability is not finite: P = nan$"):
+        fidelity_success_tradeoff(node_a, SystemParams(8e12, 0, 0, 0), 1e12, [1e300])
 
 
 def test_bell_herald_failure_names_its_cause(baseline):

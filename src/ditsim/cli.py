@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
-import difflib
+import functools
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from dataclasses import replace
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -147,6 +147,8 @@ def _coerce(command: str, raw: Mapping[str, str]) -> dict:
 
     for key in raw:
         if key not in allowed:
+            import difflib
+
             near = difflib.get_close_matches(key, sorted(allowed), n=1)
             hint = f" (did you mean {near[0]!r}?)" if near else ""
             problems.append(f"key {key!r} is not recognized for '{command}'{hint}")
@@ -195,6 +197,12 @@ def _check_ranges(command: str, options: dict) -> list[str]:
                 f"key {key!r}: must be >= {minimum}, got {options[key]}"
             )
 
+    def not_below(stop, start):
+        if start in options and stop in options and options[stop] < options[start]:
+            problems.append(
+                f"key {stop!r}: must be >= {start!r}, got {options[stop]} and {options[start]}"
+            )
+
     for suffix in ("", "_b"):
         for name in _PARAM_KEYS:
             key = name + suffix
@@ -240,15 +248,7 @@ def _check_ranges(command: str, options: dict) -> list[str]:
         positive("gamma_start")
         positive("gamma_stop")
         at_least("gamma_count", 1)
-        if (
-            "gamma_start" in options
-            and "gamma_stop" in options
-            and options["gamma_stop"] < options["gamma_start"]
-        ):
-            problems.append(
-                "key 'gamma_stop': must be >= 'gamma_start', got "
-                f"{options['gamma_stop']} and {options['gamma_start']}"
-            )
+        not_below("gamma_stop", "gamma_start")
     elif command == "bell":
         nonnegative("mean_photons")
         at_least("samples", 0)
@@ -261,15 +261,7 @@ def _check_ranges(command: str, options: dict) -> list[str]:
         nonnegative("nbar_start")
         nonnegative("nbar_stop")
         at_least("nbar_count", 1)
-        if (
-            "nbar_start" in options
-            and "nbar_stop" in options
-            and options["nbar_stop"] < options["nbar_start"]
-        ):
-            problems.append(
-                "key 'nbar_stop': must be >= 'nbar_start', got "
-                f"{options['nbar_stop']} and {options['nbar_start']}"
-            )
+        not_below("nbar_stop", "nbar_start")
     elif command == "diagnostics":
         if "eta" in options and not 0.0 < options["eta"] <= 1.0:
             problems.append(f"key 'eta': must be in (0, 1], got {options['eta']}")
@@ -279,20 +271,65 @@ def _check_ranges(command: str, options: dict) -> list[str]:
 
 # ============================================================== results ==
 
+# cell types stored as a float64 array when a whole column holds them
+_FLOATS = {float, np.float64}
 
-@dataclass(frozen=True)
+
+def _column(cells) -> np.ndarray | list:
+    """A float64 array for a column of floats, else the cells as a list."""
+    if isinstance(cells, np.ndarray):
+        return cells if cells.dtype == np.float64 else cells.tolist()
+    cells = list(cells)
+    if set(map(type, cells)) <= _FLOATS:
+        return np.array(cells, dtype=float)
+    return cells
+
+
 class ResultTable:
-    """Tabular command output: column names, rows, and a metadata mapping."""
+    """Tabular command output: metadata, column names and a column of cells per name.
 
-    metadata: dict
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    ``data`` holds a float64 array for a column of floats and a list of cells
+    (``None``, ``bool``, ``int``, ``float`` or ``str``) for any other column.
+    ``rows`` reads the cells back as row tuples, with Python floats.
+    """
+
+    def __init__(self, metadata: dict, columns: Sequence[str], rows: Iterable[Sequence] = ()):
+        columns, rows = tuple(columns), tuple(rows)
+        widths = set(map(len, rows))
+        if widths - {len(columns)} or (widths and not columns):
+            raise ValueError(
+                f"every row needs one cell per column ({len(columns)} columns), "
+                f"got rows of {sorted(widths)} cells"
+            )
+        self._fill(metadata, columns, zip(*rows) if rows else [()] * len(columns))
+
+    @classmethod
+    def from_columns(cls, metadata: dict, data: Mapping[str, Sequence]) -> "ResultTable":
+        """A table of the named columns, in mapping order (arrays are kept, not copied)."""
+        table = cls.__new__(cls)
+        table._fill(metadata, tuple(data), data.values())
+        return table
+
+    def _fill(self, metadata: dict, columns: tuple[str, ...], cells: Iterable) -> None:
+        self.metadata = metadata
+        self.columns = columns
+        self.data = tuple(map(_column, cells))
+        lengths = set(map(len, self.data))
+        if len(lengths) > 1:
+            raise ValueError(
+                f"every column needs one cell per row, got columns of {sorted(lengths)} cells"
+            )
+        self.row_count = lengths.pop() if lengths else 0
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.data)))
 
 
 # rows per formatting chunk: bounds the per-cell strings alive at once
 _CHUNK_ROWS = 4096
-_FLOAT_ONLY = {float}
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_NULL = {".17g": "", "json": "null"}
 # float chunks and columns of at least this many cells go through the array
 # formatter ``_numtext``, by style; below that, cell by cell is cheaper.  It
 # is imported on first use, so runs with small tables never load it.
@@ -310,46 +347,47 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _float_only(cells) -> bool:
-    return set(map(type, cells)) == _FLOAT_ONLY
-
-
-def _kernel_text(cells: Iterable[float], rows: int, style: str, seps: list[str]) -> str | None:
-    """``rows`` rows of ``len(seps)`` float cells, given row by row, joined
-    through the array formatter, or None when there are too few cells to pay
-    for it."""
-    count = rows * len(seps)
-    if count < _KERNEL_CELLS[style]:
+def _kernel_text(columns: Sequence[np.ndarray], style: str, seps: list[str]) -> str | None:
+    """The cells of equal-length float columns, row by row, joined through the
+    array formatter, or None when there are too few cells to pay for it."""
+    if len(columns) * len(columns[0]) < _KERNEL_CELLS[style]:
         return None
     from . import _numtext
 
-    values = np.fromiter(cells, float, count).reshape(rows, len(seps))
-    return _numtext.join_cells(values, style, seps)
+    return _numtext.join_cells(np.column_stack(columns), style, seps)
 
 
-def _csv_column(column: tuple) -> list[str]:
-    if _float_only(column):
-        text = _kernel_text(column, len(column), ".17g", ["\n"])
-        if text is not None:
-            return text.split("\n")
-        return list(map(float.__format__, column, repeat(".17g")))
-    return list(map(_cell, column))
+def _float_cells(values: np.ndarray, style: str) -> list[str]:
+    text = _kernel_text([values], style, ["\n"])
+    if text is not None:
+        return text.split("\n")
+    if style == ".17g":
+        return list(map(float.__format__, values.tolist(), repeat(".17g")))
+    text = list(map(float.__repr__, values.tolist()))
+    return list(map(_JSON_NONFINITE.get, text, text))
 
 
-def _json_column(column: tuple) -> list[str]:
-    if _float_only(column):
-        text = _kernel_text(column, len(column), "json", ["\n"])
-        if text is not None:
-            return text.split("\n")
-        text = list(map(float.__repr__, column))
-        return list(map(_JSON_NONFINITE.get, text, text))
-    return list(map(json.dumps, column))
+def _cells(column: np.ndarray | list, style: str) -> list[str]:
+    """The text of each cell of a column in the style, by the column's kind."""
+    if isinstance(column, np.ndarray):
+        return _float_cells(column, style)
+    kinds = set(map(type, column))
+    if kinds <= {str}:
+        if style == ".17g":
+            return column
+        text = {s: json.dumps(s) for s in set(column)}
+        return list(map(text.__getitem__, column))
+    if kinds <= _FLOATS | {type(None)}:
+        null = _NULL[style]
+        floats = iter(_float_cells(np.array([v for v in column if v is not None]), style))
+        return [null if v is None else next(floats) for v in column]
+    return list(map(_cell if style == ".17g" else json.dumps, column))
 
 
-def _row_chunks(rows: Sequence[tuple]) -> Iterator[Sequence[tuple]]:
-    """Each chunk of ``_CHUNK_ROWS`` rows."""
-    for start in range(0, len(rows), _CHUNK_ROWS):
-        yield rows[start:start + _CHUNK_ROWS]
+def _chunks(table: ResultTable) -> Iterator[list]:
+    """The columns of each chunk of ``_CHUNK_ROWS`` rows."""
+    for start in range(0, table.row_count, _CHUNK_ROWS):
+        yield [column[start:start + _CHUNK_ROWS] for column in table.data]
 
 
 def _csv_text(rows) -> str:
@@ -358,33 +396,30 @@ def _csv_text(rows) -> str:
     return buffer.getvalue()
 
 
-def _csv_chunk(rows: Sequence[tuple]) -> str:
-    if _float_only(chain.from_iterable(rows)):
-        # a .17g float never needs quoting, so the cells are joined directly
-        seps = [","] * (len(rows[0]) - 1) + ["\n"]
-        text = _kernel_text(chain.from_iterable(rows), len(rows), ".17g", seps)
-        if text is not None:
-            return text + "\n"
-        columns = zip(*rows)
-        cells = zip(*(map(float.__format__, column, repeat(".17g")) for column in columns))
-        return "\n".join(map(",".join, cells)) + "\n"
-    return _csv_text(zip(*map(_csv_column, zip(*rows))))
+def _csv_chunk(columns: list) -> str:
+    if not all(isinstance(c, np.ndarray) for c in columns):
+        return _csv_text(zip(*(_cells(c, ".17g") for c in columns)))
+    # a .17g float never needs quoting, so the cells are joined directly
+    text = _kernel_text(columns, ".17g", [","] * (len(columns) - 1) + ["\n"])
+    if text is not None:
+        return text + "\n"
+    return "\n".join(map(",".join, zip(*(_float_cells(c, ".17g") for c in columns)))) + "\n"
 
 
-def _json_chunk(rows: Sequence[tuple]) -> str:
-    if _float_only(chain.from_iterable(rows)):
-        seps = [_JSON_CELL_SEP] * (len(rows[0]) - 1) + [_JSON_ROW_SEP]
-        text = _kernel_text(chain.from_iterable(rows), len(rows), "json", seps)
+def _json_chunk(columns: list) -> str:
+    if all(isinstance(c, np.ndarray) for c in columns):
+        seps = [_JSON_CELL_SEP] * (len(columns) - 1) + [_JSON_ROW_SEP]
+        text = _kernel_text(columns, "json", seps)
         if text is not None:
             return text
-    cells = zip(*map(_json_column, zip(*rows)))
+    cells = zip(*(_cells(c, "json") for c in columns))
     return _JSON_ROW_SEP.join(map(_JSON_CELL_SEP.join, cells))
 
 
 def _csv_pieces(table: ResultTable) -> Iterator[str]:
     yield f"# metadata: {json.dumps(table.metadata, sort_keys=True)}\n"
     yield _csv_text([table.columns])
-    yield from map(_csv_chunk, _row_chunks(table.rows))
+    yield from map(_csv_chunk, _chunks(table))
 
 
 def _json_pieces(table: ResultTable) -> Iterator[str]:
@@ -393,48 +428,51 @@ def _json_pieces(table: ResultTable) -> Iterator[str]:
         sort_keys=True,
         indent=2,
     )
-    if not table.rows:
+    if not table.row_count:
         yield head + "\n"
         return
     # "rows" sorts last, so the document ends with its empty list
     yield head.removesuffix("[]\n}") + "[\n    [\n      "
-    for i, rows in enumerate(_row_chunks(table.rows)):
+    for i, columns in enumerate(_chunks(table)):
         if i:
             yield _JSON_ROW_SEP
-        yield _json_chunk(rows)
+        yield _json_chunk(columns)
     yield "\n    ]\n  ]\n}\n"
 
 
 def write_result_table(table: ResultTable, path: str, fmt: str) -> None:
-    """Write a result table as CSV or JSON; every row holds one cell per column.
+    """Write a result table as CSV or JSON.
 
-    Cells are ``None``, ``bool``, ``int``, ``float`` (numpy floats included)
-    or ``str``.  CSV: a ``# metadata: {...}`` line with the metadata as
+    CSV: a ``# metadata: {...}`` line with the metadata as
     sorted-key JSON, then the column names and the rows as the ``csv``
     module writes them (minimal quoting, LF endings; a chunk of rows whose
-    cells are all floats is joined directly, since such cells never need
-    quoting); floats are written with ``.17g``,
+    columns are all float arrays is joined directly, since such cells never
+    need quoting); floats are written with ``.17g``,
     ``None`` as an empty cell, anything else with ``str``.  JSON: the
     document ``json.dumps({"metadata", "columns", "rows"}, sort_keys=True,
     indent=2)`` would give, plus a final newline, with ``NaN``, ``Infinity``
     and ``-Infinity`` for non-finite floats.  Both formats are built a column
-    at a time in chunks of rows; float chunks and columns of at least
-    ``_KERNEL_CELLS`` cells go through the array formatter
-    ``_numtext.join_cells``.  The bytes are those of that definition.
-    The file is opened only after the whole text is formatted.
+    at a time in chunks of rows, each column's path picked from its type:
+    float arrays, and the floats of a list column, go through the array
+    formatter ``_numtext.join_cells`` from ``_KERNEL_CELLS`` cells on; a
+    column of strings is JSON-encoded once per distinct string.  The bytes
+    are those of that definition.  The file is opened only after the whole
+    text is formatted.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    width = len(table.columns)
-    widths = set(map(len, table.rows))
-    if widths - {width} or (widths and not width):
-        raise ValueError(
-            f"every row needs one cell per column ({width} columns), "
-            f"got rows of {sorted(widths)} cells"
-        )
     pieces = list(_csv_pieces(table) if fmt == "csv" else _json_pieces(table))
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.writelines(pieces)
+
+
+def _csv_value(cell: str):
+    if cell == "":
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
 
 
 def read_result_table(path: str) -> ResultTable:
@@ -446,25 +484,10 @@ def read_result_table(path: str) -> ResultTable:
         metadata = json.loads(lines[0].split(":", 1)[1])
         reader = _csv.reader(lines[1:])
         columns = tuple(next(reader))
-        rows = []
-        for record in reader:
-            parsed = []
-            for cell in record:
-                if cell == "":
-                    parsed.append(None)
-                else:
-                    try:
-                        parsed.append(float(cell))
-                    except ValueError:
-                        parsed.append(cell)
-            rows.append(tuple(parsed))
-        return ResultTable(metadata=metadata, columns=columns, rows=tuple(rows))
+        rows = [tuple(map(_csv_value, record)) for record in reader]
+        return ResultTable(metadata=metadata, columns=columns, rows=rows)
     payload = json.loads(text)
-    return ResultTable(
-        metadata=payload["metadata"],
-        columns=tuple(payload["columns"]),
-        rows=tuple(tuple(row) for row in payload["rows"]),
-    )
+    return ResultTable(payload["metadata"], payload["columns"], payload["rows"])
 
 
 # ============================================================= handlers ==
@@ -531,9 +554,8 @@ def _run_spectrum(options, args):
     points = grid.points()
     arrays = scattering_arrays(params, points)
     # the same |t|^2 that transmission_spectrum forms, from the one evaluation
-    series = SpectrumSeries(
-        grid, points, np.abs(arrays.t_through) ** 2, np.abs(arrays.t_drop) ** 2
-    )
+    through, drop = np.abs(arrays.t_through) ** 2, np.abs(arrays.t_drop) ** 2
+    series = SpectrumSeries(grid, points, through, drop)
     x_thz = points / THZ
     loss_kappa = params.kappa * np.abs(arrays.b_amp) ** 2
     loss_tau = params.tau * np.abs(arrays.sigma_amp) ** 2
@@ -555,41 +577,43 @@ def _run_spectrum(options, args):
         "grid": {"start_thz": x_thz[0], "stop_thz": x_thz[-1], "count": grid.count},
         "peak": peak_meta,
     }
-    columns = ("delta_omega_thz", "through", "drop", "loss_kappa", "loss_tau")
-    x, through, drop = x_thz.tolist(), series.through.tolist(), series.drop.tolist()
-    rows = tuple(zip(x, through, drop, loss_kappa.tolist(), loss_tau.tolist()))
-    plot = [LineSeries("through", x, through), LineSeries("drop", x, drop)]
-    return ResultTable(metadata, columns, rows), plot
+    table = ResultTable.from_columns(metadata, {
+        "delta_omega_thz": x_thz,
+        "through": through,
+        "drop": drop,
+        "loss_kappa": loss_kappa,
+        "loss_tau": loss_tau,
+    })
+    return table, [LineSeries("through", x_thz, through), LineSeries("drop", x_thz, drop)]
 
 
 def _run_sweep(options, args):
     params = _params_from(options)
     probe = _probe_from(options)
     count = options.get("count", 41)
-    values_thz = np.linspace(options["start"], options["stop"], count)
-    table = parameter_sweep(params, options["axis"], values_thz * THZ, probe)
+    swept = np.linspace(options["start"], options["stop"], count) * THZ
+    table = parameter_sweep(params, options["axis"], swept, probe)
     metadata = {
         "command": "sweep",
         "axis": options["axis"],
         "params": _params_meta(params),
         "probe_delta_omega_thz": probe.delta_omega / THZ,
     }
-    columns = ("value_thz", "through", "drop", "loss_kappa", "loss_tau", "error")
-    rows = []
-    xs, ys = [], []
-    for row in table.rows:
-        v = row.value / THZ
-        if row.budget is None:
-            rows.append((float(v), None, None, None, None, row.error))
-        else:
-            b = row.budget
-            rows.append(
-                (float(v), b.through, b.drop, b.cavity_loss, b.dipole_loss, "")
-            )
-            xs.append(float(v))
-            ys.append(b.through)
-    plot = [LineSeries("through", xs, ys)] if xs else None
-    return ResultTable(metadata, columns, tuple(rows)), plot
+    # a row without a budget (an invalid point) has empty fractions and its error
+    budgets = [row.budget or (None,) * 4 for row in table.rows]
+    through, drop, loss_kappa, loss_tau = map(list, zip(*budgets))
+    value_thz = swept / THZ
+    result = ResultTable.from_columns(metadata, {
+        "value_thz": value_thz,
+        "through": through,
+        "drop": drop,
+        "loss_kappa": loss_kappa,
+        "loss_tau": loss_tau,
+        "error": [row.error or "" for row in table.rows],
+    })
+    ok = np.array([row.budget is not None for row in table.rows])
+    ys = np.array(through, dtype=float)[ok]  # a None reads as nan, and its row is masked out
+    return result, [LineSeries("through", value_thz[ok], ys)] if ok.any() else None
 
 
 def _run_entangle(options, args):
@@ -597,9 +621,11 @@ def _run_entangle(options, args):
     nbar = options.get("mean_photons", 0.05)
     result = entanglement_generation(node_a, node_b, probe, nbar)
     metadata["post_state"] = [[a.real, a.imag] for a in result.post_state.amplitudes]
-    columns = ("mean_photons", "herald_probability", "fidelity_to_singlet")
-    rows = ((float(nbar), result.success_probability, result.fidelity),)
-    return ResultTable(metadata, columns, rows), None
+    return ResultTable.from_columns(metadata, {
+        "mean_photons": [float(nbar)],
+        "herald_probability": [result.success_probability],
+        "fidelity_to_singlet": [result.fidelity],
+    }), None
 
 
 def _run_parity(options, args):
@@ -608,16 +634,13 @@ def _run_parity(options, args):
     stop = options.get("gamma_stop", 8.0)
     count = options.get("gamma_count", 50)
     gammas = np.linspace(start, stop, count)
-    rows = []
-    for value in gammas:
-        a = replace(node_a, gamma=float(value) * THZ)
-        b = replace(node_b, gamma=float(value) * THZ)
-        rows.append((float(value), false_even_probability(a, b, probe)))
+    false_even = [
+        false_even_probability(replace(node_a, gamma=g), replace(node_b, gamma=g), probe)
+        for g in (gammas * THZ).tolist()
+    ]
 
     # single-point interrogation detail at the configured parameters
-    probed = parity_probe(
-        node_a, node_b, TwoDipoleState.bell("psi_plus"), probe, mean_photons=1.0
-    )
+    probed = parity_probe(node_a, node_b, TwoDipoleState.bell("psi_plus"), probe, mean_photons=1.0)
     metadata.update(
         state="psi_plus",
         mean_photons=1.0,
@@ -627,13 +650,10 @@ def _run_parity(options, args):
             "outcome_probabilities": dict(probed.outcome_probabilities),
         },
     )
-    columns = ("gamma_thz", "false_even_probability")
-    plot = [
-        LineSeries(
-            "false even", [r[0] for r in rows], [r[1] for r in rows]
-        )
-    ]
-    return ResultTable(metadata, columns, tuple(rows)), plot
+    table = ResultTable.from_columns(
+        metadata, {"gamma_thz": gammas, "false_even_probability": false_even}
+    )
+    return table, [LineSeries("false even", gammas, table.data[1])]
 
 
 def _run_bell(options, args):
@@ -643,79 +663,57 @@ def _run_bell(options, args):
 
     if "state" in options:
         label = options["state"]
-        record = bell_measurement(
-            node_a, node_b, TwoDipoleState.bell(label), probe, nbar
-        )
+        record = bell_measurement(node_a, node_b, TwoDipoleState.bell(label), probe, nbar)
         samples = options.get("samples", 0)
         metadata["input_state"] = label
         metadata["reported_outcome"] = record.outcome.label
         metadata["fidelity"] = record.result.fidelity
+        outcomes = [o for o, _ in record.distribution]
+        probs = np.array([p for _, p in record.distribution], dtype=float)
+        data = {
+            "outcome": [o.label for o in outcomes],
+            "first_parity": [o.first_parity for o in outcomes],
+            "second_parity": [o.second_parity for o in outcomes],
+            "probability": probs,
+        }
         if samples > 0:
             seed = args.seed if args.seed is not None else 0
             metadata["samples"] = samples
             metadata["seed"] = seed
             rng = np.random.default_rng(seed)
-            probs = np.array([p for _, p in record.distribution])
             draws = rng.choice(len(probs), size=samples, p=probs / probs.sum())
             counts = np.bincount(draws, minlength=len(probs))
-            columns = (
-                "outcome", "first_parity", "second_parity",
-                "probability", "count", "frequency",
-            )
-            rows = tuple(
-                (o.label, o.first_parity, o.second_parity, float(p),
-                 int(counts[i]), float(counts[i] / samples))
-                for i, (o, p) in enumerate(record.distribution)
-            )
-        else:
-            columns = ("outcome", "first_parity", "second_parity", "probability")
-            rows = tuple(
-                (o.label, o.first_parity, o.second_parity, float(p))
-                for o, p in record.distribution
-            )
-        return ResultTable(metadata, columns, rows), None
+            data.update(count=counts.tolist(), frequency=counts / samples)
+        return ResultTable.from_columns(metadata, data), None
 
     # no input given: classify each Bell state and report the verdicts
-    columns = (
-        "input_state", "outcome", "first_parity", "second_parity",
-        "probability", "fidelity",
-    )
-    rows = []
-    for label in BELL_LABELS:
-        record = bell_measurement(
-            node_a, node_b, TwoDipoleState.bell(label), probe, nbar
-        )
-        rows.append(
-            (
-                label,
-                record.outcome.label,
-                record.outcome.first_parity,
-                record.outcome.second_parity,
-                record.result.success_probability,
-                record.result.fidelity,
-            )
-        )
-    return ResultTable(metadata, columns, tuple(rows)), None
+    records = [
+        bell_measurement(node_a, node_b, TwoDipoleState.bell(label), probe, nbar)
+        for label in BELL_LABELS
+    ]
+    return ResultTable.from_columns(metadata, {
+        "input_state": list(BELL_LABELS),
+        "outcome": [r.outcome.label for r in records],
+        "first_parity": [r.outcome.first_parity for r in records],
+        "second_parity": [r.outcome.second_parity for r in records],
+        "probability": [r.result.success_probability for r in records],
+        "fidelity": [r.result.fidelity for r in records],
+    }), None
 
 
 def _run_tradeoff(options, args):
     node_a, node_b, probe, metadata = _two_node_setup("tradeoff", options)
-    grid = np.linspace(
-        options.get("nbar_start", 0.0),
-        options.get("nbar_stop", 5.0),
-        options.get("nbar_count", 21),
-    )
+    start, stop = options.get("nbar_start", 0.0), options.get("nbar_stop", 5.0)
+    grid = np.linspace(start, stop, options.get("nbar_count", 21))
     table = fidelity_success_tradeoff(node_a, node_b, probe, grid)
     metadata["state"] = "phi_plus"
-    columns = ("mean_photons", "fidelity", "success_probability")
-    rows = tuple(
-        (p.mean_photons, p.fidelity, p.success_probability) for p in table.points
-    )
-    plot = [
-        LineSeries("fidelity", [r[0] for r in rows], [r[1] for r in rows]),
-        LineSeries("success", [r[0] for r in rows], [r[2] for r in rows]),
-    ]
-    return ResultTable(metadata, columns, rows), plot
+    result = ResultTable.from_columns(metadata, {
+        "mean_photons": [p.mean_photons for p in table.points],
+        "fidelity": [p.fidelity for p in table.points],
+        "success_probability": [p.success_probability for p in table.points],
+    })
+    nbar, fidelity, success = result.data
+    return result, [LineSeries("fidelity", nbar, fidelity), LineSeries("success", nbar, success)]
 
 
 def _run_diagnostics(options, args):
@@ -730,23 +728,13 @@ def _run_diagnostics(options, args):
         "eta": eta,
         "quality_factor": params.quality_factor,
     }
-    columns = (
-        "purcell",
-        "critical_atom_number",
-        "critical_photon_number",
-        "max_safe_flux_per_s",
-        "transparency_at_dipole",
-    )
-    rows = (
-        (
-            report.purcell,
-            report.critical_atom,
-            report.critical_photon,
-            report.max_safe_flux,
-            transparency,
-        ),
-    )
-    return ResultTable(metadata, columns, rows), None
+    return ResultTable.from_columns(metadata, {
+        "purcell": [report.purcell],
+        "critical_atom_number": [report.critical_atom],
+        "critical_photon_number": [report.critical_photon],
+        "max_safe_flux_per_s": [report.max_safe_flux],
+        "transparency_at_dipole": [transparency],
+    }), None
 
 
 _HANDLERS: dict[str, Handler] = {

@@ -299,6 +299,8 @@ _OUTCOMES = ("even", "odd", "both", "none")
 _DETECTOR_STATES = {"even": (0, 1), "odd": (1, 0), "both": (0, 0), "none": (1, 1)}
 
 
+# the factors overflow to inf and nan near 1e300 photons; the callers raise InvalidRegime
+@np.errstate(over="ignore", invalid="ignore")
 def _threshold_factors(amps: np.ndarray, outcomes: Sequence[str] = _OUTCOMES) -> np.ndarray:
     """Per-outcome coherence factors M[s, s'] for threshold detection.
 

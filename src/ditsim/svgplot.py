@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -24,8 +23,13 @@ _KERNEL_POINTS = 200
 @dataclass(frozen=True)
 class LineSeries:
     label: str
-    x: Sequence[float]
-    y: Sequence[float]
+    x: Sequence[float] | np.ndarray
+    y: Sequence[float] | np.ndarray
+
+
+def _escape(text: str) -> str:
+    """``xml.sax.saxutils.escape``, whose module imports urllib, http, email and ssl."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _finite_span(finite: np.ndarray) -> tuple[float, float] | None:
@@ -112,7 +116,7 @@ def render_lines(
     if title:
         parts.append(
             f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-size="15">{escape(title)}</text>'
+            f'font-size="15">{_escape(title)}</text>'
         )
 
     for tx in _ticks(x_lo, x_hi):
@@ -127,7 +131,7 @@ def render_lines(
         )
         parts.append(
             f'<text x="{x:.2f}" y="{top + plot_h + 18}" '
-            f'text-anchor="middle">{escape(_tick_label(tx))}</text>'
+            f'text-anchor="middle">{_escape(_tick_label(tx))}</text>'
         )
     for ty in _ticks(y_lo, y_hi):
         y = py(ty)
@@ -141,7 +145,7 @@ def render_lines(
         )
         parts.append(
             f'<text x="{left - 8}" y="{y + 4:.2f}" '
-            f'text-anchor="end">{escape(_tick_label(ty))}</text>'
+            f'text-anchor="end">{_escape(_tick_label(ty))}</text>'
         )
 
     # frame drawn after gridlines so it stays crisp
@@ -152,39 +156,36 @@ def render_lines(
     if xlabel:
         parts.append(
             f'<text x="{left + plot_w / 2:.1f}" y="{height - 10}" '
-            f'text-anchor="middle">{escape(xlabel)}</text>'
+            f'text-anchor="middle">{_escape(xlabel)}</text>'
         )
     if ylabel:
         parts.append(
             f'<text x="16" y="{top + plot_h / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">{escape(ylabel)}</text>'
+            f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">{_escape(ylabel)}</text>'
         )
 
     # px/py on whole arrays: same operations in the same order as on scalars;
     # overflow gives inf there, as float arithmetic does
     with np.errstate(all="ignore"):
         sx, sy = px(x_all), py(y_all)
-    xs, ys = sx.tolist(), sy.tolist()
     x0 = y0 = 0
     for i, (nx, ny) in enumerate(sizes):
         color = _PALETTE[i % len(_PALETTE)]
         n = min(nx, ny)
         for start, stop in _runs(x_ok[x0:x0 + n] & y_ok[y0:y0 + n]):
-            if stop - start == 1:
-                parts.append(
-                    f'<circle cx="{xs[x0 + start]:.2f}" cy="{ys[y0 + start]:.2f}" '
-                    f'r="2.5" fill="{color}"/>'
-                )
-                continue
+            xs, ys = sx[x0 + start:x0 + stop], sy[y0 + start:y0 + stop]
             if stop - start >= _KERNEL_POINTS:
                 from . import _numtext
 
-                pairs = np.column_stack((sx[x0 + start:x0 + stop], sy[y0 + start:y0 + stop]))
-                points = _numtext.join_cells(pairs, _numtext.F2, [",", " "])
+                points = _numtext.join_cells(np.column_stack((xs, ys)), _numtext.F2, [",", " "])
+            elif stop - start > 1:
+                points = " ".join(map(_POINT.format, xs.tolist(), ys.tolist()))
             else:
-                points = " ".join(
-                    map(_POINT.format, xs[x0 + start:x0 + stop], ys[y0 + start:y0 + stop])
+                parts.append(
+                    f'<circle cx="{float(xs[0]):.2f}" cy="{float(ys[0]):.2f}" '
+                    f'r="2.5" fill="{color}"/>'
                 )
+                continue
             parts.append(
                 f'<polyline points="{points}" fill="none" '
                 f'stroke="{color}" stroke-width="1.5"/>'
@@ -204,7 +205,7 @@ def render_lines(
             f'stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{legend_x + 28}" y="{y + 4}">{escape(series.label)}</text>'
+            f'<text x="{legend_x + 28}" y="{y + 4}">{_escape(series.label)}</text>'
         )
 
     parts.append("</svg>")

@@ -3,7 +3,10 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -480,8 +483,143 @@ def test_float_chunk_then_mixed_chunk_match_reference():
 
 
 def test_ragged_table_rejected(tmp_path):
-    table = ResultTable({}, ("a", "b"), ((1.0, 2.0), (3.0,)))
-    for fmt in ("csv", "json"):
-        with pytest.raises(ValueError, match="one cell per column"):
-            write_result_table(table, str(tmp_path / f"t.{fmt}"), fmt)
-        assert not (tmp_path / f"t.{fmt}").exists()
+    # a table is rectangular from construction on, so no writer sees ragged rows
+    with pytest.raises(ValueError, match="one cell per column"):
+        ResultTable({}, ("a", "b"), ((1.0, 2.0), (3.0,)))
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------- column storage --
+
+
+def assert_same_bytes_three_ways(metadata, names, cells):
+    """A table from columns, the same table from rows and the per-cell
+    reference writer give the same bytes; ``cells`` holds one list per column,
+    or an array for a float column."""
+    lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
+    rows = tuple(zip(*lists))
+    reference = SimpleNamespace(metadata=metadata, columns=tuple(names), rows=rows)
+    from_columns = ResultTable.from_columns(metadata, dict(zip(names, cells)))
+    from_rows = ResultTable(metadata, names, rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("csv", "json"):
+            want = os.path.join(tmp, f"want.{fmt}")
+            reference_write(reference, want, fmt)
+            with open(want, "rb") as f:
+                expected = f.read()
+            for name, table in (("columns", from_columns), ("rows", from_rows)):
+                got = os.path.join(tmp, f"{name}.{fmt}")
+                write_result_table(table, got, fmt)
+                with open(got, "rb") as f:
+                    assert f.read() == expected, (fmt, name)
+
+
+# one column's repeating block of cells, by kind of column
+array_blocks = st.tuples(st.just("array"), st.lists(floats, min_size=1, max_size=3))
+column_blocks = st.one_of(
+    array_blocks,
+    st.tuples(st.just("list"), st.lists(cells, min_size=1, max_size=3)),
+    st.tuples(
+        st.just("list"),
+        st.lists(st.one_of(floats, floats.map(np.float64), st.none()), min_size=1, max_size=3),
+    ),
+    st.tuples(st.just("list"), st.just([None])),
+    st.tuples(st.just("list"), st.lists(st.text(max_size=12), min_size=1, max_size=3)),
+    st.tuples(st.just("list"), st.lists(st.integers(-5, 5) | st.booleans(), min_size=1, max_size=3)),
+)
+
+
+@st.composite
+def column_tables(draw, count, blocks=column_blocks):
+    """(metadata, names, cells) of a table of ``count`` rows, or of
+    ``count(columns)`` rows when ``count`` is a function."""
+    blocks = draw(st.lists(blocks, min_size=1, max_size=6))
+    names = draw(st.lists(st.text(max_size=6), min_size=len(blocks), max_size=len(blocks), unique=True))
+    rows = count(len(blocks)) if callable(count) else count
+    cells = []
+    for kind, block in blocks:
+        column = (block * (rows // len(block) + 1))[:rows]
+        cells.append(np.array(column, dtype=float) if kind == "array" else column)
+    return {"rows": rows, "x": draw(floats)}, names, cells
+
+
+@pytest.mark.parametrize("count", [0, 1, 399, 400, 999, 1000, 4095, 4096, 4097, 9001])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_column_table_bytes_match_row_table_and_reference(count, data):
+    assert_same_bytes_three_ways(*data.draw(column_tables(count)))
+
+
+@pytest.mark.parametrize("cells", sorted(set(cli._KERNEL_CELLS.values())))
+@pytest.mark.parametrize("below", [True, False])
+@pytest.mark.parametrize("blocks", [array_blocks, column_blocks], ids=["arrays", "mixed"])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_column_table_bytes_at_each_kernel_crossover(cells, below, blocks, data):
+    # a chunk of w float columns goes through the array formatter from
+    # ceil(cells / w) rows on: one row short of that, and just there
+    def count(width):
+        return -(-cells // width) - below
+
+    assert_same_bytes_three_ways(*data.draw(column_tables(count, blocks)))
+
+
+def test_empty_tables_match_reference():
+    assert_same_bytes_three_ways({}, [], [])
+    assert_same_bytes_three_ways({"n": 0}, ["a", "b"], [np.empty(0), []])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.one_of(st.floats(allow_nan=False), st.integers(), st.booleans(), st.none(), st.text()),
+                min_size=n,
+                max_size=n,
+            ),
+            max_size=6,
+        )
+    )
+)
+def test_rows_read_back_as_given(rows):
+    rows = tuple(map(tuple, rows))
+    width = len(rows[0]) if rows else 3
+    table = ResultTable({}, tuple(f"c{i}" for i in range(width)), rows)
+    assert table.rows == rows
+    for got, given_row in zip(table.rows, rows):
+        assert list(map(type, got)) == list(map(type, given_row))
+
+
+def test_float_columns_are_arrays_and_rows_hold_python_floats():
+    table = ResultTable({}, ("x", "label"), ((np.float64(0.5), "a"), (2.0, None)))
+    x, label = table.data
+    assert isinstance(x, np.ndarray) and x.dtype == np.float64
+    assert label == ["a", None]
+    assert table.rows == ((0.5, "a"), (2.0, None))
+    assert type(table.rows[0][0]) is float
+
+
+def test_spectrum_keeps_its_float_columns_as_arrays():
+    options = cli._coerce("spectrum", {"points": "101"})
+    table, plot = cli.run("spectrum", options, build_parser().parse_args(["spectrum", "--config", "x"]))
+    assert table.columns == ("delta_omega_thz", "through", "drop", "loss_kappa", "loss_tau")
+    for column in table.data:
+        assert isinstance(column, np.ndarray) and column.dtype == np.float64 and column.shape == (101,)
+    # the plot draws the table's own arrays
+    assert plot[0].x is table.data[0] and plot[0].y is table.data[1] and plot[1].y is table.data[2]
+
+
+def test_column_length_mismatch_rejected(tmp_path):
+    with pytest.raises(ValueError, match=r"one cell per row, got columns of \[2, 3\] cells"):
+        ResultTable.from_columns({}, {"a": np.zeros(3), "b": [1.0, None]})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_leaves_out_the_network_modules():
+    heavy = ("urllib.request", "http.client", "email", "ssl")
+    code = f"import sys, ditsim, ditsim.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

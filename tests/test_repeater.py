@@ -466,6 +466,24 @@ def test_non_finite_herald_probability_is_refused():
         fidelity_success_tradeoff(node_a, SystemParams(8e12, 0, 0, 0), 1e12, [1e300])
 
 
+def test_non_finite_herald_is_refused_with_warnings_as_errors():
+    # the engine's overflow at 1e300 photons is silent; the callers' finiteness
+    # checks raise the contract error, not a numpy RuntimeWarning
+    node_a = SystemParams(gamma=1e12, g=0, tau=0, kappa=0)
+    node_b = NodeRouting(RouteAmplitudes(0, 0, 0, 0), RouteAmplitudes(0, 0, 0, 1.5 + 1j))
+    state = TwoDipoleState((0, 0, 0, 1))
+    calls = [
+        lambda: fidelity_success_tradeoff(node_a, SystemParams(8e12, 0, 0, 0), 1e12, [1e300]),
+        lambda: parity_probe(node_a, node_b, state, 0.0, 1e300),
+        lambda: bell_measurement(node_a, node_b, state, 0.0, 1e300),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(InvalidRegime, match="not finite"):
+                call()
+
+
 def test_bell_herald_failure_names_its_cause(baseline):
     state = TwoDipoleState.bell("phi_plus")
     with pytest.raises(InvalidRegime, match="no probe flux reaches the detectors"):

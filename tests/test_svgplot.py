@@ -11,6 +11,7 @@ from xml.sax.saxutils import escape
 from ditsim.svgplot import (
     _PALETTE,
     LineSeries,
+    _escape,
     _padded,
     _tick_label,
     _ticks,
@@ -205,3 +206,9 @@ def test_render_arrays_and_ragged_series_match_reference():
     assert_same_svg([LineSeries("array", x, y), LineSeries("list", x.tolist(), (2 * y).tolist())])
     # a longer x than y: the span counts every x, the line stops with y
     assert_same_svg([LineSeries("ragged", [0.0, 1.0, 2.0, 50.0], [1.0, 2.0, 3.0])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.text(alphabet="&<>;amplgt\"' "))
+def test_escape_matches_saxutils(text):
+    assert _escape(text) == escape(text)

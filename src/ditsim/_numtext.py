@@ -167,8 +167,8 @@ def _rounded(h, frac, half_ulp, step):
     """The multiple of ``step`` nearest to h + frac, whether it certainly
     reads back as the value (within ``half_ulp`` of it), and whether that is
     in doubt."""
-    q, r = np.divmod(h, step)
-    x = (r + frac) / step
+    q = h // step
+    x = ((h - q * step) + frac) / step
     d = (q + (x > 0.5)) * step
     dist = np.abs((d - h) - frac)
     inside = dist < half_ulp * (1 - _ROUND_TRIP)
@@ -182,22 +182,26 @@ def _shortest(a, h, frac, unsure):
     """repr's digits, scaled to 17 digits like ``h + frac`` (``a`` scaled).
 
     The correctly rounded value with p digits reads back as ``a`` for every
-    p from the shortest length up, so each cell tries ever shorter lengths
-    until one fails; a candidate that ends in zeros passes at the lengths
-    they allow too.  Marks ``unsure`` the cells it cannot certify.
+    p from the shortest length up.  Lengths 16 and 15 are tried on every
+    cell at once; only the cells that pass at 15 try ever shorter lengths
+    until one fails, and a candidate that ends in zeros passes at the
+    lengths they allow too.  Marks ``unsure`` the cells it cannot certify.
     """
     mantissa, _ = np.frexp(a)
     unsure |= mantissa == 0.5
     # half an ulp of a, in units of the last of the 17 digits
     half_ulp = h / (mantissa * 2.0**54)
-    n = h + (frac > 0.5)
-    cells = np.flatnonzero(~unsure)
-    step = 10  # 10**(17 - p): p = 16 for every cell first, then per cell
+    # the 15-digit candidate is never nearer than the 16-digit one, so a cell
+    # that certainly fails at 16 digits is in no doubt at 15
+    d16, pass16, doubt16 = _rounded(h, frac, half_ulp, 10)
+    d15, pass15, doubt15 = _rounded(h, frac, half_ulp, 100)
+    unsure |= doubt16 | doubt15
+    n = np.where(pass16, d16, h + (frac > 0.5))
+    cells = np.flatnonzero(pass15 & ~unsure)
+    # each pass keeps the candidates that passed, and tries the next shorter
+    # length on them; step is 10**(17 - p) for p digits
+    d, step = d15[cells], np.full(cells.size, 100)
     while cells.size:
-        d, passed, doubt = _rounded(h[cells], frac[cells], half_ulp[cells], step)
-        unsure[cells[doubt]] = True
-        cells, d = cells[passed], d[passed]
-        step = np.broadcast_to(step, passed.shape)[passed]
         n[cells] = d
         digits = d // step
         for factor in (_QUAD, 10):
@@ -209,6 +213,9 @@ def _shortest(a, h, frac, unsure):
         step *= 10
         shorter = step <= _P16
         cells, step = cells[shorter], step[shorter]
+        d, passed, doubt = _rounded(h[cells], frac[cells], half_ulp[cells], step)
+        unsure[cells[doubt]] = True
+        cells, d, step = cells[passed], d[passed], step[passed]
     return n
 
 
@@ -283,8 +290,9 @@ def _float_quads(v: np.ndarray, style: str, unsure: np.ndarray) -> np.ndarray:
     np.take(t["lead"], np.signbit(v) + 2 * zeros, out=quads[0])
     top = _whole_quads(whole, quads[2:6])
     quads[1] = t["lead2"][zeros] | t["first"][top]
-    last = after % 10
-    after //= 10
+    high = after // 10
+    last = after - high * 10
+    after = high
     dot = ~small & (after > 0)
     if style == JSON:  # repr writes "1.0", never "1."
         bare = fixed & ~small & (after == 0) & (last == 0)
@@ -332,7 +340,7 @@ def _body(v: np.ndarray, style: str) -> tuple[np.ndarray, np.ndarray]:
     return _float_quads(v, style, unsure), unsure
 
 
-def _join_block(values: np.ndarray, style: str, seps: np.ndarray) -> str:
+def _join_block(values: np.ndarray, style: str, marks: np.ndarray) -> str:
     rows, cols = values.shape
     v = values.ravel()
     body, unsure = _body(v, style)
@@ -341,16 +349,18 @@ def _join_block(values: np.ndarray, style: str, seps: np.ndarray) -> str:
     handed = np.flatnonzero(unsure)
     texts = [t.encode() for t in map(_PYTHON[style], v[handed].tolist())]
     width = -(-max(map(len, texts), default=0) // 4)
-    planes = np.empty((len(used) + width + 1, v.size), np.uint32)
+    cell = len(used) + width
+    planes = np.empty((cell + len(marks), v.size), np.uint32)
     np.take(body, used, axis=0, out=planes[:len(used)])
     if handed.size:
         planes[:len(used), handed] = 0
-        planes[len(used):-1] = 0
+        planes[len(used):cell] = 0
         padded = b"".join(t.ljust(4 * width, b"\0") for t in texts)
-        planes[len(used):-1, handed] = np.frombuffer(padded, np.uint32).reshape(-1, width).T
-    planes[-1].reshape(rows, cols)[:] = seps
-    planes[-1, -1] = 0
-    # the characters cell by cell; 0 bytes are no character
+        planes[len(used):cell, handed] = np.frombuffer(padded, np.uint32).reshape(-1, width).T
+    planes[cell:].reshape(len(marks), rows, cols)[:] = marks[:, None, :]
+    planes[cell:, -1] = 0
+    # the characters cell by cell, each followed by its separator; 0 bytes are
+    # no character
     text = np.ascontiguousarray(planes.T).tobytes().translate(None, b"\0")
     return text.decode("ascii")
 
@@ -360,25 +370,20 @@ def join_cells(values: np.ndarray, style: str, seps: Sequence[str]) -> str:
 
     Equals ``"".join(fmt(x) + seps[j] for each row, for j, x in enumerate(row))``
     without the last separator, where ``fmt`` is the style's CPython
-    formatter.  ``seps`` holds one ASCII string per column, without control
-    characters.
+    formatter.  ``seps`` holds one ASCII string per column, without ``"\0"``.
     """
     values = np.asarray(values, dtype=np.float64)
     rows, cols = values.shape
     if len(seps) != cols:
         raise ValueError(f"{cols} columns need {cols} separators, got {len(seps)}")
+    if any("\0" in s for s in seps):
+        raise ValueError(f"separators must not hold '\\0', got {list(seps)!r}")
     if not values.size:
         return ""
-    # the kernel writes one character per separator: a stand-in for long ones
-    distinct = list(dict.fromkeys(seps))
-    if len(distinct) > 31:
-        raise ValueError(f"at most 31 distinct separators, got {len(distinct)}")
-    stand_in = {s: s if len(s) == 1 else chr(1 + i) for i, s in enumerate(distinct)}
-    marks = _quad_table(stand_in[s] for s in seps)
+    # each column's separator as quads, padded to the longest: (quads, cols)
+    size = -(-max(map(len, seps)) // 4) * 4
+    marks = np.frombuffer(b"".join(s.encode("ascii").ljust(size, b"\0") for s in seps), np.uint32)
+    marks = marks.reshape(cols, size // 4).T
     step = max(1, _BLOCK // cols)
     blocks = (_join_block(values[i:i + step], style, marks) for i in range(0, rows, step))
-    text = stand_in[seps[-1]].join(blocks)
-    for s, mark in stand_in.items():
-        if mark != s:
-            text = text.replace(mark, s)
-    return text
+    return seps[-1].join(blocks)

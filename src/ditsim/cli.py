@@ -347,6 +347,21 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _csv_text(rows) -> str:
+    buffer = io.StringIO()
+    _csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def _csv_quoted(text: str) -> str:
+    """A string cell as the ``csv`` module writes it in a row of two or more cells."""
+    return _csv_text([(text, "")])[:-2]
+
+
+# a string cell's text, by style
+_STRING = {".17g": _csv_quoted, "json": json.dumps}
+
+
 def _kernel_text(columns: Sequence[np.ndarray], style: str, seps: list[str]) -> str | None:
     """The cells of equal-length float columns, row by row, joined through the
     array formatter, or None when there are too few cells to pay for it."""
@@ -372,16 +387,16 @@ def _cells(column: np.ndarray | list, style: str) -> list[str]:
     if isinstance(column, np.ndarray):
         return _float_cells(column, style)
     kinds = set(map(type, column))
-    if kinds <= {str}:
-        if style == ".17g":
-            return column
-        text = {s: json.dumps(s) for s in set(column)}
-        return list(map(text.__getitem__, column))
     if kinds <= _FLOATS | {type(None)}:
         null = _NULL[style]
         floats = iter(_float_cells(np.array([v for v in column if v is not None]), style))
         return [null if v is None else next(floats) for v in column]
-    return list(map(_cell if style == ".17g" else json.dumps, column))
+    # each distinct string is encoded once
+    strings = {s: _STRING[style](s) for s in {v for v in column if isinstance(v, str)}}
+    if kinds <= {str}:
+        return list(map(strings.__getitem__, column))
+    other = _cell if style == ".17g" else json.dumps
+    return [strings[v] if isinstance(v, str) else other(v) for v in column]
 
 
 def _chunks(table: ResultTable) -> Iterator[list]:
@@ -390,20 +405,16 @@ def _chunks(table: ResultTable) -> Iterator[list]:
         yield [column[start:start + _CHUNK_ROWS] for column in table.data]
 
 
-def _csv_text(rows) -> str:
-    buffer = io.StringIO()
-    _csv.writer(buffer, lineterminator="\n").writerows(rows)
-    return buffer.getvalue()
-
-
 def _csv_chunk(columns: list) -> str:
-    if not all(isinstance(c, np.ndarray) for c in columns):
-        return _csv_text(zip(*(_cells(c, ".17g") for c in columns)))
-    # a .17g float never needs quoting, so the cells are joined directly
-    text = _kernel_text(columns, ".17g", [","] * (len(columns) - 1) + ["\n"])
-    if text is not None:
-        return text + "\n"
-    return "\n".join(map(",".join, zip(*(_float_cells(c, ".17g") for c in columns)))) + "\n"
+    if all(isinstance(c, np.ndarray) for c in columns):
+        # a .17g float never needs quoting, so the cells are joined directly
+        text = _kernel_text(columns, ".17g", [","] * (len(columns) - 1) + ["\n"])
+        if text is not None:
+            return text + "\n"
+    cells = [_cells(c, ".17g") for c in columns]
+    if len(cells) == 1:  # the csv module quotes a row that is one empty cell
+        cells = [[text or '""' for text in cells[0]]]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _json_chunk(columns: list) -> str:
@@ -445,17 +456,17 @@ def write_result_table(table: ResultTable, path: str, fmt: str) -> None:
 
     CSV: a ``# metadata: {...}`` line with the metadata as
     sorted-key JSON, then the column names and the rows as the ``csv``
-    module writes them (minimal quoting, LF endings; a chunk of rows whose
-    columns are all float arrays is joined directly, since such cells never
-    need quoting); floats are written with ``.17g``,
-    ``None`` as an empty cell, anything else with ``str``.  JSON: the
-    document ``json.dumps({"metadata", "columns", "rows"}, sort_keys=True,
-    indent=2)`` would give, plus a final newline, with ``NaN``, ``Infinity``
-    and ``-Infinity`` for non-finite floats.  Both formats are built a column
-    at a time in chunks of rows, each column's path picked from its type:
-    float arrays, and the floats of a list column, go through the array
-    formatter ``_numtext.join_cells`` from ``_KERNEL_CELLS`` cells on; a
-    column of strings is JSON-encoded once per distinct string.  The bytes
+    module writes them (minimal quoting, LF endings); floats are written with
+    ``.17g``, ``None`` as an empty cell, anything else with ``str``.  JSON:
+    the document ``json.dumps({"metadata", "columns", "rows"},
+    sort_keys=True, indent=2)`` would give, plus a final newline, with
+    ``NaN``, ``Infinity`` and ``-Infinity`` for non-finite floats.  Both
+    formats are built a column at a time in chunks of rows, each column's
+    path picked from its type: float arrays, and the floats of a list
+    column, go through the array formatter ``_numtext.join_cells`` from
+    ``_KERNEL_CELLS`` cells on; a string is encoded once per distinct
+    string, as the ``csv`` module quotes it or as JSON.  The cells are then
+    joined directly, since a ``.17g`` float never needs quoting.  The bytes
     are those of that definition.  The file is opened only after the whole
     text is formatted.
     """

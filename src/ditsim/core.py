@@ -40,6 +40,8 @@ _DENOM_FLOOR = 1e-280
 # Complex division divides by a real scale |D|^2 / max(|Re D|, |Im D|), which
 # overflows only when a part of D reaches this
 _HUGE = 2.0**1023
+# how far from 1 the flux fractions of a node whose |sigma|^2 overflows may sum
+_BUDGET_SLACK = 1e-12
 _SHOWN_INDICES = 10  # grid indices an array-path error message lists
 
 
@@ -405,17 +407,45 @@ def _sigma_power(sigma_amp: complex, g: float, tau: float, dw: float) -> float:
         ) from None
 
 
+def _dipole_loss(t_drop: complex, b_amp: complex, sigma_amp: complex,
+                 g: float, tau: float, kappa: float, dw: float) -> float:
+    """``tau * abs(sigma_amp) ** 2``, the dipole-loss fraction of one node.
+
+    Where ``abs(sigma_amp) ** 2`` overflows (a subnormal tau probed near the
+    dipole line) the fraction is formed as ``(tau * |sigma|) * |sigma|`` and
+    kept if the four fractions still sum to 1 within ``_BUDGET_SLACK``;
+    otherwise g^2 has dropped out of the denominator, and
+    :class:`DegenerateDipole` says so.
+    """
+    try:
+        return tau * abs(sigma_amp) ** 2
+    except OverflowError:
+        pass
+    try:
+        size = abs(sigma_amp)
+    except OverflowError:
+        size = math.inf
+    loss = (tau * size) * size
+    total = abs(1.0 + t_drop) ** 2 + abs(t_drop) ** 2 + kappa * abs(b_amp) ** 2 + loss
+    if not abs(total - 1.0) <= _BUDGET_SLACK:
+        raise DegenerateDipole(
+            f"dipole-loss term unresolved: g^2 = {g * g!r} underflows out of the "
+            f"denominator (g = {g!r}, tau = {tau!r}), so the flux fractions sum to "
+            f"{total!r} (delta_omega = {dw!r})"
+        )
+    return loss
+
+
 def _flux(
     gamma: float, g: float, tau: float, kappa: float, delta: float, dw: float
 ) -> FluxBudget:
     """:func:`flux_budget` on plain floats, without building a ``SystemParams``."""
     t_drop, b_amp, sigma_amp = _amplitudes(gamma, g, tau, kappa, delta, dw)
-    sigma2 = _sigma_power(sigma_amp, g, tau, dw)
     return FluxBudget(
         through=abs(1.0 + t_drop) ** 2,
         drop=abs(t_drop) ** 2,
         cavity_loss=kappa * abs(b_amp) ** 2,
-        dipole_loss=tau * sigma2,
+        dipole_loss=_dipole_loss(t_drop, b_amp, sigma_amp, g, tau, kappa, dw),
     )
 
 

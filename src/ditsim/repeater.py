@@ -33,6 +33,7 @@ from .core import (  # scatter_coefficients stays importable from here
     Probe,
     SystemParams,
     _amplitudes,
+    _dipole_loss,
     _number,
     _probe_value,
     scatter_coefficients,  # noqa: F401
@@ -217,6 +218,8 @@ class NodeRouting:
 
         def route(g: float) -> RouteAmplitudes:
             t_drop, b_amp, sigma_amp = _amplitudes(gamma, g, tau, kappa, delta, dw)
+            if g:  # refuse the nodes that flux_budget refuses
+                _dipole_loss(t_drop, b_amp, sigma_amp, g, tau, kappa, dw)
             return RouteAmplitudes(
                 through=1.0 + t_drop,
                 drop=t_drop,

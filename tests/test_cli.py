@@ -482,6 +482,36 @@ def test_float_chunk_then_mixed_chunk_match_reference():
     assert_same_table_bytes(ResultTable({}, ("x",), tuple((float(i),) for i in range(9))))
 
 
+# strings the csv module quotes, and some it leaves bare
+CSV_STRINGS = [",", "a,b", '"', 'say "hi"', "\n", "two\nlines", "\r", "\r\n", " lead",
+               "trail ", " ", "", "naïve µs ∆ω", "日本語", "plain", "1.5", "None"]
+
+
+@pytest.mark.parametrize("rows", [4095, 4096, 4097])
+def test_mixed_csv_chunks_match_reference(rows):
+    # string columns join by column with the csv module's quoting, beside a
+    # float array, floats with None, and a column of every kind
+    rng = np.random.default_rng(rows)
+    strings = [CSV_STRINGS[i] for i in rng.integers(0, len(CSV_STRINGS), rows).tolist()]
+    values = rng.standard_normal(rows) * 10.0 ** rng.integers(-9, 9, rows)
+    partial = [None if i % 13 == 5 else v for i, v in enumerate(values.tolist())]
+    kinds = [(s, i, i % 3 == 0, None, -i / 3.0)[i % 5] for i, s in enumerate(strings)]
+    assert_same_bytes_three_ways(
+        {"rows": rows}, ("x", "s", "partial", "any", "t"),
+        [values, strings, partial, kinds, strings[::-1]],
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4097])
+def test_one_column_csv_tables_match_reference(rows):
+    # the csv module quotes a row that is one empty cell, from "" or None
+    strings = (CSV_STRINGS * (rows // len(CSV_STRINGS) + 1))[-rows:]
+    assert_same_bytes_three_ways({}, ("s",), [strings])
+    assert_same_bytes_three_ways({}, ("s",), [[None] * rows])
+    assert_same_bytes_three_ways({}, ("s",), [[None if i % 2 else s for i, s in enumerate(strings)]])
+    assert_same_bytes_three_ways({}, ("x",), [[None if i % 3 else i / 7 for i in range(rows)]])
+
+
 def test_ragged_table_rejected(tmp_path):
     # a table is rectangular from construction on, so no writer sees ragged rows
     with pytest.raises(ValueError, match="one cell per column"):

@@ -13,8 +13,10 @@ from ditsim import (
     ProbeDetuning,
     SingularDenominator,
     SystemParams,
+    TwoDipoleState,
     UndefinedDiagnostic,
     NodeRouting,
+    bell_measurement,
     diagnostics,
     flux_budget,
     parameter_sweep,
@@ -249,13 +251,34 @@ def test_dipole_loss_overflow_raises_degenerate_dipole():
     # g^2 = 1e-340 underflows out of D, while |sigma|^2 = |g b / x|^2 overflows;
     # the finite total would be 1 + 4e-7 with the dipole dropped from the model
     params = SystemParams(1e-10, 1e-170, 1e-323, 0.0)
-    with pytest.raises(DegenerateDipole, match=r"^dipole-loss term tau\*\|sigma\|\^2 overflows: "):
+    unresolved = r"^dipole-loss term unresolved: g\^2 = 0\.0 underflows out of the denominator "
+    with pytest.raises(DegenerateDipole, match=unresolved):
         flux_budget(params, 0.0)
+    with pytest.raises(DegenerateDipole, match=unresolved):
+        NodeRouting.from_params(params, 0.0)
+    with pytest.raises(DegenerateDipole, match=unresolved):
+        bell_measurement(params, params, TwoDipoleState.bell("phi_plus"), 0.0, 1.0)
     with pytest.raises(DegenerateDipole, match=r"^dipole-loss term tau\*\|sigma\|\^2 overflows: "):
         weak_excitation_check(params, 1.0)
     rows = parameter_sweep(params, "tau", [1e-323, 1e-3], 0.0).rows
     assert rows[0].budget is None and rows[0].error.startswith("dipole-loss term")
     assert rows[1].budget == flux_budget(SystemParams(1e-10, 1e-170, 1e-3, 0.0), 0.0)
+
+
+def test_overflowing_dipole_term_is_kept_where_the_budget_closes():
+    # |sigma|^2 is about 2.5e308, but g^2 = 9e-310 still reaches D: the dipole
+    # loss is (tau*|sigma|)*|sigma| and the four fractions sum to 1
+    params = SystemParams(1.0, 3e-155, 2e-309, 0.0)
+    sigma = scatter_coefficients(params, 0.0).sigma_amp
+    with pytest.raises(OverflowError):
+        abs(sigma) ** 2
+    budget = flux_budget(params, 0.0)
+    assert budget.dipole_loss == 0.49861495844875364
+    assert budget.total == 1.0
+    row = parameter_sweep(params, "tau", [params.tau], 0.0).rows[0]
+    assert row.error is None and row.budget == budget and row.budget.total == 1.0
+    routing = NodeRouting.from_params(params, 0.0)
+    assert routing.label_g.drop == scatter_coefficients(params, 0.0).t_drop
 
 
 def test_large_dipole_loss_term_keeps_its_bits():

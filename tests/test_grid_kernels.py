@@ -14,8 +14,9 @@ also raise it, saying D is out of range, where complex division by a finite D
 overflows its real scale (the old code returned a zero quotient there, or
 the scalar path leaked ``OverflowError`` from ``abs``); the references carry
 that change.  They also carry the dipole-loss guard: where ``abs(sigma) ** 2``
-overflows, the flux budget raises ``DegenerateDipole`` instead of leaking
-``OverflowError`` and aborting the sweep.  ``parameter_sweep`` now evaluates its rows on arrays with
+overflows, the flux budget forms the dipole loss as ``(tau*|sigma|)*|sigma|``
+and keeps it where the fractions still sum to 1, and otherwise raises ``DegenerateDipole`` instead of leaking ``OverflowError`` and
+aborting the sweep.  ``parameter_sweep`` now evaluates its rows on arrays with
 CPython's complex arithmetic written out, so that arithmetic is also checked
 against Python's own operators on edge values.  The peak finder
 used to rebuild the whole detuning array with ``grid.points()``; it now reads
@@ -97,19 +98,27 @@ def reference_flux_budget(params, dw):
     t_drop = -params.gamma / denom
     b_amp = -math.sqrt(params.gamma) / denom
     sigma_amp = -1j * params.g * b_amp / x if params.g > 0.0 else 0.0j
+    through = abs(complex(1.0 + t_drop)) ** 2
+    drop = abs(complex(t_drop)) ** 2
+    cavity_loss = params.kappa * abs(complex(b_amp)) ** 2
     try:
-        sigma2 = abs(complex(sigma_amp)) ** 2
+        dipole_loss = params.tau * abs(complex(sigma_amp)) ** 2
     except OverflowError:
-        raise DegenerateDipole(
-            f"dipole-loss term tau*|sigma|^2 overflows: dipole linewidth tau = {params.tau!r} "
-            f"is too small for g = {params.g!r} (delta_omega = {dw!r})"
-        ) from None
-    return FluxBudget(
-        through=abs(complex(1.0 + t_drop)) ** 2,
-        drop=abs(complex(t_drop)) ** 2,
-        cavity_loss=params.kappa * abs(complex(b_amp)) ** 2,
-        dipole_loss=params.tau * sigma2,
-    )
+        # kept as (tau*|sigma|)*|sigma| where the four fractions still sum to
+        # 1 within 1e-12
+        try:
+            size = abs(complex(sigma_amp))
+        except OverflowError:
+            size = math.inf
+        dipole_loss = (params.tau * size) * size
+        total = through + drop + cavity_loss + dipole_loss
+        if not abs(total - 1.0) <= 1e-12:
+            raise DegenerateDipole(
+                f"dipole-loss term unresolved: g^2 = {params.g * params.g!r} underflows out of "
+                f"the denominator (g = {params.g!r}, tau = {params.tau!r}), so the flux "
+                f"fractions sum to {total!r} (delta_omega = {dw!r})"
+            ) from None
+    return FluxBudget(through, drop, cavity_loss, dipole_loss)
 
 
 def reference_parameter_sweep(base, axis, values, probe):
@@ -293,9 +302,13 @@ def grids(draw):
     on_line=st.booleans(),
     probe=detunings,
 )
-@example(  # |sigma|^2 overflows on a subnormal tau: a DegenerateDipole row
+@example(  # |sigma|^2 overflows on a subnormal tau, and the budget still closes
     base=SystemParams(gamma=1e300, g=6.103515625e-05, tau=0.0, kappa=0.0, delta=0.0),
     axis="tau", values=[2.2250738585e-313], on_line=False, probe=0.0,
+)
+@example(  # |sigma|^2 overflows and g^2 underflows out of D: a DegenerateDipole row
+    base=SystemParams(gamma=1e-10, g=1e-170, tau=0.0, kappa=0.0, delta=0.0),
+    axis="tau", values=[1e-323, 2e-309], on_line=False, probe=0.0,
 )
 def test_sweep_matches_reference(base, axis, values, on_line, probe):
     _assert_same_sweep(base, axis, values, base.delta if on_line else probe)

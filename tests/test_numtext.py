@@ -133,6 +133,27 @@ def test_floats_match_cpython(style, values):
     assert_matches(values, style)
 
 
+@st.composite
+def decimal_floats(draw):
+    """Floats read from decimal strings of 1 to 17 significant digits, some
+    with trailing zeros, at exponents across and around the scaled range."""
+    digits = draw(st.integers(1, 17))
+    mantissa = str(draw(st.integers(10 ** (digits - 1), 10**digits - 1)))
+    zeros = "0" * draw(st.integers(0, 3))
+    exponent = draw(st.one_of(
+        st.integers(-300, 300), st.integers(-284, -276), st.integers(276, 284), st.integers(-6, 20)
+    ))
+    sign = draw(st.sampled_from(["", "-"]))
+    return float(f"{sign}{mantissa[0]}.{mantissa[1:]}{zeros}e{exponent}")
+
+
+@pytest.mark.parametrize("style", STYLES)
+@given(values=st.lists(decimal_floats(), min_size=1, max_size=64))
+def test_short_decimals_match_cpython(style, values):
+    # repr's shorter lengths, which random bit patterns almost never reach
+    assert_matches(values, style)
+
+
 @pytest.mark.parametrize("style", STYLES)
 def test_rows_separators_and_blocks_match_cpython(style):
     rng = np.random.default_rng(1)
@@ -149,6 +170,9 @@ def test_rows_separators_and_blocks_match_cpython(style):
     assert _numtext.join_cells(np.empty((0, 2)), style, [",", "\n"]) == ""
     with pytest.raises(ValueError, match="separators"):
         _numtext.join_cells(values, style, [","])
+    # the text is built with 0 bytes as no character, so a "\0" would vanish
+    with pytest.raises(ValueError, match="must not hold"):
+        _numtext.join_cells(values, style, [","] * 4 + ["\0\n"])
 
 
 def _float_table(rows, cols=5, seed=0):

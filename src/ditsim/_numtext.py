@@ -3,8 +3,10 @@
 ``join_cells(values, style, seps)`` writes every cell of a 2-D float64 array
 in row-major order, each followed by the separator of its column, and drops
 the separator after the last cell (so one column with one separator is
-``sep.join``).  The fixed cost of a call is about 0.15-0.4 ms, so callers
-keep a cell-by-cell loop for small inputs.  The styles are
+``sep.join``); ``cells(values, style)`` lists a 1-D array's cells.  Only they
+decide how floats become text: from ``_KERNEL_CELLS`` cells on, by style,
+the array kernel below, which costs about 0.15-0.4 ms a call; below that,
+CPython cell by cell.  The styles are
 
 * ``G17``:  ``format(x, ".17g")``  (CSV cells),
 * ``JSON``: ``repr(x)``, with ``NaN``, ``Infinity`` and ``-Infinity`` for
@@ -24,7 +26,8 @@ CPython's.  Cells handed over: zero, non-finite values, magnitudes outside
 from __future__ import annotations
 
 import functools
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -32,19 +35,17 @@ G17 = ".17g"
 JSON = "json"
 F2 = ".2f"
 
+# arrays of at least this many cells, by style, go through the kernel
+_KERNEL_CELLS = {G17: 400, JSON: 1000, F2: 400}
 _NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_cell(x: float) -> str:
-    text = float.__repr__(x)
-    return _NONFINITE_JSON.get(text, text)
-
-
-_PYTHON: dict[str, Callable[[float], str]] = {
-    G17: lambda x: format(x, ".17g"),
-    JSON: _json_cell,
-    F2: lambda x: format(x, ".2f"),
-}
+def _python_cells(values: list[float], style: str) -> list[str]:
+    """CPython's text of each float in the style."""
+    if style == JSON:
+        texts = list(map(float.__repr__, values))
+        return list(map(_NONFINITE_JSON.get, texts, texts))
+    return list(map(float.__format__, values, repeat(style)))  # G17 and F2 are format specs
 
 # a rounding whose fraction (in units of the last digit kept) is this close
 # to 1/2 may be a tie, given the scaling's error of about 1e-14: CPython decides
@@ -347,7 +348,7 @@ def _join_block(values: np.ndarray, style: str, marks: np.ndarray) -> str:
     used = np.flatnonzero(body.any(axis=1))
 
     handed = np.flatnonzero(unsure)
-    texts = [t.encode() for t in map(_PYTHON[style], v[handed].tolist())]
+    texts = [t.encode() for t in _python_cells(v[handed].tolist(), style)]
     width = -(-max(map(len, texts), default=0) // 4)
     cell = len(used) + width
     planes = np.empty((cell + len(marks), v.size), np.uint32)
@@ -376,10 +377,19 @@ def join_cells(values: np.ndarray, style: str, seps: Sequence[str]) -> str:
     rows, cols = values.shape
     if len(seps) != cols:
         raise ValueError(f"{cols} columns need {cols} separators, got {len(seps)}")
-    if any("\0" in s for s in seps):
+    if "\0" in "".join(seps):
         raise ValueError(f"separators must not hold '\\0', got {list(seps)!r}")
     if not values.size:
         return ""
+    if values.size < _KERNEL_CELLS[style]:
+        # one str.format call over every cell, a field before each separator;
+        # .17g and .2f are format specs, JSON's cells are formatted first
+        cells, field = values.ravel().tolist(), "{:" + style + "}"
+        if style == JSON:
+            cells, field = _python_cells(cells, JSON), "{}"
+        marks = [s.replace("{", "{{").replace("}", "}}") for s in seps]
+        template = (field + field.join(marks)) * rows
+        return template[:len(template) - len(marks[-1])].format(*cells)
     # each column's separator as quads, padded to the longest: (quads, cols)
     size = -(-max(map(len, seps)) // 4) * 4
     marks = np.frombuffer(b"".join(s.encode("ascii").ljust(size, b"\0") for s in seps), np.uint32)
@@ -387,3 +397,10 @@ def join_cells(values: np.ndarray, style: str, seps: Sequence[str]) -> str:
     step = max(1, _BLOCK // cols)
     blocks = (_join_block(values[i:i + step], style, marks) for i in range(0, rows, step))
     return seps[-1].join(blocks)
+
+
+def cells(values: np.ndarray, style: str) -> list[str]:
+    """The text of each value of a 1-D float64 array, by the choice of :func:`join_cells`."""
+    if values.size < _KERNEL_CELLS[style]:
+        return _python_cells(values.tolist(), style)
+    return join_cells(values[:, None], style, ["\n"]).split("\n")

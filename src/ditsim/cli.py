@@ -24,11 +24,11 @@ import math
 import os
 import sys
 from dataclasses import replace
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import _numtext
 from .core import (
     THZ,
     NumericsError,
@@ -36,6 +36,7 @@ from .core import (
     SystemParams,
     _FIELDS as _PARAM_KEYS,
     _field_problem,
+    _scatter_arrays,
     diagnostics,
     scattering_arrays,
 )
@@ -60,31 +61,81 @@ from .svgplot import LineSeries, render_lines
 
 COMMANDS = ("spectrum", "sweep", "entangle", "parity", "bell", "tradeoff", "diagnostics")
 
-# node parameters, THz; defaults match the reference operating point
-_PARAM_DEFAULTS = {
-    "gamma": 1.0,
-    "g": 0.33,
-    "tau": 0.001,
-    "kappa": 0.1,
-    "delta": 0.0,
-    "omega0": 0.0,
+
+class _Required(str):
+    """The default of a key that must be given; its text ends the message."""
+
+
+def _rule(test: Callable, text: str) -> Callable:
+    """A value's problem: ``text`` and the value where ``test`` fails, else None."""
+    return lambda value: None if test(value) else f"{text}, got {value!r}"
+
+
+def _one_of(names: tuple[str, ...]) -> Callable:
+    return _rule(names.__contains__, f"must be one of {', '.join(names)}")
+
+
+def _node_rule(name: str) -> Callable:
+    """The problem ``SystemParams`` finds in its field ``name``, else None."""
+    return lambda value: (p := _field_problem(name, value)) and p.removeprefix(name + " ")
+
+
+_POSITIVE = _rule(lambda v: v > 0, "must be > 0")
+_NONNEGATIVE = _rule(lambda v: v >= 0, "must be >= 0")
+_COUNT = _rule(lambda v: v >= 1, "must be >= 1")
+_FRACTION = _rule(lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
+
+# each command's keys in the order they are checked: (type, default, rule); a
+# key whose default is None may be left out (node B's keys then take node A's
+# values).  Node parameters are in THz, the reference operating point by default.
+_NODE_KEYS = {
+    name: (float, default, _node_rule(name))
+    for name, default in zip(_PARAM_KEYS, (1.0, 0.33, 0.001, 0.1, 0.0, 0.0))
 }
-
-_NODE_B_KEYS = tuple(f"{k}_b" for k in _PARAM_KEYS)
-_TWO_NODE = set(_PARAM_KEYS) | set(_NODE_B_KEYS) | {"delta_omega"}
-
-_COMMAND_KEYS: dict[str, set[str]] = {
-    "spectrum": set(_PARAM_KEYS) | {"span", "points", "start", "stop"},
-    "sweep": set(_PARAM_KEYS) | {"delta_omega", "axis", "start", "stop", "count"},
-    "entangle": _TWO_NODE | {"mean_photons"},
-    "parity": _TWO_NODE | {"gamma_start", "gamma_stop", "gamma_count"},
-    "bell": _TWO_NODE | {"mean_photons", "state", "samples"},
-    "tradeoff": _TWO_NODE | {"nbar_start", "nbar_stop", "nbar_count"},
-    "diagnostics": set(_PARAM_KEYS) | {"eta"},
+_PROBE_KEY = {"delta_omega": (float, 0.0, None)}
+_TWO_NODE_KEYS = {
+    **_NODE_KEYS,
+    **{f"{name}_b": (float, None, _node_rule(name)) for name in _PARAM_KEYS},
+    **_PROBE_KEY,
 }
-
-_INT_KEYS = {"points", "count", "gamma_count", "nbar_count", "samples"}
-_STR_KEYS = {"axis", "state"}
+_KEYS: dict[str, dict[str, tuple]] = {
+    "spectrum": {
+        **_NODE_KEYS,
+        "span": (float, 3.0, _POSITIVE),
+        "points": (int, 2001, _rule(lambda v: v >= 2, "must be >= 2")),
+        "start": (float, None, None),
+        "stop": (float, None, None),
+    },
+    "sweep": {
+        **_NODE_KEYS,
+        **_PROBE_KEY,
+        "axis": (str, _Required(f" (one of {', '.join(SWEEP_AXES)})"), _one_of(SWEEP_AXES)),
+        "start": (float, _Required(), None),
+        "stop": (float, _Required(), None),
+        "count": (int, 41, _COUNT),
+    },
+    "entangle": {**_TWO_NODE_KEYS, "mean_photons": (float, 0.05, _NONNEGATIVE)},
+    "parity": {
+        **_TWO_NODE_KEYS,
+        "gamma_start": (float, 0.5, _POSITIVE),
+        "gamma_stop": (float, 8.0, _POSITIVE),
+        "gamma_count": (int, 50, _COUNT),
+    },
+    "bell": {
+        **_TWO_NODE_KEYS,
+        "mean_photons": (float, 1.0, _NONNEGATIVE),
+        "samples": (int, 0, _NONNEGATIVE),
+        "state": (str, None, _one_of(BELL_LABELS)),
+    },
+    "tradeoff": {
+        **_TWO_NODE_KEYS,
+        "nbar_start": (float, 0.0, _NONNEGATIVE),
+        "nbar_stop": (float, 5.0, _NONNEGATIVE),
+        "nbar_count": (int, 21, _COUNT),
+    },
+    "diagnostics": {**_NODE_KEYS, "eta": (float, 0.01, _FRACTION)},
+}
+_EXPECTED = {int: "an integer", float: "a number"}
 
 
 class ParseError(ValueError):
@@ -112,11 +163,8 @@ def parse_config_text(text: str) -> dict[str, str]:
                 key, value = line.split(sep, 1)
                 break
         else:
-            raise ParseError(
-                f"config line {lineno}: expected 'key: value', got {line!r}"
-            )
-        key = key.strip()
-        value = value.strip()
+            key = value = ""
+        key, value = key.strip(), value.strip()
         if not key or not value:
             raise ParseError(
                 f"config line {lineno}: expected 'key: value', got {line!r}"
@@ -140,133 +188,57 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _coerce(command: str, raw: Mapping[str, str]) -> dict:
-    """Type-check and range-check raw settings; collects every problem."""
-    allowed = _COMMAND_KEYS[command]
-    problems: list[str] = []
-    options: dict = {}
-
-    for key in raw:
-        if key not in allowed:
+    """Type- and range-checked settings with defaults filled in; collects every problem."""
+    keys = _KEYS[command]
+    unknown, problems, options = [], [], {}
+    for key, value in raw.items():
+        if key not in keys:
             import difflib
 
-            near = difflib.get_close_matches(key, sorted(allowed), n=1)
+            near = difflib.get_close_matches(key, sorted(keys), n=1)
             hint = f" (did you mean {near[0]!r}?)" if near else ""
-            problems.append(f"key {key!r} is not recognized for '{command}'{hint}")
-
-    for key, value in raw.items():
-        if key not in allowed:
+            unknown.append(f"key {key!r} is not recognized for '{command}'{hint}")
             continue
-        if key in _STR_KEYS:
-            options[key] = value
-        elif key in _INT_KEYS:
-            try:
-                options[key] = int(value)
-            except ValueError:
-                problems.append(f"key {key!r}: expected an integer, got {value!r}")
-        else:
-            try:
-                number = float(value)
-            except ValueError:
-                problems.append(f"key {key!r}: expected a number, got {value!r}")
-                continue
-            if not math.isfinite(number):
-                problems.append(f"key {key!r}: must be finite, got {value!r}")
-                continue
-            options[key] = number
+        kind = keys[key][0]
+        try:
+            typed = kind(value)
+        except ValueError:
+            problems.append(f"key {key!r}: expected {_EXPECTED[kind]}, got {value!r}")
+            continue
+        if kind is float and not math.isfinite(typed):
+            problems.append(f"key {key!r}: must be finite, got {value!r}")
+            continue
+        options[key] = typed
+    given = set(options)
 
-    problems.extend(_check_ranges(command, options))
+    for key, (_, default, rule) in keys.items():
+        if key in given:
+            if rule and (problem := rule(options[key])):
+                problems.append(f"key {key!r}: {problem}")
+        elif isinstance(default, _Required):
+            problems.append(f"key {key!r} is required{default}")
+        elif default is not None:
+            options[key] = default
+    problems = unknown + problems + _pair_problems(command, options, given)
     if problems:
         raise ValidationError(problems)
     return options
 
 
-def _check_ranges(command: str, options: dict) -> list[str]:
-    problems: list[str] = []
-
-    def positive(key):
-        if key in options and not options[key] > 0:
-            problems.append(f"key {key!r}: must be > 0, got {options[key]}")
-
-    def nonnegative(key):
-        if key in options and options[key] < 0:
-            problems.append(f"key {key!r}: must be >= 0, got {options[key]}")
-
-    def at_least(key, minimum):
-        if key in options and options[key] < minimum:
-            problems.append(
-                f"key {key!r}: must be >= {minimum}, got {options[key]}"
-            )
-
-    def not_below(stop, start):
-        if start in options and stop in options and options[stop] < options[start]:
-            problems.append(
-                f"key {stop!r}: must be >= {start!r}, got {options[stop]} and {options[start]}"
-            )
-
-    for suffix in ("", "_b"):
-        for name in _PARAM_KEYS:
-            key = name + suffix
-            if key in options and (problem := _field_problem(name, options[key])):
-                problems.append(f"key {key!r}: {problem.removeprefix(name + ' ')}")
-
-    if command == "spectrum":
-        positive("span")
-        at_least("points", 2)
-        has_start, has_stop = "start" in options, "stop" in options
-        if has_start != has_stop:
-            problems.append("keys 'start' and 'stop' must be given together")
-        elif has_start and not options["start"] < options["stop"]:
-            problems.append(
-                f"key 'start': must be < 'stop', got {options['start']} "
-                f"and {options['stop']}"
-            )
-    elif command == "sweep":
-        if "axis" not in options:
-            problems.append(f"key 'axis' is required (one of {', '.join(SWEEP_AXES)})")
-        elif options["axis"] not in SWEEP_AXES:
-            problems.append(
-                f"key 'axis': must be one of {', '.join(SWEEP_AXES)}, "
-                f"got {options['axis']!r}"
-            )
-        for key in ("start", "stop"):
-            if key not in options:
-                problems.append(f"key {key!r} is required")
-        at_least("count", 1)
-        if (
-            "start" in options
-            and "stop" in options
-            and options.get("count", 41) > 1
-            and not options["start"] < options["stop"]
-        ):
-            problems.append(
-                f"key 'start': must be < 'stop', got {options['start']} "
-                f"and {options['stop']}"
-            )
-    elif command == "entangle":
-        nonnegative("mean_photons")
-    elif command == "parity":
-        positive("gamma_start")
-        positive("gamma_stop")
-        at_least("gamma_count", 1)
-        not_below("gamma_stop", "gamma_start")
-    elif command == "bell":
-        nonnegative("mean_photons")
-        at_least("samples", 0)
-        if "state" in options and options["state"] not in BELL_LABELS:
-            problems.append(
-                f"key 'state': must be one of {', '.join(BELL_LABELS)}, "
-                f"got {options['state']!r}"
-            )
-    elif command == "tradeoff":
-        nonnegative("nbar_start")
-        nonnegative("nbar_stop")
-        at_least("nbar_count", 1)
-        not_below("nbar_stop", "nbar_start")
-    elif command == "diagnostics":
-        if "eta" in options and not 0.0 < options["eta"] <= 1.0:
-            problems.append(f"key 'eta': must be in (0, 1], got {options['eta']}")
-
-    return problems
+def _pair_problems(command: str, options: dict, given: set) -> list[str]:
+    """The rules that relate a range's two ends."""
+    low, high = {"parity": ("gamma_start", "gamma_stop"),
+                 "tradeoff": ("nbar_start", "nbar_stop")}.get(command, ("start", "stop"))
+    if not {low, high} <= given:
+        together = command == "spectrum" and {low, high} & given
+        return ["keys 'start' and 'stop' must be given together"] if together else []
+    start, stop = options[low], options[high]
+    if command in ("parity", "tradeoff"):  # a scan may be a single point
+        if stop < start:
+            return [f"key {high!r}: must be >= {low!r}, got {stop} and {start}"]
+    elif not start < stop and not (command == "sweep" and options["count"] <= 1):
+        return [f"key 'start': must be < 'stop', got {start} and {stop}"]
+    return []
 
 
 # ============================================================== results ==
@@ -328,15 +300,6 @@ class ResultTable:
 
 # rows per formatting chunk: bounds the per-cell strings alive at once
 _CHUNK_ROWS = 4096
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_NULL = {".17g": "", "json": "null"}
-# float chunks and columns of at least this many cells go through the array
-# formatter ``_numtext``, by style; below that, cell by cell is cheaper.  It
-# is imported on first use, so runs with small tables never load it.
-_KERNEL_CELLS = {".17g": 400, "json": 1000}
-# indent=2 layout of the rows block: rows at depth 2, cells at depth 3
-_JSON_CELL_SEP = ",\n      "
-_JSON_ROW_SEP = "\n    ],\n    [\n      "
 
 
 def _cell(value) -> str:
@@ -358,44 +321,27 @@ def _csv_quoted(text: str) -> str:
     return _csv_text([(text, "")])[:-2]
 
 
-# a string cell's text, by style
-_STRING = {".17g": _csv_quoted, "json": json.dumps}
-
-
-def _kernel_text(columns: Sequence[np.ndarray], style: str, seps: list[str]) -> str | None:
-    """The cells of equal-length float columns, row by row, joined through the
-    array formatter, or None when there are too few cells to pay for it."""
-    if len(columns) * len(columns[0]) < _KERNEL_CELLS[style]:
-        return None
-    from . import _numtext
-
-    return _numtext.join_cells(np.column_stack(columns), style, seps)
-
-
-def _float_cells(values: np.ndarray, style: str) -> list[str]:
-    text = _kernel_text([values], style, ["\n"])
-    if text is not None:
-        return text.split("\n")
-    if style == ".17g":
-        return list(map(float.__format__, values.tolist(), repeat(".17g")))
-    text = list(map(float.__repr__, values.tolist()))
-    return list(map(_JSON_NONFINITE.get, text, text))
+# by style: cell and row separators (JSON's: the indent=2 rows block, cells at
+# depth 3), then the text of a missing value, a string and any other non-float
+_STYLES = {
+    _numtext.G17: (",", "\n", "", _csv_quoted, _cell),
+    _numtext.JSON: (",\n      ", "\n    ],\n    [\n      ", "null", json.dumps, json.dumps),
+}
 
 
 def _cells(column: np.ndarray | list, style: str) -> list[str]:
     """The text of each cell of a column in the style, by the column's kind."""
     if isinstance(column, np.ndarray):
-        return _float_cells(column, style)
+        return _numtext.cells(column, style)
+    *_, null, string, other = _STYLES[style]
     kinds = set(map(type, column))
     if kinds <= _FLOATS | {type(None)}:
-        null = _NULL[style]
-        floats = iter(_float_cells(np.array([v for v in column if v is not None]), style))
+        floats = iter(_cells(np.array([v for v in column if v is not None]), style))
         return [null if v is None else next(floats) for v in column]
     # each distinct string is encoded once
-    strings = {s: _STRING[style](s) for s in {v for v in column if isinstance(v, str)}}
+    strings = {s: string(s) for s in {v for v in column if isinstance(v, str)}}
     if kinds <= {str}:
         return list(map(strings.__getitem__, column))
-    other = _cell if style == ".17g" else json.dumps
     return [strings[v] if isinstance(v, str) else other(v) for v in column]
 
 
@@ -405,32 +351,24 @@ def _chunks(table: ResultTable) -> Iterator[list]:
         yield [column[start:start + _CHUNK_ROWS] for column in table.data]
 
 
-def _csv_chunk(columns: list) -> str:
+def _chunk_text(columns: list, style: str) -> str:
+    """The rows of a chunk in the style, joined by its separators."""
+    cell_sep, row_sep = _STYLES[style][:2]
     if all(isinstance(c, np.ndarray) for c in columns):
         # a .17g float never needs quoting, so the cells are joined directly
-        text = _kernel_text(columns, ".17g", [","] * (len(columns) - 1) + ["\n"])
-        if text is not None:
-            return text + "\n"
-    cells = [_cells(c, ".17g") for c in columns]
-    if len(cells) == 1:  # the csv module quotes a row that is one empty cell
-        cells = [[text or '""' for text in cells[0]]]
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
-
-
-def _json_chunk(columns: list) -> str:
-    if all(isinstance(c, np.ndarray) for c in columns):
-        seps = [_JSON_CELL_SEP] * (len(columns) - 1) + [_JSON_ROW_SEP]
-        text = _kernel_text(columns, "json", seps)
-        if text is not None:
-            return text
-    cells = zip(*(_cells(c, "json") for c in columns))
-    return _JSON_ROW_SEP.join(map(_JSON_CELL_SEP.join, cells))
+        seps = [cell_sep] * (len(columns) - 1) + [row_sep]
+        return _numtext.join_cells(np.array(columns).T, style, seps)
+    cells = [_cells(c, style) for c in columns]
+    if style == _numtext.G17 and len(cells) == 1:
+        cells = [[text or '""' for text in cells[0]]]  # as the csv module writes a lone empty cell
+    return row_sep.join(map(cell_sep.join, zip(*cells)))
 
 
 def _csv_pieces(table: ResultTable) -> Iterator[str]:
     yield f"# metadata: {json.dumps(table.metadata, sort_keys=True)}\n"
     yield _csv_text([table.columns])
-    yield from map(_csv_chunk, _chunks(table))
+    for columns in _chunks(table):
+        yield _chunk_text(columns, _numtext.G17) + "\n"
 
 
 def _json_pieces(table: ResultTable) -> Iterator[str]:
@@ -446,8 +384,8 @@ def _json_pieces(table: ResultTable) -> Iterator[str]:
     yield head.removesuffix("[]\n}") + "[\n    [\n      "
     for i, columns in enumerate(_chunks(table)):
         if i:
-            yield _JSON_ROW_SEP
-        yield _json_chunk(columns)
+            yield _STYLES[_numtext.JSON][1]
+        yield _chunk_text(columns, _numtext.JSON)
     yield "\n    ]\n  ]\n}\n"
 
 
@@ -461,14 +399,10 @@ def write_result_table(table: ResultTable, path: str, fmt: str) -> None:
     the document ``json.dumps({"metadata", "columns", "rows"},
     sort_keys=True, indent=2)`` would give, plus a final newline, with
     ``NaN``, ``Infinity`` and ``-Infinity`` for non-finite floats.  Both
-    formats are built a column at a time in chunks of rows, each column's
-    path picked from its type: float arrays, and the floats of a list
-    column, go through the array formatter ``_numtext.join_cells`` from
-    ``_KERNEL_CELLS`` cells on; a string is encoded once per distinct
-    string, as the ``csv`` module quotes it or as JSON.  The cells are then
-    joined directly, since a ``.17g`` float never needs quoting.  The bytes
-    are those of that definition.  The file is opened only after the whole
-    text is formatted.
+    are built a column at a time in chunks of rows: floats through
+    ``_numtext``, each distinct string encoded once, and the cells joined
+    directly, since a ``.17g`` float never needs quoting.  The file is
+    opened only after the whole text is formatted.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -505,22 +439,8 @@ def read_result_table(path: str) -> ResultTable:
 
 
 def _params_from(options: Mapping, suffix: str = "") -> SystemParams:
-    values = {}
-    for name in _PARAM_KEYS:
-        if suffix and f"{name}{suffix}" in options:
-            values[name] = options[f"{name}{suffix}"]
-        elif name in options:
-            values[name] = options[name]
-        else:
-            values[name] = _PARAM_DEFAULTS[name]
-    return SystemParams(
-        gamma=values["gamma"] * THZ,
-        g=values["g"] * THZ,
-        tau=values["tau"] * THZ,
-        kappa=values["kappa"] * THZ,
-        delta=values["delta"] * THZ,
-        omega0=values["omega0"] * THZ,
-    )
+    """The node of the keys ending in ``suffix``; a key left out takes node A's value."""
+    return SystemParams(*(options.get(name + suffix, options[name]) * THZ for name in _PARAM_KEYS))
 
 
 def _params_meta(params: SystemParams) -> dict:
@@ -534,15 +454,11 @@ def _params_meta(params: SystemParams) -> dict:
     }
 
 
-def _probe_from(options: Mapping) -> ProbeDetuning:
-    return ProbeDetuning(options.get("delta_omega", 0.0) * THZ)
-
-
 def _two_node_setup(command: str, options: Mapping):
     """Node A, node B (``_b`` keys override), the probe and their metadata."""
     node_a = _params_from(options)
     node_b = _params_from(options, suffix="_b")
-    probe = _probe_from(options)
+    probe = ProbeDetuning(options["delta_omega"] * THZ)
     metadata = {
         "command": command,
         "params_a": _params_meta(node_a),
@@ -552,18 +468,14 @@ def _two_node_setup(command: str, options: Mapping):
     return node_a, node_b, probe, metadata
 
 
-Handler = Callable[[dict, "argparse.Namespace"], tuple[ResultTable, list[LineSeries] | None]]
-
-
 def _run_spectrum(options, args):
     params = _params_from(options)
-    points = options.get("points", 2001)
     if "start" in options:
-        grid = DetuningGrid(options["start"] * THZ, options["stop"] * THZ, points)
+        grid = DetuningGrid(options["start"] * THZ, options["stop"] * THZ, options["points"])
     else:
-        grid = DetuningGrid.default(params, span=options.get("span", 3.0), count=points)
+        grid = DetuningGrid.default(params, span=options["span"], count=options["points"])
     points = grid.points()
-    arrays = scattering_arrays(params, points)
+    arrays = _scatter_arrays(params, points)  # an overflowing grid stays a NumericsError
     # the same |t|^2 that transmission_spectrum forms, from the one evaluation
     through, drop = np.abs(arrays.t_through) ** 2, np.abs(arrays.t_drop) ** 2
     series = SpectrumSeries(grid, points, through, drop)
@@ -600,9 +512,8 @@ def _run_spectrum(options, args):
 
 def _run_sweep(options, args):
     params = _params_from(options)
-    probe = _probe_from(options)
-    count = options.get("count", 41)
-    swept = np.linspace(options["start"], options["stop"], count) * THZ
+    probe = ProbeDetuning(options["delta_omega"] * THZ)
+    swept = np.linspace(options["start"], options["stop"], options["count"]) * THZ
     table = parameter_sweep(params, options["axis"], swept, probe)
     metadata = {
         "command": "sweep",
@@ -629,7 +540,7 @@ def _run_sweep(options, args):
 
 def _run_entangle(options, args):
     node_a, node_b, probe, metadata = _two_node_setup("entangle", options)
-    nbar = options.get("mean_photons", 0.05)
+    nbar = options["mean_photons"]
     result = entanglement_generation(node_a, node_b, probe, nbar)
     metadata["post_state"] = [[a.real, a.imag] for a in result.post_state.amplitudes]
     return ResultTable.from_columns(metadata, {
@@ -641,10 +552,7 @@ def _run_entangle(options, args):
 
 def _run_parity(options, args):
     node_a, node_b, probe, metadata = _two_node_setup("parity", options)
-    start = options.get("gamma_start", 0.5)
-    stop = options.get("gamma_stop", 8.0)
-    count = options.get("gamma_count", 50)
-    gammas = np.linspace(start, stop, count)
+    gammas = np.linspace(options["gamma_start"], options["gamma_stop"], options["gamma_count"])
     false_even = [
         false_even_probability(replace(node_a, gamma=g), replace(node_b, gamma=g), probe)
         for g in (gammas * THZ).tolist()
@@ -669,13 +577,13 @@ def _run_parity(options, args):
 
 def _run_bell(options, args):
     node_a, node_b, probe, metadata = _two_node_setup("bell", options)
-    nbar = options.get("mean_photons", 1.0)
+    nbar = options["mean_photons"]
     metadata["mean_photons"] = nbar
 
     if "state" in options:
         label = options["state"]
         record = bell_measurement(node_a, node_b, TwoDipoleState.bell(label), probe, nbar)
-        samples = options.get("samples", 0)
+        samples = options["samples"]
         metadata["input_state"] = label
         metadata["reported_outcome"] = record.outcome.label
         metadata["fidelity"] = record.result.fidelity
@@ -714,8 +622,7 @@ def _run_bell(options, args):
 
 def _run_tradeoff(options, args):
     node_a, node_b, probe, metadata = _two_node_setup("tradeoff", options)
-    start, stop = options.get("nbar_start", 0.0), options.get("nbar_stop", 5.0)
-    grid = np.linspace(start, stop, options.get("nbar_count", 21))
+    grid = np.linspace(options["nbar_start"], options["nbar_stop"], options["nbar_count"])
     table = fidelity_success_tradeoff(node_a, node_b, probe, grid)
     metadata["state"] = "phi_plus"
     result = ResultTable.from_columns(metadata, {
@@ -729,7 +636,7 @@ def _run_tradeoff(options, args):
 
 def _run_diagnostics(options, args):
     params = _params_from(options)
-    eta = options.get("eta", 0.01)
+    eta = options["eta"]
     report = diagnostics(params, eta=eta)
     arrays = scattering_arrays(params, np.array([params.delta]))
     transparency = float(np.abs(arrays.t_through[0]) ** 2)
@@ -748,7 +655,7 @@ def _run_diagnostics(options, args):
     }), None
 
 
-_HANDLERS: dict[str, Handler] = {
+_HANDLERS = {
     "spectrum": _run_spectrum,
     "sweep": _run_sweep,
     "entangle": _run_entangle,
@@ -767,7 +674,7 @@ _PLOT_LABELS = {
 
 
 def run(command: str, options: dict, args) -> tuple[ResultTable, list[LineSeries] | None]:
-    """Execute one validated command; returns the table and plot series."""
+    """Execute one command on ``_coerce``'s options; returns the table and plot series."""
     return _HANDLERS[command](options, args)
 
 
@@ -819,13 +726,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:
-        print(
-            f"error: invalid configuration ({len(exc.problems)} "
-            f"problem{'s' if len(exc.problems) != 1 else ''})",
-            file=sys.stderr,
-        )
-        for problem in exc.problems:
-            print(f"  - {problem}", file=sys.stderr)
+        count = len(exc.problems)
+        print(f"error: invalid configuration ({count} problem{'s' if count != 1 else ''})",
+              *(f"  - {problem}" for problem in exc.problems), sep="\n", file=sys.stderr)
         return 2
 
     try:

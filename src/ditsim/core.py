@@ -185,6 +185,14 @@ def _number(value, name: str, kind: type = float):
     raise ValueError(f"{name} must be a {what} number, got {value!r}")
 
 
+def _iterable(values, name: str):
+    """``iter(values)``, with ``ValueError`` naming ``name`` where it cannot iterate."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of real numbers, got {values!r}") from None
+
+
 def _probe_value(probe: Probe) -> float:
     if isinstance(probe, ProbeDetuning):
         return probe.delta_omega
@@ -319,16 +327,35 @@ def _drop_arrays(
     return x, denom, np.divide(-params.gamma, denom, out=coupling)
 
 
-def scattering_arrays(params: SystemParams, delta_omega: np.ndarray) -> ScatterArrays:
-    """Vectorized :func:`scatter_coefficients` over a detuning array.
-
-    Raises :class:`DegenerateDipole` or :class:`SingularDenominator` under the
-    conditions of the scalar function, naming the offending grid indices.
-    """
-    x, denom, t_drop = _drop_arrays(params, np.asarray(delta_omega, dtype=float))
+def _scatter_arrays(params: SystemParams, dw: np.ndarray) -> ScatterArrays:
+    """:func:`scattering_arrays` over a 1-D float64 array, the input unchecked."""
+    x, denom, t_drop = _drop_arrays(params, dw)
     b_amp = -math.sqrt(params.gamma) / denom
     sigma = -1j * params.g * b_amp / x if params.g > 0.0 else np.zeros_like(b_amp)
     return ScatterArrays(1.0 + t_drop, t_drop, b_amp, sigma)
+
+
+def scattering_arrays(params: SystemParams, delta_omega: np.ndarray) -> ScatterArrays:
+    """Vectorized :func:`scatter_coefficients` over a detuning array.
+
+    The arrays have the shape of ``delta_omega``, 0-d included.  Raises
+    ``ValueError`` for detunings that are not real numbers (strings are not
+    parsed) or not finite, and :class:`DegenerateDipole` or
+    :class:`SingularDenominator` under the conditions of the scalar
+    function, each naming the offending (flat) grid indices.
+    """
+    dw = np.asarray(delta_omega)
+    if dw.dtype.kind not in "biuf":
+        raise ValueError(f"delta_omega must hold real numbers, got {delta_omega!r}")
+    flat = np.asarray(dw.ravel(), dtype=float)
+    try:
+        arrays = _scatter_arrays(params, flat)
+    except SingularDenominator:
+        bad = np.flatnonzero(~np.isfinite(flat))  # only a failed grid pays for this
+        if bad.size:
+            raise ValueError(f"delta_omega must be finite at {_grid_indices(bad)}") from None
+        raise
+    return ScatterArrays(*(a.reshape(dw.shape) for a in arrays))
 
 
 def steady_state_oracle(
@@ -394,17 +421,6 @@ class FluxBudget(NamedTuple):  # a tuple: sweeps build one per row
     @property
     def total(self) -> float:
         return self.through + self.drop + self.cavity_loss + self.dipole_loss
-
-
-def _sigma_power(sigma_amp: complex, g: float, tau: float, dw: float) -> float:
-    """``abs(sigma_amp) ** 2``, or :class:`DegenerateDipole` where it overflows."""
-    try:
-        return abs(sigma_amp) ** 2
-    except OverflowError:  # a subnormal tau probed on the dipole line
-        raise DegenerateDipole(
-            f"dipole-loss term tau*|sigma|^2 overflows: dipole linewidth tau = {tau!r} "
-            f"is too small for g = {g!r} (delta_omega = {dw!r})"
-        ) from None
 
 
 def _dipole_loss(t_drop: complex, b_amp: complex, sigma_amp: complex,
@@ -590,21 +606,24 @@ def diagnostics(params: SystemParams, eta: float = 0.01) -> DiagnosticNumbers:
     Raises
     ------
     UndefinedDiagnostic
-        If g = 0 or tau = 0.
+        If g = 0 or tau = 0, or where a figure leaves the float range.
     """
     if params.g == 0.0 or params.tau == 0.0:
         raise UndefinedDiagnostic(
             f"diagnostics need g > 0 and tau > 0 (got g={params.g}, tau={params.tau})"
         )
-    if not 0.0 < eta <= 1.0:
+    if not 0.0 < _number(eta, "eta") <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
     g2 = params.g * params.g
-    return DiagnosticNumbers(
-        purcell=2.0 * g2 / ((params.gamma + 0.5 * params.kappa) * params.tau),
-        critical_atom=(2.0 * params.gamma + params.kappa) * params.tau / g2,
-        critical_photon=(params.tau / (2.0 * params.g)) ** 2,
-        max_safe_flux=eta * g2 / params.gamma,
-    )
+    try:
+        return DiagnosticNumbers(
+            purcell=2.0 * g2 / ((params.gamma + 0.5 * params.kappa) * params.tau),
+            critical_atom=(2.0 * params.gamma + params.kappa) * params.tau / g2,
+            critical_photon=(params.tau / (2.0 * params.g)) ** 2,
+            max_safe_flux=eta * g2 / params.gamma,
+        )
+    except (ZeroDivisionError, OverflowError):
+        raise UndefinedDiagnostic(f"diagnostics out of float range for {params}") from None
 
 
 @dataclass(frozen=True)
@@ -622,10 +641,15 @@ def weak_excitation_check(params: SystemParams, input_flux: float) -> WeakExcita
     input of ``input_flux`` photons/s the steady-state occupancy at the
     transparency point (probe on the bare cavity line) is estimated as
     input_flux * |sigma_amp|^2; the report flags valid when it is below 0.1.
+    An overflowing |sigma_amp|^2 reads inf (0 at no input) unless :func:`flux_budget` refuses.
     """
     input_flux = _number(input_flux, "input_flux")
     if not math.isfinite(input_flux) or input_flux < 0.0:
         raise ValueError(f"input_flux must be a finite non-negative rate, got {input_flux!r}")
     sigma_amp = scatter_coefficients(params, 0.0).sigma_amp
-    occupancy = input_flux * _sigma_power(sigma_amp, params.g, params.tau, 0.0)
+    try:
+        occupancy = input_flux * abs(sigma_amp) ** 2
+    except OverflowError:  # a subnormal tau probed on the dipole line
+        flux_budget(params, 0.0)  # raises where g^2 has dropped out of the denominator
+        occupancy = math.inf if input_flux else 0.0
     return WeakExcitationReport(valid=bool(occupancy < 0.1), sigma_occupancy_estimate=occupancy)

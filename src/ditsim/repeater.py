@@ -34,6 +34,7 @@ from .core import (  # scatter_coefficients stays importable from here
     SystemParams,
     _amplitudes,
     _dipole_loss,
+    _iterable,
     _number,
     _probe_value,
     scatter_coefficients,  # noqa: F401
@@ -670,7 +671,7 @@ def fidelity_success_tradeoff(
     channels, so fidelity falls as success rises.  A zero entry means no
     measurement at all: fidelity 1, success 0.
     """
-    nbars = [_mean_photons(raw) for raw in mean_photons_grid]
+    nbars = [_mean_photons(raw) for raw in _iterable(mean_photons_grid, "mean_photons grid")]
     probed = [nbar for nbar in nbars if nbar != 0.0]
     measured = iter(())  # (nbar, fidelity, success) of the probed points, in order
     if probed:

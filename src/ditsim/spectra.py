@@ -28,6 +28,7 @@ from .core import (  # flux_budget and scattering_arrays stay importable from he
     _flux,
     _flux_arrays,
     _invalid_params,
+    _iterable,
     _number,
     _probe_value,
     flux_budget,  # noqa: F401
@@ -87,6 +88,7 @@ class DetuningGrid:
     @classmethod
     def default(cls, params: SystemParams, span: float = 3.0, count: int = 2001) -> "DetuningGrid":
         """Symmetric grid of +-span*gamma around the cavity line."""
+        span = _number(span, "span")
         return cls(-span * params.gamma, span * params.gamma, count)
 
 
@@ -260,7 +262,7 @@ def parameter_sweep(
     if isinstance(values, np.ndarray):
         values = values.tolist()  # the floats float() makes of its elements
     values = [raw if type(raw) is float else _number(raw, f"{axis} sweep value")
-              for raw in values]
+              for raw in _iterable(values, f"{axis} sweep values")]
     column = np.array(values, dtype=float)
     args = [getattr(base, name) for name in SWEEP_AXES] + [dw]
     slot = SWEEP_AXES.index(axis)

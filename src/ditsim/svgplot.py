@@ -13,11 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _numtext
+
 _PALETTE = ("#1f6feb", "#d73a49", "#2da44e", "#b08800", "#8250df", "#57606a")
-_POINT = "{:.2f},{:.2f}"
-# lines of at least this many points are formatted by the array formatter
-# ``_numtext`` (imported on first use); shorter ones are cheaper point by point
-_KERNEL_POINTS = 200
 
 
 @dataclass(frozen=True)
@@ -174,22 +172,17 @@ def render_lines(
         n = min(nx, ny)
         for start, stop in _runs(x_ok[x0:x0 + n] & y_ok[y0:y0 + n]):
             xs, ys = sx[x0 + start:x0 + stop], sy[y0 + start:y0 + stop]
-            if stop - start >= _KERNEL_POINTS:
-                from . import _numtext
-
-                points = _numtext.join_cells(np.column_stack((xs, ys)), _numtext.F2, [",", " "])
-            elif stop - start > 1:
-                points = " ".join(map(_POINT.format, xs.tolist(), ys.tolist()))
+            if stop - start > 1:
+                points = _numtext.join_cells(np.array((xs, ys)).T, _numtext.F2, [",", " "])
+                parts.append(
+                    f'<polyline points="{points}" fill="none" '
+                    f'stroke="{color}" stroke-width="1.5"/>'
+                )
             else:
                 parts.append(
                     f'<circle cx="{float(xs[0]):.2f}" cy="{float(ys[0]):.2f}" '
                     f'r="2.5" fill="{color}"/>'
                 )
-                continue
-            parts.append(
-                f'<polyline points="{points}" fill="none" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
         x0 += nx
         y0 += ny
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditsim import cli
+from ditsim import _numtext, cli
 from ditsim.cli import (
     ParseError,
     ResultTable,
@@ -118,6 +118,172 @@ def test_spectrum_start_without_stop_rejected(tmp_path, capsys):
     conf = write(tmp_path / "s.conf", "start: -1.0\n")
     assert main(["spectrum", "--config", conf, "--out", str(tmp_path)]) == 2
     assert "together" in capsys.readouterr().err
+
+
+MULTI_PROBLEM_CONFIGS = [
+    (
+        "spectrum",
+        "gamm: 1.0\ngamma: 0\npoints: abc\nspan: -2\nstart: 1\nkappa: nan\n",
+        "error: invalid configuration (6 problems)\n"
+        "  - key 'gamm' is not recognized for 'spectrum' (did you mean 'gamma'?)\n"
+        "  - key 'points': expected an integer, got 'abc'\n"
+        "  - key 'kappa': must be finite, got 'nan'\n"
+        "  - key 'gamma': must be > 0, got 0.0\n"
+        "  - key 'span': must be > 0, got -2.0\n"
+        "  - keys 'start' and 'stop' must be given together\n",
+    ),
+    (
+        "spectrum",
+        "points: 1\nstart: 2\nstop: 1.5\ng: -1\nomega0: -3\nvolume: 2\n",
+        "error: invalid configuration (5 problems)\n"
+        "  - key 'volume' is not recognized for 'spectrum'\n"
+        "  - key 'g': must be >= 0, got -1.0\n"
+        "  - key 'omega0': must be >= 0, got -3.0\n"
+        "  - key 'points': must be >= 2, got 1\n"
+        "  - key 'start': must be < 'stop', got 2.0 and 1.5\n",
+    ),
+    (
+        "sweep",
+        "axis: x\nstart: 2\nstop: 1\ncount: 0\ntau: -1\ndelta_omega: inf\n",
+        "error: invalid configuration (4 problems)\n"
+        "  - key 'delta_omega': must be finite, got 'inf'\n"
+        "  - key 'tau': must be >= 0, got -1.0\n"
+        "  - key 'axis': must be one of gamma, g, tau, kappa, delta, got 'x'\n"
+        "  - key 'count': must be >= 1, got 0\n",
+    ),
+    (
+        "sweep",
+        "count: 0\nstart: abc\ngamma_b: 1\ngamma: -1\n",
+        "error: invalid configuration (7 problems)\n"
+        "  - key 'gamma_b' is not recognized for 'sweep' (did you mean 'gamma'?)\n"
+        "  - key 'start': expected a number, got 'abc'\n"
+        "  - key 'gamma': must be > 0, got -1.0\n"
+        "  - key 'axis' is required (one of gamma, g, tau, kappa, delta)\n"
+        "  - key 'start' is required\n"
+        "  - key 'stop' is required\n"
+        "  - key 'count': must be >= 1, got 0\n",
+    ),
+    (
+        "sweep",
+        "axis: g\nstart: 2\nstop: 1\ncount: x\nkappa: -0.5\n",
+        "error: invalid configuration (3 problems)\n"
+        "  - key 'count': expected an integer, got 'x'\n"
+        "  - key 'kappa': must be >= 0, got -0.5\n"
+        "  - key 'start': must be < 'stop', got 2.0 and 1.0\n",
+    ),
+    (
+        "entangle",
+        "mean_photons: -1\ng_b: -2\ntau: 1e400\nstate: phi_plus\ngamma: 0\n",
+        "error: invalid configuration (5 problems)\n"
+        "  - key 'state' is not recognized for 'entangle'\n"
+        "  - key 'tau': must be finite, got '1e400'\n"
+        "  - key 'gamma': must be > 0, got 0.0\n"
+        "  - key 'g_b': must be >= 0, got -2.0\n"
+        "  - key 'mean_photons': must be >= 0, got -1.0\n",
+    ),
+    (
+        "parity",
+        "gamma_start: 0\ngamma_stop: -1\ngamma_count: 0\nkappa_b: -1\ngamma_cnt: 3\n",
+        "error: invalid configuration (6 problems)\n"
+        "  - key 'gamma_cnt' is not recognized for 'parity' (did you mean 'gamma_count'?)\n"
+        "  - key 'kappa_b': must be >= 0, got -1.0\n"
+        "  - key 'gamma_start': must be > 0, got 0.0\n"
+        "  - key 'gamma_stop': must be > 0, got -1.0\n"
+        "  - key 'gamma_count': must be >= 1, got 0\n"
+        "  - key 'gamma_stop': must be >= 'gamma_start', got -1.0 and 0.0\n",
+    ),
+    (
+        "parity",
+        "gamma_start: 3\ngamma_stop: 2\ngamma_count: 2.5\ndelta_omega: x\n",
+        "error: invalid configuration (3 problems)\n"
+        "  - key 'gamma_count': expected an integer, got '2.5'\n"
+        "  - key 'delta_omega': expected a number, got 'x'\n"
+        "  - key 'gamma_stop': must be >= 'gamma_start', got 2.0 and 3.0\n",
+    ),
+    (
+        "bell",
+        "state: triplet\nsamples: -1\nmean_photons: -0.5\nseed: 3\nomega0_b: -2\n",
+        "error: invalid configuration (5 problems)\n"
+        "  - key 'seed' is not recognized for 'bell'\n"
+        "  - key 'omega0_b': must be >= 0, got -2.0\n"
+        "  - key 'mean_photons': must be >= 0, got -0.5\n"
+        "  - key 'samples': must be >= 0, got -1\n"
+        "  - key 'state': must be one of phi_plus, phi_minus, psi_plus, psi_minus, got 'triplet'\n",
+    ),
+    (
+        "tradeoff",
+        "nbar_start: 2\nnbar_stop: 1\nnbar_count: 0\nnbar_stop_b: 1\ntau_b: -1\n",
+        "error: invalid configuration (4 problems)\n"
+        "  - key 'nbar_stop_b' is not recognized for 'tradeoff' (did you mean 'nbar_stop'?)\n"
+        "  - key 'tau_b': must be >= 0, got -1.0\n"
+        "  - key 'nbar_count': must be >= 1, got 0\n"
+        "  - key 'nbar_stop': must be >= 'nbar_start', got 1.0 and 2.0\n",
+    ),
+    (
+        "tradeoff",
+        "nbar_start: -1\nnbar_stop: -2\nnbar_count: many\ng: -0.1\n",
+        "error: invalid configuration (5 problems)\n"
+        "  - key 'nbar_count': expected an integer, got 'many'\n"
+        "  - key 'g': must be >= 0, got -0.1\n"
+        "  - key 'nbar_start': must be >= 0, got -1.0\n"
+        "  - key 'nbar_stop': must be >= 0, got -2.0\n"
+        "  - key 'nbar_stop': must be >= 'nbar_start', got -2.0 and -1.0\n",
+    ),
+    (
+        "diagnostics",
+        "eta: 2\ngamma: -1\nkappa: abc\ndelta_omega: 0\ng_b: 1\n",
+        "error: invalid configuration (5 problems)\n"
+        "  - key 'delta_omega' is not recognized for 'diagnostics' (did you mean 'delta'?)\n"
+        "  - key 'g_b' is not recognized for 'diagnostics'\n"
+        "  - key 'kappa': expected a number, got 'abc'\n"
+        "  - key 'gamma': must be > 0, got -1.0\n"
+        "  - key 'eta': must be in (0, 1], got 2.0\n",
+    ),
+    (
+        "diagnostics",
+        "eta: 0\ntau: -1e-300\ng: -0\n",
+        "error: invalid configuration (2 problems)\n"
+        "  - key 'tau': must be >= 0, got -1e-300\n"
+        "  - key 'eta': must be in (0, 1], got 0.0\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, text, stderr", MULTI_PROBLEM_CONFIGS)
+def test_multi_problem_configs_report_every_problem_in_order(command, text, stderr, tmp_path, capsys):
+    # unknown keys and unreadable values in file order, then each key's rule
+    # in the order of the command's keys, then the rules that relate two keys
+    conf = write(tmp_path / "bad.conf", text)
+    assert main([command, "--config", conf, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == stderr
+    assert os.listdir(tmp_path) == ["bad.conf"]
+
+
+def _readme_config_format():
+    """README's "Config format" text: the part every command shares, and
+    each command's bullet."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as f:
+        text = f.read().split("### Config format", 1)[1].split("Example:", 1)[0]
+    shared, bullets = text.split("Per command:", 1)
+    return shared, {b.split("`", 2)[1]: b for b in bullets.split("\n* ")[1:]}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_readme_config_format_lists_every_key_and_default(command):
+    shared, bullets = _readme_config_format()
+    text = " ".join((shared + bullets[command]).split())
+    for key, (_, default, _) in cli._KEYS[command].items():
+        if default is None or isinstance(default, cli._Required):
+            assert f"`{key}`" in text, key
+        else:
+            assert f"`{key}` ({default!r}" in text, key
+
+
+def test_one_sided_range_is_checked_against_nothing():
+    # a range end is compared with the other end only when both are given
+    assert cli._coerce("parity", {"gamma_stop": "0.3"})["gamma_stop"] == 0.3
+    assert cli._coerce("tradeoff", {"nbar_start": "9"})["nbar_start"] == 9.0
 
 
 # ----------------------------------------------------------- happy paths --
@@ -580,7 +746,7 @@ def test_column_table_bytes_match_row_table_and_reference(count, data):
     assert_same_bytes_three_ways(*data.draw(column_tables(count)))
 
 
-@pytest.mark.parametrize("cells", sorted(set(cli._KERNEL_CELLS.values())))
+@pytest.mark.parametrize("cells", sorted({_numtext._KERNEL_CELLS[s] for s in (_numtext.G17, _numtext.JSON)}))
 @pytest.mark.parametrize("below", [True, False])
 @pytest.mark.parametrize("blocks", [array_blocks, column_blocks], ids=["arrays", "mixed"])
 @settings(max_examples=6, deadline=None)

@@ -16,6 +16,7 @@ from ditsim import (
     TwoDipoleState,
     UndefinedDiagnostic,
     NodeRouting,
+    WeakExcitationReport,
     bell_measurement,
     diagnostics,
     flux_budget,
@@ -258,7 +259,7 @@ def test_dipole_loss_overflow_raises_degenerate_dipole():
         NodeRouting.from_params(params, 0.0)
     with pytest.raises(DegenerateDipole, match=unresolved):
         bell_measurement(params, params, TwoDipoleState.bell("phi_plus"), 0.0, 1.0)
-    with pytest.raises(DegenerateDipole, match=r"^dipole-loss term tau\*\|sigma\|\^2 overflows: "):
+    with pytest.raises(DegenerateDipole, match=unresolved):
         weak_excitation_check(params, 1.0)
     rows = parameter_sweep(params, "tau", [1e-323, 1e-3], 0.0).rows
     assert rows[0].budget is None and rows[0].error.startswith("dipole-loss term")
@@ -279,6 +280,14 @@ def test_overflowing_dipole_term_is_kept_where_the_budget_closes():
     assert row.error is None and row.budget == budget and row.budget.total == 1.0
     routing = NodeRouting.from_params(params, 0.0)
     assert routing.label_g.drop == scatter_coefficients(params, 0.0).t_drop
+
+
+def test_weak_excitation_check_agrees_with_the_flux_budget_on_an_overflowing_sigma():
+    # the budget closes on this node, so the check evaluates it: an occupancy
+    # beyond any float is no weak excitation, and no input excites nothing
+    params = SystemParams(1.0, 3e-155, 2e-309, 0.0)
+    assert weak_excitation_check(params, 1.0) == WeakExcitationReport(False, math.inf)
+    assert weak_excitation_check(params, 0.0) == WeakExcitationReport(True, 0.0)
 
 
 def test_large_dipole_loss_term_keeps_its_bits():

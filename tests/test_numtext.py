@@ -13,13 +13,14 @@ per-cell references of ``test_cli`` and ``test_svgplot``.
 
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ditsim import _numtext, cli, svgplot
+from ditsim import _numtext
 from ditsim.cli import ResultTable
 from ditsim.svgplot import LineSeries
 from test_cli import assert_same_table_bytes
@@ -39,12 +40,16 @@ def reference(x, style):
 
 
 def assert_matches(values, style):
+    # through the kernel whatever the size, and as join_cells picks
     values = [float(v) for v in values]
-    got = _numtext.join_cells(np.array(values).reshape(-1, 1), style, ["\n"])
+    column = np.array(values).reshape(-1, 1)
+    with mock.patch.dict(_numtext._KERNEL_CELLS, {style: 1}):
+        got = _numtext.join_cells(column, style, ["\n"])
     want = [reference(x, style) for x in values]
     mismatches = [(x, g, w) for x, g, w in zip(values, got.split("\n"), want) if g != w]
     assert not mismatches, mismatches[:5]
     assert got == "\n".join(want)
+    assert _numtext.join_cells(column, style, ["\n"]) == got
 
 
 def handed_over(values, style):
@@ -188,7 +193,7 @@ def _float_table(rows, cols=5, seed=0):
 @pytest.mark.parametrize("style", [G17, JSON])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_float_tables_around_the_crossover_match_reference(style, offset):
-    rows = -(-cli._KERNEL_CELLS[style] // 5) + offset
+    rows = -(-_numtext._KERNEL_CELLS[style] // 5) + offset
     assert_same_table_bytes(_float_table(rows, seed=rows))
 
 
@@ -197,7 +202,7 @@ def test_float_tables_around_the_crossover_match_reference(style, offset):
 def test_sweep_style_columns_around_the_crossover_match_reference(style, offset):
     # one float column per kernel call: the None cells and the error strings
     # keep the other columns on the per-cell path
-    rows = cli._KERNEL_CELLS[style] + offset
+    rows = _numtext._KERNEL_CELLS[style] + offset
     rng = np.random.default_rng(rows)
     value = np.linspace(-0.3, 2.9, rows).tolist()
     table = []
@@ -213,7 +218,7 @@ def test_sweep_style_columns_around_the_crossover_match_reference(style, offset)
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_plot_lines_around_the_crossover_match_reference(offset):
-    points = svgplot._KERNEL_POINTS + offset
+    points = _numtext._KERNEL_CELLS[F2] // 2 + offset  # a point is two cells
     x = np.linspace(-3.0, 3.0, points)
     y = 1.0 / (1.0 + x**2)
     assert_same_svg([LineSeries("through", x, y), LineSeries("drop", x, 1.0 - y)], title="t")

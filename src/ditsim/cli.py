@@ -75,9 +75,20 @@ def _one_of(names: tuple[str, ...]) -> Callable:
     return _rule(names.__contains__, f"must be one of {', '.join(names)}")
 
 
+_IN_RAD_S = _rule(
+    lambda v: math.isfinite(v * THZ),
+    f"overflows in rad/s (must be within about +-{sys.float_info.max / THZ:.2g} THz)",
+)
+
+
+def _thz(rule: Callable) -> Callable:
+    """``rule`` for a value in THz, then whether it stays finite in rad/s."""
+    return lambda value: rule(value) or _IN_RAD_S(value)
+
+
 def _node_rule(name: str) -> Callable:
     """The problem ``SystemParams`` finds in its field ``name``, else None."""
-    return lambda value: (p := _field_problem(name, value)) and p.removeprefix(name + " ")
+    return _thz(lambda value: (p := _field_problem(name, value)) and p.removeprefix(name + " "))
 
 
 _POSITIVE = _rule(lambda v: v > 0, "must be > 0")
@@ -87,12 +98,13 @@ _FRACTION = _rule(lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
 
 # each command's keys in the order they are checked: (type, default, rule); a
 # key whose default is None may be left out (node B's keys then take node A's
-# values).  Node parameters are in THz, the reference operating point by default.
+# values).  Node parameters are in THz, the reference operating point by default;
+# every key in THz must stay finite once converted to rad/s.
 _NODE_KEYS = {
     name: (float, default, _node_rule(name))
     for name, default in zip(_PARAM_KEYS, (1.0, 0.33, 0.001, 0.1, 0.0, 0.0))
 }
-_PROBE_KEY = {"delta_omega": (float, 0.0, None)}
+_PROBE_KEY = {"delta_omega": (float, 0.0, _IN_RAD_S)}
 _TWO_NODE_KEYS = {
     **_NODE_KEYS,
     **{f"{name}_b": (float, None, _node_rule(name)) for name in _PARAM_KEYS},
@@ -103,22 +115,22 @@ _KEYS: dict[str, dict[str, tuple]] = {
         **_NODE_KEYS,
         "span": (float, 3.0, _POSITIVE),
         "points": (int, 2001, _rule(lambda v: v >= 2, "must be >= 2")),
-        "start": (float, None, None),
-        "stop": (float, None, None),
+        "start": (float, None, _IN_RAD_S),
+        "stop": (float, None, _IN_RAD_S),
     },
     "sweep": {
         **_NODE_KEYS,
         **_PROBE_KEY,
         "axis": (str, _Required(f" (one of {', '.join(SWEEP_AXES)})"), _one_of(SWEEP_AXES)),
-        "start": (float, _Required(), None),
-        "stop": (float, _Required(), None),
+        "start": (float, _Required(), _IN_RAD_S),
+        "stop": (float, _Required(), _IN_RAD_S),
         "count": (int, 41, _COUNT),
     },
     "entangle": {**_TWO_NODE_KEYS, "mean_photons": (float, 0.05, _NONNEGATIVE)},
     "parity": {
         **_TWO_NODE_KEYS,
-        "gamma_start": (float, 0.5, _POSITIVE),
-        "gamma_stop": (float, 8.0, _POSITIVE),
+        "gamma_start": (float, 0.5, _thz(_POSITIVE)),
+        "gamma_stop": (float, 8.0, _thz(_POSITIVE)),
         "gamma_count": (int, 50, _COUNT),
     },
     "bell": {
@@ -226,18 +238,31 @@ def _coerce(command: str, raw: Mapping[str, str]) -> dict:
 
 
 def _pair_problems(command: str, options: dict, given: set) -> list[str]:
-    """The rules that relate a range's two ends."""
+    """The rules that relate a range's two ends, and a spectrum grid's width."""
     low, high = {"parity": ("gamma_start", "gamma_stop"),
                  "tradeoff": ("nbar_start", "nbar_stop")}.get(command, ("start", "stop"))
     if not {low, high} <= given:
-        together = command == "spectrum" and {low, high} & given
-        return ["keys 'start' and 'stop' must be given together"] if together else []
+        if command != "spectrum":
+            return []
+        if {low, high} & given:
+            return ["keys 'start' and 'stop' must be given together"]
+        gamma, span = options["gamma"] * THZ, options["span"]
+        # the default grid is +-span*gamma, whose width np.linspace forms; the
+        # keys' own rules report a bad gamma or span
+        if 0.0 < gamma < math.inf and span > 0.0 and not math.isfinite(2.0 * (span * gamma)):
+            return [f"key 'span': the grid +-span*gamma overflows in rad/s, got {span!r}"]
+        return []
     start, stop = options[low], options[high]
     if command in ("parity", "tradeoff"):  # a scan may be a single point
         if stop < start:
             return [f"key {high!r}: must be >= {low!r}, got {stop} and {start}"]
     elif not start < stop and not (command == "sweep" and options["count"] <= 1):
         return [f"key 'start': must be < 'stop', got {start} and {stop}"]
+    elif command == "spectrum":
+        ends = start * THZ, stop * THZ  # an infinite end is its own key's problem
+        if all(map(math.isfinite, ends)) and not math.isfinite(ends[1] - ends[0]):
+            return [f"keys 'start' and 'stop': the grid width overflows in rad/s, "
+                    f"got {start} and {stop}"]
     return []
 
 

@@ -8,6 +8,7 @@ produces byte-identical files.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,6 +55,12 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
 def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     span = hi - lo
     raw = span / max(count, 1)
+    # a finite step within two ulps of the ends may never advance across the
+    # axis, and a subnormal or zero one has no reciprocal: such an axis is
+    # marked at its ends only
+    resolution = max(2.0 * math.ulp(max(abs(lo), abs(hi))), sys.float_info.min)
+    if math.isfinite(raw) and raw <= resolution:
+        return [lo, hi]
     magnitude = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * magnitude
     for mult in (1.0, 2.0, 2.5, 5.0):

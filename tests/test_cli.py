@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
+from xml.etree import ElementTree
 from types import SimpleNamespace
 
 import numpy as np
@@ -284,6 +286,102 @@ def test_one_sided_range_is_checked_against_nothing():
     # a range end is compared with the other end only when both are given
     assert cli._coerce("parity", {"gamma_stop": "0.3"})["gamma_stop"] == 0.3
     assert cli._coerce("tradeoff", {"nbar_start": "9"})["nbar_start"] == 9.0
+
+
+_NODE = ("gamma", "g", "tau", "kappa", "delta", "omega0")
+_TWO_NODE = _NODE + tuple(f"{name}_b" for name in _NODE) + ("delta_omega",)
+# every key in THz: it is multiplied by 1e12 before the library sees it
+THZ_KEYS = (
+    [("spectrum", key) for key in _NODE + ("start", "stop")]
+    + [("sweep", key) for key in _NODE + ("delta_omega", "start", "stop")]
+    + [(command, key) for command in ("entangle", "bell", "tradeoff") for key in _TWO_NODE]
+    + [("parity", key) for key in _TWO_NODE + ("gamma_start", "gamma_stop")]
+    + [("diagnostics", key) for key in _NODE]
+)
+
+
+def test_thz_keys_are_every_float_key_in_thz():
+    floats = {(command, key) for command, keys in cli._KEYS.items()
+              for key, (kind, _, _) in keys.items() if kind is float}
+    assert floats - set(THZ_KEYS) == {
+        ("spectrum", "span"), ("entangle", "mean_photons"), ("bell", "mean_photons"),
+        ("tradeoff", "nbar_start"), ("tradeoff", "nbar_stop"), ("diagnostics", "eta"),
+    }
+
+
+def _config_with(command, key, value):
+    """A config that is valid but for ``key: value``; a range's other end lies
+    beyond it."""
+    settings = {"axis": "g", "start": "0", "stop": "1"} if command == "sweep" else {}
+    if key in ("start", "stop"):
+        settings.update(start="0", stop="1")
+    settings[key] = value
+    return "".join(f"{k}: {v}\n" for k, v in settings.items())
+
+
+@pytest.mark.parametrize("command, key", THZ_KEYS)
+def test_thz_keys_that_overflow_in_rad_s_exit_two(command, key, tmp_path, capsys):
+    value = "-1e300" if key == "start" else "1e300"  # a start still below its stop
+    conf = write(tmp_path / "big.conf", _config_with(command, key, value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", conf, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid configuration (1 problem)\n"
+        f"  - key {key!r}: overflows in rad/s (must be within about +-1.8e+296 THz), "
+        f"got {float(value)!r}\n"
+    )
+    assert not os.path.exists(tmp_path / "run")
+    # just inside the float range the key itself is fine
+    inside = value.replace("1e300", "1.7e296")
+    try:
+        cli._coerce(command, parse_config_text(_config_with(command, key, inside)))
+    except ValidationError as exc:
+        assert not [p for p in exc.problems if p.startswith(f"key {key!r}")]
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("span: 1e296\n", "key 'span': the grid +-span*gamma overflows in rad/s, got 1e+296"),
+        ("span: 1e300\n", "key 'span': the grid +-span*gamma overflows in rad/s, got 1e+300"),
+        ("gamma: 2\nspan: 5e295\n",
+         "key 'span': the grid +-span*gamma overflows in rad/s, got 5e+295"),
+        ("start: -1e296\nstop: 1e296\n",
+         "keys 'start' and 'stop': the grid width overflows in rad/s, got -1e+296 and 1e+296"),
+        ("start: -1.7e296\nstop: 2e295\n",
+         "keys 'start' and 'stop': the grid width overflows in rad/s, got -1.7e+296 and 2e+295"),
+    ],
+)
+def test_spectrum_grid_wider_than_the_float_range_exits_two(text, problem, tmp_path, capsys):
+    # np.linspace would make nan points of it, which the kernel then reports
+    # as a collapsed denominator
+    conf = write(tmp_path / "wide.conf", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrum", "--config", conf, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: invalid configuration (1 problem)\n  - {problem}\n"
+    assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("text", ["span: 8e295\npoints: 5\n",
+                                  "start: -8.9e295\nstop: 8.9e295\npoints: 5\n"])
+def test_spectrum_grid_just_inside_the_float_range_runs(text, tmp_path, capsys):
+    conf = write(tmp_path / "wide.conf", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrum", "--config", conf, "--out", str(tmp_path), "--plot"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_spectrum_plot_of_a_subnormal_axis_is_valid_svg(tmp_path):
+    # x spans about 2e-323 THz: the tick step underflows
+    conf = write(tmp_path / "tiny.conf", "gamma: 5e-324\nspan: 1.7392\n")
+    out = tmp_path / "run"
+    assert main(["spectrum", "--config", conf, "--out", str(out), "--plot"]) == 0
+    root = ElementTree.parse(out / "spectrum.svg").getroot()
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 2
 
 
 # ----------------------------------------------------------- happy paths --

@@ -13,6 +13,7 @@ import math
 import os
 import struct
 import sys
+import threading
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -46,7 +47,7 @@ from ditsim import (
     parity_probe,
     scatter_coefficients,
 )
-from ditsim import core, repeater
+from ditsim import cli, core, repeater
 from ditsim.repeater import _dominant_pure_state, _threshold_factors
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -525,6 +526,173 @@ def test_false_even_and_tradeoff_skip_the_parity_probe(baseline, monkeypatch):
     false_even_probability(baseline, baseline, 0.0)
     for label in ("phi_plus", "psi_minus"):
         bell_measurement(baseline, baseline, TwoDipoleState.bell(label), 0.0, 1.0)
+
+
+# ------------------------------------------------------ the engine's memo --
+#
+# Consecutive calls on the same node and probe objects reuse the engine's last
+# routing, pointer matrix and factors; every result must still be the
+# reference's, bit for bit, whatever ran before it.
+
+
+def _each_protocol(fns, node_a, node_b, state, probe, nbar):
+    """Every protocol's outcome on one pair, in one order, as bits."""
+    parity, bell, false_even, entangle, tradeoff = fns
+    return (
+        _outcome(parity, node_a, node_b, state, probe, nbar),
+        _outcome(bell, node_a, node_b, state, probe, nbar),
+        _outcome(bell, node_a, node_b, state, probe, nbar, rng=np.random.default_rng(3)),
+        _outcome(false_even, node_a, node_b, probe),
+        _outcome(entangle, node_a, node_b, probe, 0.05),
+        _outcome(tradeoff, node_a, node_b, probe, [0.0, nbar]),
+    )
+
+
+PROTOCOLS = (parity_probe, bell_measurement, false_even_probability,
+             entanglement_generation, fidelity_success_tradeoff)
+REFERENCES = (reference_checked_parity_probe, reference_bell_measurement,
+              reference_false_even_probability, reference_entanglement_generation,
+              reference_fidelity_success_tradeoff)
+
+
+def _assert_memo_safe(node_a, node_b, state, probe, nbar):
+    want = _each_protocol(REFERENCES, node_a, node_b, state, probe, nbar)
+    assert _each_protocol(PROTOCOLS, node_a, node_b, state, probe, nbar) == want
+    return want
+
+
+def test_memo_serves_interleaved_pairs(baseline):
+    pair_a = (baseline, replace(baseline, gamma=2.0 * THZ))
+    pair_b = (replace(baseline, g=0.1 * THZ), NodeRouting.ideal())
+    probe = ProbeDetuning(0.01 * THZ)
+    for node_a, node_b in (pair_a, pair_b, pair_a, pair_a, pair_b):
+        for label in ("phi_plus", "psi_minus"):
+            _assert_memo_safe(node_a, node_b, TwoDipoleState.bell(label), probe, 1.5)
+    # one call at a time, alternating pairs
+    state = TwoDipoleState.bell("psi_plus")
+    for node_a, node_b in (pair_a, pair_b, pair_a):
+        _assert_same(bell_measurement, reference_bell_measurement, node_a, node_b, state, probe, 1.5)
+
+
+def test_memo_keeps_equal_but_distinct_objects_apart():
+    # equal by ==, but the zeros of one carry a minus sign: the pointer matrix differs
+    z = complex(-0.0, -0.0)
+    ideal = NodeRouting.ideal()
+    twin = NodeRouting(RouteAmplitudes(1.0 + 0.0j, z, z, z), RouteAmplitudes(z, -1.0 + 0.0j, z, z))
+    assert twin == ideal and twin is not ideal
+    state = TwoDipoleState.bell("psi_plus")
+    first = _assert_memo_safe(ideal, ideal, state, 0.0, 1.0)
+    second = _assert_memo_safe(twin, twin, state, 0.0, 1.0)
+    assert first != second
+    # equal-valued nodes and probes built apart
+    nodes = [SystemParams(1.0 * THZ, 0.33 * THZ, 0.001 * THZ, 0.1 * THZ) for _ in range(2)]
+    probes = [ProbeDetuning(0.002 * THZ), ProbeDetuning(0.002 * THZ), float("2e9"), float("2e9")]
+    for node in nodes:
+        for probe in probes:
+            _assert_memo_safe(node, nodes[0], state, probe, 1.0)
+
+
+def test_memo_keeps_signed_zero_photon_numbers_apart(baseline):
+    state = TwoDipoleState.bell("phi_plus")
+    for nbar in (0.0, -0.0, 0.0, -0.0):
+        _assert_same(parity_probe, reference_checked_parity_probe, baseline, baseline, state, 0.0, nbar)
+    assert _bits(parity_probe(baseline, baseline, state, 0.0, 0.0)) != _bits(
+        parity_probe(baseline, baseline, state, 0.0, -0.0))
+
+
+def test_memo_recomputes_a_probe_changed_in_place(baseline):
+    probe = np.array(0.0)
+    state = TwoDipoleState.bell("phi_minus")
+    before = _assert_memo_safe(baseline, baseline, state, probe, 1.0)
+    probe[()] = 0.02 * THZ
+    after = _assert_memo_safe(baseline, baseline, state, probe, 1.0)
+    assert before != after
+
+
+def test_writing_into_a_returned_pointer_leaves_the_next_result(baseline):
+    state = TwoDipoleState.bell("psi_plus")
+    args = (baseline, baseline, state, 0.0, 1.0)
+    want = _bits(reference_checked_parity_probe(*args))
+    first = parity_probe(*args)
+    first.pointer.amplitudes[:] = 7.0
+    assert _bits(parity_probe(*args)) == want
+    assert _bits(bell_measurement(*args)) == _bits(reference_bell_measurement(*args))
+
+
+def test_a_call_that_raises_leaves_the_memo_as_it_was(baseline):
+    state = TwoDipoleState.bell("phi_plus")
+    on_line = replace(baseline, tau=0.0)  # tau = 0 with its dipole line on the probe
+    dead = NodeRouting(RouteAmplitudes(0j, 0j, 0j, 0j), RouteAmplitudes(0j, 0j, 0j, 0j))
+    failing = [
+        (bell_measurement, (baseline, baseline, state, 0.0, -1.0)),  # ValueError
+        (bell_measurement, (baseline, baseline, state, math.nan, 1.0)),  # ValueError
+        (bell_measurement, (dead, dead, state, 0.0, 1.0)),  # InvalidRegime
+        (parity_probe, (baseline, on_line, state, 0.0, 1.0)),  # DegenerateDipole
+        (entanglement_generation, (baseline, baseline, 0.0, 0.5)),  # InvalidRegime
+        (false_even_probability, (baseline, "node", 0.0)),  # TypeError
+    ]
+    want = _assert_memo_safe(baseline, baseline, state, 0.0, 1.0)
+    for fn, args in failing:
+        reference = REFERENCES[PROTOCOLS.index(fn)]
+        got = _outcome(fn, *args)
+        assert got == _outcome(reference, *args) and isinstance(got[0], type)
+        assert _outcome(fn, *args) == got  # the same call raises the same way again
+        assert _assert_memo_safe(baseline, baseline, state, 0.0, 1.0) == want
+
+
+def test_threads_on_two_pairs_match_a_serial_run(baseline):
+    pairs = [(baseline, replace(baseline, gamma=2.0 * THZ), ProbeDetuning(0.0), 1.0),
+             (replace(baseline, g=0.2 * THZ), baseline, 0.01 * THZ, 2.5)]
+    states = [TwoDipoleState.bell(label) for label in ("phi_plus", "phi_minus", "psi_plus")]
+
+    def work(k):
+        out = []
+        for r in range(40):
+            node_a, node_b, probe, nbar = pairs[(k + r // 3) % 2]
+            state = states[r % 3]
+            out.append(_bits(bell_measurement(node_a, node_b, state, probe, nbar)))
+            out.append(_bits(parity_probe(node_a, node_b, state, probe, nbar)))
+            out.append(_bits(false_even_probability(node_a, node_b, probe)))
+        return out
+
+    serial = [work(k) for k in range(4)]
+    threaded = [None] * 4
+
+    def run(k):
+        threaded[k] = work(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert threaded == serial
+
+
+def test_cli_bell_over_four_states_interrogates_the_pair_once(tmp_path, monkeypatch):
+    calls = {"from_params": 0, "threshold_factors": 0}
+    from_params, factors = NodeRouting.from_params.__func__, repeater._threshold_factors
+
+    def counting_from_params(cls, params, probe):
+        calls["from_params"] += 1
+        return from_params(cls, params, probe)
+
+    def counting_factors(*args, **kwargs):
+        calls["threshold_factors"] += 1
+        return factors(*args, **kwargs)
+
+    monkeypatch.setattr(NodeRouting, "from_params", classmethod(counting_from_params))
+    monkeypatch.setattr(repeater, "_threshold_factors", counting_factors)
+    conf = tmp_path / "bell.conf"
+    conf.write_text("mean_photons: 1.0\n")
+    assert cli.main(["bell", "--config", str(conf), "--out", str(tmp_path)]) == 0
+    assert calls == {"from_params": 2, "threshold_factors": 1}
 
 
 # --------------------------------------------------------- error contract --

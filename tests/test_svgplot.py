@@ -212,3 +212,23 @@ def test_render_arrays_and_ragged_series_match_reference():
 @given(st.text() | st.text(alphabet="&<>;amplgt\"' "))
 def test_escape_matches_saxutils(text):
     assert _escape(text) == escape(text)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (0.0, 5e-324),  # the step rounds to zero
+        (-1e-323, 1e-323),  # a subnormal step
+        (1.0, math.nextafter(1.0, 2.0)),  # a step below an ulp of the ends
+    ],
+)
+def test_ticks_of_an_axis_the_step_cannot_resolve_mark_its_ends(lo, hi):
+    assert _ticks(lo, hi) == [lo, hi]
+
+
+def test_render_of_a_one_ulp_axis_finishes():
+    # a tick step below half an ulp of the ends would never advance the tick loop
+    x = [1.0, math.nextafter(1.0, 2.0)]
+    svg = render_lines([LineSeries("s", x, [0.0, 1.0]), LineSeries("t", [5e-324, 0.0], x)])
+    assert svg.count("<polyline") == 2
+    assert_same_svg([LineSeries("s", x, [0.0, 1.0])])

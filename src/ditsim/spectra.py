@@ -36,8 +36,8 @@ from .core import (  # flux_budget and scattering_arrays stay importable from he
 )
 
 SWEEP_AXES = ("gamma", "g", "tau", "kappa", "delta")  # leading arguments of core._flux
-# points per kernel call in transmission_spectrum: 128 KiB per complex buffer,
-# so the temporaries stay in cache instead of coming back as fresh pages
+# points per kernel call in transmission_spectrum: 128 KiB per complex
+# temporary, so a block's working set stays near 450 KB however long the grid
 _BLOCK = 8192
 
 
@@ -121,10 +121,13 @@ def transmission_spectrum(params: SystemParams, grid: DetuningGrid) -> SpectrumS
     every point goes through the same ufuncs as a whole-grid evaluation and
     gets the same bits.  When a block fails its guard, the whole grid is
     evaluated at once so that the error names the bad indices of the whole
-    grid, with a degenerate dipole point anywhere reported first.
+    grid, with a degenerate dipole point anywhere reported first.  The three
+    arrays of the result are the rows of one buffer.
     """
-    points = grid.points()
-    through, drop = np.empty_like(points), np.empty_like(points)
+    # one allocation, not three: freed, it lifts glibc's trim threshold above
+    # the call's working set, so the next call reuses pages instead of faulting
+    points, through, drop = np.empty((3, grid.count))
+    points[...] = grid.points()
     for start in range(0, points.size, _BLOCK):
         block = slice(start, start + _BLOCK)
         try:
@@ -158,7 +161,16 @@ def _half_crossing(x: np.ndarray, y: np.ndarray, peak_idx: int, level: float, si
     prev = i - side  # first sample still above the level
     span = y[i] - y[prev]
     frac = 0.0 if span == 0.0 else (level - y[prev]) / span
-    return float(x[prev] + frac * (x[i] - x[prev]))
+    x_prev = _detuning_at(x, prev)
+    return float(x_prev + frac * (_detuning_at(x, i) - x_prev))
+
+
+def _detuning_at(x, i: int) -> float:
+    """``x[i]`` as a float; the few detunings a peak report reads must be finite."""
+    value = float(x[i])
+    if not math.isfinite(value):
+        raise ValueError(f"spectrum detuning must be finite, got {value} at index {i}")
+    return value
 
 
 def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
@@ -178,7 +190,8 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
         If the maximum lies on a grid edge (monotone or dip-only spectra) or
         the peak is indistinguishable from the baseline at 1e-12 relative.
     ValueError
-        If ``detuning`` and ``through`` differ in length.
+        If ``detuning`` and ``through`` differ in length, or a detuning that
+        the report reads (peak sample, half-crossing brackets) is not finite.
     """
     y, x = np.asarray(series.through), series.detuning
     if len(x) != len(y):
@@ -200,7 +213,7 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
     curvature = ym - 2.0 * y0 + yp
     offset = 0.0 if curvature == 0.0 else 0.5 * (ym - yp) / curvature
     offset = min(0.5, max(-0.5, offset))
-    peak_detuning = float(x[idx]) + offset * series.grid.step
+    peak_detuning = _detuning_at(x, idx) + offset * series.grid.step
     peak_value = y0 - 0.25 * (ym - yp) * offset
 
     level = 0.5 * (peak_value + baseline)

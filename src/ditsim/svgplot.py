@@ -44,11 +44,13 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[::2], edges[1::2]))
 
 
-def _padded(lo: float, hi: float) -> tuple[float, float]:
+def _padded(lo: float, hi: float, axis: str) -> tuple[float, float]:
     if lo == hi:
         pad = max(abs(lo) * 0.5, 1.0)
     else:
         pad = (hi - lo) * 0.05
+    if not math.isfinite((hi + pad) - (lo - pad)):
+        raise ValueError(f"{axis} axis overflows the float range once padded: data from {lo} to {hi}")
     return lo - pad, hi + pad
 
 
@@ -104,8 +106,8 @@ def render_lines(
     # spans count every finite x and every finite y, paired or not
     xspan = _finite_span(x_all[x_ok]) or (0.0, 1.0)
     yspan = _finite_span(y_all[y_ok]) or (0.0, 1.0)
-    x_lo, x_hi = _padded(*xspan)
-    y_lo, y_hi = _padded(*yspan)
+    x_lo, x_hi = _padded(*xspan, "x")
+    y_lo, y_hi = _padded(*yspan, "y")
 
     def px(x):
         return left + (x - x_lo) / (x_hi - x_lo) * plot_w

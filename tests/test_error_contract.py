@@ -22,10 +22,12 @@ from ditsim import (
     NodeRouting,
     NumericsError,
     SingularDenominator,
+    SpectrumSeries,
     SystemParams,
     TwoDipoleState,
     diagnostics,
     fidelity_success_tradeoff,
+    locate_transparency_peak,
     parameter_sweep,
     scattering_arrays,
     transmission_spectrum,
@@ -77,6 +79,29 @@ def test_scattering_arrays_refuse_values_that_are_not_real_numbers(delta_omega):
         scattering_arrays(NODE, delta_omega)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_peak_names_a_nonfinite_detuning_it_reads(index, value):
+    # the peak sample (2) and the samples that bracket each half crossing
+    grid = DetuningGrid(-2.0, 2.0, 5)
+    x = grid.points()
+    x[index] = value
+    curve = np.array([0.0, 0.2, 1.0, 0.2, 0.0])
+    series = SpectrumSeries(grid=grid, detuning=x, through=curve, drop=1.0 - curve)
+    with pytest.raises(ValueError, match=rf"^spectrum detuning must be finite, got {value} at index {index}$"):
+        locate_transparency_peak(series)
+
+
+def test_peak_leaves_detunings_it_does_not_read_unchecked():
+    # no pass over the grid: the edge samples here are never read
+    grid = DetuningGrid(-2.0, 2.0, 5)
+    x = grid.points()
+    x[[0, 4]] = math.nan
+    curve = np.array([0.0, 0.2, 1.0, 0.2, 0.0])
+    report = locate_transparency_peak(SpectrumSeries(grid=grid, detuning=x, through=curve, drop=1.0 - curve))
+    assert report == ditsim.PeakReport(peak_detuning=0.0, peak_value=1.0, fwhm=1.25)
+
+
 @pytest.mark.parametrize("values", [None, 1.0, np.array(1e11)])
 def test_sweep_names_values_that_are_not_a_sequence(values):
     with pytest.raises(ValueError, match="^g sweep values must be a sequence of real numbers"):
@@ -109,9 +134,9 @@ sequences = st.one_of(bad_numbers, st.lists(numbers, max_size=4), st.lists(numbe
 
 @st.composite
 def series(draw):
-    # a spectrum whose power samples hold bad numbers; its detunings are a grid's
+    # a spectrum whose detunings and power samples hold bad numbers
     out = transmission_spectrum(NODE, DetuningGrid(-3e12, 3e12, 9))
-    for array in (out.through, out.drop):
+    for array in (out.detuning, out.through, out.drop):
         for i in draw(st.lists(st.integers(0, 8), max_size=3)):
             array[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 1e300, -1e300, 5e-324]))
     return out

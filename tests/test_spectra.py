@@ -1,3 +1,9 @@
+import json
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +98,49 @@ def test_spectrum_on_single_point(baseline):
     series = transmission_spectrum(baseline, DetuningGrid(0.0, 0.0, 1))
     assert series.through.shape == (1,)
     assert series.through[0] == pytest.approx(PEAK_VALUE, abs=1e-12)
+
+
+# repeated spectra in a fresh interpreter: minor page faults per call, and
+# whether the detunings are the grid's points bit for bit
+_FAULTS_PER_CALL = """
+import json, resource
+from ditsim import THZ, DetuningGrid, SystemParams, transmission_spectrum
+node = SystemParams(1.0 * THZ, 0.33 * THZ, 0.001 * THZ, 0.1 * THZ)
+# warm-up: the first output buffer is mmapped, and freeing it lifts glibc's
+# thresholds; the second comes from the heap, which then keeps its pages
+for _ in range(2):
+    transmission_spectrum(node, DetuningGrid(-3e12, 3e12, 200001))
+report = {"page": resource.getpagesize()}
+for count in (200001, 50001):
+    grid = DetuningGrid(-3e12, 3e12, count)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        transmission_spectrum(node, grid)
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10
+    same = transmission_spectrum(node, grid).detuning.tobytes() == grid.points().tobytes()
+    report[count] = [faults, same]
+print(json.dumps(report))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="glibc's malloc thresholds decide the faults",
+)
+def test_repeated_spectra_reuse_their_pages():
+    # one output buffer per spectrum: once freed it lifts glibc's trim
+    # threshold above a call's working set, so later calls fault in next to
+    # no fresh pages
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_CALL], env=env, capture_output=True,
+                         text=True, check=True)
+    report = json.loads(out.stdout)
+    for count in (200001, 50001):
+        faults, same = report[str(count)]
+        output_pages = 3 * 8 * count / report["page"]
+        assert faults < 0.05 * output_pages, (count, faults, output_pages)
+        assert same
 
 
 # ------------------------------------------------------------------- peak --

@@ -41,8 +41,8 @@ def reference_render(lines, *, title="", xlabel="", ylabel="", width=720, height
     ys = [v for s in lines for v in s.y]
     xspan = _reference_span(xs) or (0.0, 1.0)
     yspan = _reference_span(ys) or (0.0, 1.0)
-    x_lo, x_hi = _padded(*xspan)
-    y_lo, y_hi = _padded(*yspan)
+    x_lo, x_hi = _padded(*xspan, "x")
+    y_lo, y_hi = _padded(*yspan, "y")
 
     def px(x):
         return left + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -232,3 +232,16 @@ def test_render_of_a_one_ulp_axis_finishes():
     svg = render_lines([LineSeries("s", x, [0.0, 1.0]), LineSeries("t", [5e-324, 0.0], x)])
     assert svg.count("<polyline") == 2
     assert_same_svg([LineSeries("s", x, [0.0, 1.0])])
+
+
+@pytest.mark.parametrize(
+    "x, y, axis",
+    [
+        ([-1.7e308, 1.7e308], [0.0, 1.0], "x"),  # the data span itself overflows
+        ([1e308, 1.79e308], [0.0, 1.0], "x"),  # the padded upper end overflows
+        ([0.0, 1.0], [1.7e308, 1.7e308], "y"),  # one value, padded by half of it
+    ],
+)
+def test_render_names_an_axis_whose_padded_span_overflows(x, y, axis):
+    with pytest.raises(ValueError, match=f"^{axis} axis overflows the float range once padded"):
+        render_lines([LineSeries("a", x, y)])

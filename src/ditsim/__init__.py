@@ -22,7 +22,6 @@ from .core import (
     FluxBudget,
     NumericsError,
     ProbeDetuning,
-    ScatterArrays,
     ScatterCoefficients,
     SingularDenominator,
     SingularSystem,
@@ -80,7 +79,6 @@ __all__ = [
     "SystemParams",
     "ProbeDetuning",
     "ScatterCoefficients",
-    "ScatterArrays",
     "FluxBudget",
     "DiagnosticNumbers",
     "WeakExcitationReport",

@@ -9,8 +9,9 @@ directory, plus ``<command>.svg`` when plotting is requested.  Output bytes
 are a pure function of the config, command line and package version: no
 timestamps, no environment lookups.
 
-Exit codes: 0 success, 2 unusable config (parse or validation failure),
-3 valid config outside the model's numerical domain.
+Exit codes: 0 success, 2 unusable config (parse or validation failure) or
+an output directory that cannot be written, 3 valid config outside the
+model's numerical domain.
 """
 
 from __future__ import annotations
@@ -36,13 +37,13 @@ from .core import (
     SystemParams,
     _FIELDS as _PARAM_KEYS,
     _field_problem,
-    _scatter_arrays,
     diagnostics,
     scattering_arrays,
 )
 from .repeater import (
     BELL_LABELS,
     TwoDipoleState,
+    _draw,
     bell_measurement,
     entanglement_generation,
     false_even_probability,
@@ -469,14 +470,7 @@ def _params_from(options: Mapping, suffix: str = "") -> SystemParams:
 
 
 def _params_meta(params: SystemParams) -> dict:
-    return {
-        "gamma_thz": params.gamma / THZ,
-        "g_thz": params.g / THZ,
-        "tau_thz": params.tau / THZ,
-        "kappa_thz": params.kappa / THZ,
-        "delta_thz": params.delta / THZ,
-        "omega0_thz": params.omega0 / THZ,
-    }
+    return {f"{name}_thz": getattr(params, name) / THZ for name in _PARAM_KEYS}
 
 
 def _two_node_setup(command: str, options: Mapping):
@@ -500,7 +494,7 @@ def _run_spectrum(options, args):
     else:
         grid = DetuningGrid.default(params, span=options["span"], count=options["points"])
     points = grid.points()
-    arrays = _scatter_arrays(params, points)  # an overflowing grid stays a NumericsError
+    arrays = scattering_arrays(params, points)
     # the same |t|^2 that transmission_spectrum forms, from the one evaluation
     through, drop = np.abs(arrays.t_through) ** 2, np.abs(arrays.t_drop) ** 2
     series = SpectrumSeries(grid, points, through, drop)
@@ -624,8 +618,7 @@ def _run_bell(options, args):
             seed = args.seed if args.seed is not None else 0
             metadata["samples"] = samples
             metadata["seed"] = seed
-            rng = np.random.default_rng(seed)
-            draws = rng.choice(len(probs), size=samples, p=probs / probs.sum())
+            draws = _draw(np.random.default_rng(seed), probs, size=samples)
             counts = np.bincount(draws, minlength=len(probs))
             data.update(count=counts.tolist(), frequency=counts / samples)
         return ResultTable.from_columns(metadata, data), None
@@ -762,16 +755,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, f"{args.command}.{args.format}")
-    write_result_table(table, out_path, args.format)
-    print(out_path)
+    svg = None
     if args.plot and plot is not None:
         xlabel, ylabel = _PLOT_LABELS.get(args.command, ("", ""))
         svg = render_lines(plot, title=args.command, xlabel=xlabel, ylabel=ylabel)
-        svg_path = os.path.join(args.out, f"{args.command}.svg")
-        with open(svg_path, "w", encoding="utf-8", newline="") as f:
-            f.write(svg)
+    out_path = os.path.join(args.out, f"{args.command}.{args.format}")
+    svg_path = os.path.join(args.out, f"{args.command}.svg")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        write_result_table(table, out_path, args.format)
+        if svg is not None:
+            with open(svg_path, "w", encoding="utf-8", newline="") as f:
+                f.write(svg)
+    except OSError as exc:
+        print(f"error: cannot write output in {args.out!r}: {exc.strerror}", file=sys.stderr)
+        return 2
+    print(out_path)
+    if svg is not None:
         print(svg_path)
     return 0
 

@@ -202,30 +202,21 @@ def _probe_value(probe: Probe) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class ScatterCoefficients:
+class ScatterCoefficients(NamedTuple):
     """Steady-state amplitudes per unit input amplitude in one waveguide.
 
     ``t_through`` and ``t_drop`` are the waveguide output amplitudes,
     ``b_amp`` the intracavity field and ``sigma_amp`` the dipole coherence.
     The waveguide coefficients are dimensionless; ``b_amp`` and ``sigma_amp``
     carry 1/sqrt(rad/s) so that kappa*|b_amp|^2 and tau*|sigma_amp|^2 are
-    dimensionless loss fractions.
+    dimensionless loss fractions.  Each field is a complex number at one
+    probe, or a complex array from :func:`scattering_arrays`.
     """
 
-    t_through: complex
-    t_drop: complex
-    b_amp: complex
-    sigma_amp: complex
-
-
-class ScatterArrays(NamedTuple):
-    """Vectorized scattering amplitudes over an array of probe detunings."""
-
-    t_through: np.ndarray
-    t_drop: np.ndarray
-    b_amp: np.ndarray
-    sigma_amp: np.ndarray
+    t_through: complex | np.ndarray
+    t_drop: complex | np.ndarray
+    b_amp: complex | np.ndarray
+    sigma_amp: complex | np.ndarray
 
 
 def _amplitudes(
@@ -243,8 +234,10 @@ def _amplitudes(
     big = max(abs(denom.real), abs(denom.imag))  # abs(denom) itself can overflow
     if not cmath.isfinite(denom) or (big < _DENOM_FLOOR and abs(denom) < _DENOM_FLOOR):
         raise SingularDenominator(f"scattering denominator collapsed: D = {denom!r}")
-    if big >= _HUGE and not math.isfinite(_ratio((denom.real, denom.imag))[2]):
-        raise SingularDenominator(f"scattering denominator out of range: D = {denom!r}")
+    if big >= _HUGE:  # the real scale that complex division divides by, as _ratio forms it
+        small = min(abs(denom.real), abs(denom.imag))
+        if not math.isfinite(big + small * (small / big)):
+            raise SingularDenominator(f"scattering denominator out of range: D = {denom!r}")
     t_drop = -gamma / denom
     b_amp = -math.sqrt(gamma) / denom
     sigma_amp = -1j * g * b_amp / x if g > 0.0 else 0.0j
@@ -327,15 +320,7 @@ def _drop_arrays(
     return x, denom, np.divide(-params.gamma, denom, out=coupling)
 
 
-def _scatter_arrays(params: SystemParams, dw: np.ndarray) -> ScatterArrays:
-    """:func:`scattering_arrays` over a 1-D float64 array, the input unchecked."""
-    x, denom, t_drop = _drop_arrays(params, dw)
-    b_amp = -math.sqrt(params.gamma) / denom
-    sigma = -1j * params.g * b_amp / x if params.g > 0.0 else np.zeros_like(b_amp)
-    return ScatterArrays(1.0 + t_drop, t_drop, b_amp, sigma)
-
-
-def scattering_arrays(params: SystemParams, delta_omega: np.ndarray) -> ScatterArrays:
+def scattering_arrays(params: SystemParams, delta_omega: np.ndarray) -> ScatterCoefficients:
     """Vectorized :func:`scatter_coefficients` over a detuning array.
 
     The arrays have the shape of ``delta_omega``, 0-d included.  Raises
@@ -349,18 +334,18 @@ def scattering_arrays(params: SystemParams, delta_omega: np.ndarray) -> ScatterA
         raise ValueError(f"delta_omega must hold real numbers, got {delta_omega!r}")
     flat = np.asarray(dw.ravel(), dtype=float)
     try:
-        arrays = _scatter_arrays(params, flat)
+        x, denom, t_drop = _drop_arrays(params, flat)
     except SingularDenominator:
         bad = np.flatnonzero(~np.isfinite(flat))  # only a failed grid pays for this
         if bad.size:
             raise ValueError(f"delta_omega must be finite at {_grid_indices(bad)}") from None
         raise
-    return ScatterArrays(*(a.reshape(dw.shape) for a in arrays))
+    b_amp = -math.sqrt(params.gamma) / denom
+    sigma = -1j * params.g * b_amp / x if params.g > 0.0 else np.zeros_like(b_amp)
+    return ScatterCoefficients(*(a.reshape(dw.shape) for a in (1.0 + t_drop, t_drop, b_amp, sigma)))
 
 
-def steady_state_oracle(
-    params: SystemParams, probe: Probe, drive: str = "a"
-) -> ScatterCoefficients:
+def steady_state_oracle(params: SystemParams, probe: Probe) -> ScatterCoefficients:
     """Scattering amplitudes by direct solve of the steady-state equations.
 
     Assembles the linearized Heisenberg steady state for the cavity field b
@@ -368,17 +353,9 @@ def steady_state_oracle(
     numerically, then forms the outputs from the input-output relations
     (out = in + sqrt(gamma) * b on each waveguide).  No closed-form
     coefficient expression is reused, so this provides an independent check
-    of :func:`scatter_coefficients`.
-
-    Parameters
-    ----------
-    drive : {"a", "c"}
-        Which waveguide carries the unit input.  The node is symmetric under
-        swapping the waveguides, so both drives return identical values with
-        through/drop roles relabeled.
+    of :func:`scatter_coefficients`.  The unit input drives the first
+    waveguide; the node is symmetric under swapping the waveguides.
     """
-    if drive not in ("a", "c"):
-        raise ValueError(f"drive must be 'a' or 'c', got {drive!r}")
     dw = _probe_value(probe)
     cavity_row = -1j * dw + params.gamma + 0.5 * params.kappa
     root_gamma = math.sqrt(params.gamma)
@@ -491,14 +468,9 @@ def _ratio(b):
     real scale, larger + other * ratio, that the quotient is divided by.
     Where b is 0, which Python refuses, the ratio is nan."""
     br, bi = b
-    if type(br) is float and type(bi) is float:
-        wide = abs(br) >= abs(bi)
-        big, small = (br, bi) if wide else (bi, br)
-        ratio = small / big if big else math.nan
-    else:
-        wide = np.abs(br) >= np.abs(bi)
-        big, small = np.where(wide, br, bi), np.where(wide, bi, br)
-        ratio = np.divide(small, big)
+    wide = np.abs(br) >= np.abs(bi)
+    big, small = np.where(wide, br, bi), np.where(wide, bi, br)
+    ratio = np.divide(small, big)
     return wide, ratio, big + small * ratio
 
 
@@ -506,15 +478,9 @@ def _c_quot(a, b, by=None):
     """``a / b``; ``by`` is ``_ratio(b)`` when already formed."""
     ar, ai = a
     wide, ratio, scale = by or _ratio(b)
-    if type(wide) is bool:
-        u, v = (ar, ai) if wide else (ai, ar)
-        ur = u * ratio
-        im = v - ur if wide else ur - v
-    else:
-        u, v = np.where(wide, ar, ai), np.where(wide, ai, ar)
-        ur = u * ratio
-        im = np.where(wide, v - ur, ur - v)
-    return (u + v * ratio) / scale, im / scale
+    u, v = np.where(wide, ar, ai), np.where(wide, ai, ar)
+    ur = u * ratio
+    return (u + v * ratio) / scale, np.where(wide, v - ur, ur - v) / scale
 
 
 def _c_abs2(z):

@@ -22,6 +22,7 @@ entry points guard the mean photon number where the model requires it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -88,10 +89,6 @@ class InvalidRegime(NumericsError):
 # ============================================================ qubit states ==
 
 
-def _finite(a: complex) -> bool:
-    return math.isfinite(a.real) and math.isfinite(a.imag)
-
-
 def _sum_squares(amps) -> float:
     """Plain sum of |a|^2, or inf where it overflows."""
     try:
@@ -136,7 +133,7 @@ class TwoDipoleState:
         if len(amps) != 4:
             raise ValueError(f"need 4 amplitudes over {BASIS}, got {len(amps)}")
         for a in amps:
-            if not _finite(a):
+            if not cmath.isfinite(a):
                 raise ValueError(f"amplitudes must be finite, got {a!r}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -416,6 +413,12 @@ def _herald(p: list, rho: np.ndarray, factors: np.ndarray) -> tuple[int, int, li
     return lo, hi, [q / total for q in p[lo:hi]]
 
 
+def _draw(rng: np.random.Generator, probabilities, size=None):
+    """Indices drawn from the weights ``probabilities``, normalized first."""
+    p = np.asarray(probabilities, dtype=float)
+    return rng.choice(p.size, size=size, p=p / p.sum())
+
+
 def _dominant_pure_state(rho: np.ndarray) -> TwoDipoleState:
     """Largest-eigenvalue component of a two-dipole density matrix."""
     _, vectors = np.linalg.eigh(rho)
@@ -581,10 +584,7 @@ def bell_measurement(
     if rng is None:
         pick = max(range(len(chains)), key=lambda k: chains[k][2])
     else:
-        cumulative = np.cumsum([p for _, _, p in chains])
-        draw = float(rng.random())
-        pick = int(np.searchsorted(cumulative, draw, side="right"))
-        pick = min(pick, len(chains) - 1)  # rounding can leave the sum below 1
+        pick = int(_draw(rng, [p for _, _, p in chains]))
 
     i, j, probability = chains[pick]
     final = h @ (rotated[i - lo] * factors[j] / p2[i - lo][j]) @ h  # undo the rotation

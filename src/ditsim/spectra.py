@@ -22,6 +22,7 @@ from .core import (  # flux_budget and scattering_arrays stay importable from he
     NumericsError,
     Probe,
     SystemParams,
+    _FIELDS,
     _drop_arrays,
     _field_ok,
     _field_problem,
@@ -35,7 +36,7 @@ from .core import (  # flux_budget and scattering_arrays stay importable from he
     scattering_arrays,  # noqa: F401
 )
 
-SWEEP_AXES = ("gamma", "g", "tau", "kappa", "delta")  # leading arguments of core._flux
+SWEEP_AXES = _FIELDS[:-1]  # every field but omega0: the leading arguments of core._flux
 # points per kernel call in transmission_spectrum: 128 KiB per complex
 # temporary, so a block's working set stays near 450 KB however long the grid
 _BLOCK = 8192
@@ -151,7 +152,7 @@ def _half_crossing(x: np.ndarray, y: np.ndarray, peak_idx: int, level: float, si
 
     ``side`` is -1 (left) or +1 (right); linear interpolation between the
     bracketing samples.  Returns None when the curve never reaches the level
-    on that side of the grid.  A nan sample counts as reaching it.
+    on that side of the grid.
     """
     above = y[peak_idx::side] > level
     steps = int(np.argmin(above))  # the first sample not above, if any
@@ -161,15 +162,15 @@ def _half_crossing(x: np.ndarray, y: np.ndarray, peak_idx: int, level: float, si
     prev = i - side  # first sample still above the level
     span = y[i] - y[prev]
     frac = 0.0 if span == 0.0 else (level - y[prev]) / span
-    x_prev = _detuning_at(x, prev)
-    return float(x_prev + frac * (_detuning_at(x, i) - x_prev))
+    x_prev = _finite_at(x, prev)
+    return float(x_prev + frac * (_finite_at(x, i) - x_prev))
 
 
-def _detuning_at(x, i: int) -> float:
-    """``x[i]`` as a float; the few detunings a peak report reads must be finite."""
-    value = float(x[i])
+def _finite_at(values, i: int, what: str = "detuning") -> float:
+    """``values[i]`` as a float; the few samples a peak report reads must be finite."""
+    value = float(values[i])
     if not math.isfinite(value):
-        raise ValueError(f"spectrum detuning must be finite, got {value} at index {i}")
+        raise ValueError(f"spectrum {what} must be finite, got {value} at index {i}")
     return value
 
 
@@ -190,8 +191,9 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
         If the maximum lies on a grid edge (monotone or dip-only spectra) or
         the peak is indistinguishable from the baseline at 1e-12 relative.
     ValueError
-        If ``detuning`` and ``through`` differ in length, or a detuning that
-        the report reads (peak sample, half-crossing brackets) is not finite.
+        If ``detuning`` and ``through`` differ in length, if a ``through``
+        sample is not finite, or if a detuning that the report reads (peak
+        sample, half-crossing brackets) is not finite.
     """
     y, x = np.asarray(series.through), series.detuning
     if len(x) != len(y):
@@ -200,11 +202,16 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
         )
     if len(y) < 3:
         raise NoPeak(f"need at least 3 samples to locate a peak, got {len(y)}")
+    # argmax picks the first nan, else the first +inf, and a side's minimum is
+    # any -inf on it: checking these three samples checks every through sample
     idx = int(np.argmax(y))
+    _finite_at(y, idx, "through sample")
     if idx == 0 or idx == len(y) - 1:
         raise NoPeak("through maximum lies on the grid edge; no interior peak")
 
-    baseline = 0.5 * (float(np.min(y[: idx + 1])) + float(np.min(y[idx:])))
+    low_left = _finite_at(y, int(np.argmin(y[: idx + 1])), "through sample")
+    low_right = _finite_at(y, idx + int(np.argmin(y[idx:])), "through sample")
+    baseline = 0.5 * (low_left + low_right)
     if y[idx] - baseline <= 1e-12 * max(abs(y[idx]), abs(baseline), 1e-300):
         raise NoPeak("through peak is indistinguishable from the baseline")
 
@@ -213,7 +220,7 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
     curvature = ym - 2.0 * y0 + yp
     offset = 0.0 if curvature == 0.0 else 0.5 * (ym - yp) / curvature
     offset = min(0.5, max(-0.5, offset))
-    peak_detuning = _detuning_at(x, idx) + offset * series.grid.step
+    peak_detuning = _finite_at(x, idx) + offset * series.grid.step
     peak_value = y0 - 0.25 * (ym - yp) * offset
 
     level = 0.5 * (peak_value + baseline)

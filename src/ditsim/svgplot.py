@@ -17,6 +17,7 @@ import numpy as np
 from . import _numtext
 
 _PALETTE = ("#1f6feb", "#d73a49", "#2da44e", "#b08800", "#8250df", "#57606a")
+_WIDTH, _HEIGHT = 720, 480  # canvas size in px
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,9 @@ def render_lines(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 720,
-    height: int = 480,
 ) -> str:
     """Render line series into a self-contained SVG document string."""
+    width, height = _WIDTH, _HEIGHT
     left, right, top, bottom = 64, 18, 38, 48
     plot_w = width - left - right
     plot_h = height - top - bottom

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditsim import _numtext, cli
+from ditsim import THZ, DetuningGrid, _numtext, cli, scattering_arrays, spectra, transmission_spectrum
 from ditsim.cli import (
     ParseError,
     ResultTable,
@@ -574,6 +574,15 @@ def test_missing_config_exits_two(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out, reason", [("taken", "File exists"), ("taken/sub", "Not a directory")])
+def test_out_that_cannot_be_a_directory_exits_two(out, reason, tmp_path, capsys):
+    conf = write(tmp_path / "c.conf", BASE_CONF)
+    write(tmp_path / "taken", "")  # a file where the output directory should be
+    target = str(tmp_path / out)
+    assert main(["diagnostics", "--config", conf, "--out", target]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write output in {target!r}: {reason}\n")
+
+
 def test_negative_seed_rejected_by_parser(tmp_path):
     conf = write(tmp_path / "p.conf", BASE_CONF)
     with pytest.raises(SystemExit) as exc:
@@ -902,6 +911,20 @@ def test_spectrum_keeps_its_float_columns_as_arrays():
         assert isinstance(column, np.ndarray) and column.dtype == np.float64 and column.shape == (101,)
     # the plot draws the table's own arrays
     assert plot[0].x is table.data[0] and plot[0].y is table.data[1] and plot[1].y is table.data[2]
+
+
+def test_spectrum_columns_match_the_library_on_a_grid_of_many_blocks():
+    options = cli._coerce("spectrum", {"points": "20001", "delta": "0.02"})
+    table, _ = cli.run("spectrum", options, build_parser().parse_args(["spectrum", "--config", "x"]))
+    params = cli._params_from(options)
+    grid = DetuningGrid.default(params, span=options["span"], count=options["points"])
+    assert grid.count > spectra._BLOCK
+    series = transmission_spectrum(params, grid)
+    arrays = scattering_arrays(params, grid.points())
+    want = (grid.points() / THZ, series.through, series.drop,
+            params.kappa * np.abs(arrays.b_amp) ** 2, params.tau * np.abs(arrays.sigma_amp) ** 2)
+    for name, got, expected in zip(table.columns, table.data, want):
+        assert got.tobytes() == expected.tobytes(), name
 
 
 def test_column_length_mismatch_rejected(tmp_path):

@@ -183,16 +183,6 @@ def test_oracle_handles_decoupled_dipole(make_params):
     assert o.sigma_amp == 0.0
 
 
-def test_oracle_drive_symmetry(baseline):
-    """Driving either waveguide gives the same coefficients by symmetry."""
-    a = steady_state_oracle(baseline, 0.4 * THZ, drive="a")
-    c = steady_state_oracle(baseline, 0.4 * THZ, drive="c")
-    assert _rel(a.t_through, c.t_through) < 1e-14
-    assert _rel(a.t_drop, c.t_drop) < 1e-14
-    with pytest.raises(ValueError):
-        steady_state_oracle(baseline, 0.0, drive="b")
-
-
 def test_singular_denominator_guard():
     p = SystemParams(gamma=1e-290, g=0.0, tau=1e-290, kappa=0.0)
     with pytest.raises(SingularDenominator):

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ditsim
@@ -21,7 +21,6 @@ from ditsim import (
     DetuningGrid,
     NodeRouting,
     NumericsError,
-    SingularDenominator,
     SpectrumSeries,
     SystemParams,
     TwoDipoleState,
@@ -67,12 +66,6 @@ def test_scattering_arrays_name_nonfinite_detunings(value):
         scattering_arrays(NODE, [0.0, value, 1e11, value])
 
 
-def test_nonfinite_grid_of_the_cli_stays_a_numerics_error():
-    # the CLI evaluates its grid through the unchecked kernel: exit code 3
-    with pytest.raises(SingularDenominator, match="collapsed at grid indices"):
-        ditsim.core._scatter_arrays(NODE, np.array([math.nan]))
-
-
 @pytest.mark.parametrize("delta_omega", [["1"], "1", [None], None, [1j], np.array([1 + 0j])])
 def test_scattering_arrays_refuse_values_that_are_not_real_numbers(delta_omega):
     with pytest.raises(ValueError, match="^delta_omega must hold real numbers"):
@@ -100,6 +93,23 @@ def test_peak_leaves_detunings_it_does_not_read_unchecked():
     curve = np.array([0.0, 0.2, 1.0, 0.2, 0.0])
     report = locate_transparency_peak(SpectrumSeries(grid=grid, detuning=x, through=curve, drop=1.0 - curve))
     assert report == ditsim.PeakReport(peak_detuning=0.0, peak_value=1.0, fwhm=1.25)
+
+
+def _through_repro(indices, value):
+    # a 9-point dip with its peak at index 4, as series() below draws it
+    out = transmission_spectrum(NODE, DetuningGrid(-3e12, 3e12, 9))
+    out.through[indices] = value
+    return out
+
+
+# a nan report, a leaked numpy warning and a misleading NoPeak before the check
+THROUGH_REPROS = [([6], math.nan), ([7, 8], math.inf), ([2], -math.inf)]
+
+
+@pytest.mark.parametrize("indices, value", THROUGH_REPROS)
+def test_peak_names_a_nonfinite_through_sample(indices, value):
+    with pytest.raises(ValueError, match=rf"^spectrum through sample must be finite, got {value} at index {indices[0]}$"):
+        locate_transparency_peak(_through_repro(indices, value))
 
 
 @pytest.mark.parametrize("values", [None, 1.0, np.array(1e11)])
@@ -152,7 +162,6 @@ ARGUMENTS = {
     "grid": st.just(DetuningGrid(-3e12, 3e12, 11)),
     "series": series(),
     "axis": st.sampled_from([*ditsim.SWEEP_AXES, "omega0", "x", None]),
-    "drive": st.sampled_from(["a", "b", "c", None]),
     "rng": st.sampled_from([None, 0]).map(lambda s: s if s is None else np.random.default_rng(s)),
     "values": sequences,
     "mean_photons_grid": sequences,
@@ -167,15 +176,30 @@ CALLABLES = sorted(
 )
 
 
+class Fixed:
+    """Stands in for ``st.data()`` in an ``@example``: each draw returns the
+    value given for its parameter.  The example runs only for the callables
+    whose parameters are all given."""
+
+    def __init__(self, **values):
+        self.values = values
+
+    def draw(self, strategy, label):
+        return self.values[label]
+
+
 @pytest.mark.parametrize("name", CALLABLES)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
+@example(data=Fixed(series=_through_repro(*THROUGH_REPROS[0])))
+@example(data=Fixed(series=_through_repro(*THROUGH_REPROS[1])))
+@example(data=Fixed(series=_through_repro(*THROUGH_REPROS[2])))
 def test_public_callables_raise_only_contract_errors(name, data):
     function = getattr(ditsim, name)
-    args = {
-        p: data.draw(ARGUMENTS.get(p, numbers), label=p)
-        for p in inspect.signature(function).parameters
-    }
+    parameters = inspect.signature(function).parameters
+    if isinstance(data, Fixed) and set(parameters) - set(data.values):
+        return
+    args = {p: data.draw(ARGUMENTS.get(p, numbers), label=p) for p in parameters}
     not_a_node = any(args.get(p) in NOT_A_NODE for p in ("node_a", "node_b"))
     try:
         with warnings.catch_warnings():

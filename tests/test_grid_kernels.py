@@ -394,7 +394,8 @@ def test_kernel_division_matches_python():
     for i in range(ar.size):
         a, b = (float(ar[i]), float(ai[i])), (float(br[i]), float(bi[i]))
         want = _python(complex.__truediv__, complex(*a), complex(*b))
-        floats = core._c_quot(a, b) if i % 7 == 0 else None  # the path for constant terms
+        with np.errstate(all="ignore"):
+            floats = core._c_quot(a, b) if i % 7 == 0 else None  # the path for constant terms
         for got in filter(None, ((float(arrays[0][i]), float(arrays[1][i])), floats)):
             if want is ZeroDivisionError:  # b = 0: the kernel returns nan
                 assert math.isnan(got[0]) and math.isnan(got[1]), (a, b)

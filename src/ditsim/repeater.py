@@ -175,7 +175,6 @@ def _unit_vector(state: TwoDipoleState) -> np.ndarray:
 _BELL_VECTORS = {label: _constant(TwoDipoleState.bell(label).vector()) for label in BELL_LABELS}
 _PSI_PLUS_WEIGHTS = _constant(np.abs(_unit_vector(TwoDipoleState.bell("psi_plus"))) ** 2)
 _PHI_PLUS_UNIT = _unit_vector(TwoDipoleState.bell("phi_plus"))
-_PHI_PLUS_WEIGHTS = _constant(np.abs(_PHI_PLUS_UNIT) ** 2)
 _PHI_PLUS_RHO = _constant(np.outer(_PHI_PLUS_UNIT, np.conj(_PHI_PLUS_UNIT)))
 
 
@@ -297,33 +296,34 @@ def _pointer_rows(route_a: NodeRouting, route_b: NodeRouting, alpha: float) -> l
 
 
 _OUTCOMES = ("even", "odd", "both", "none")
-# (even port, odd port) per outcome: 0 clicks, 1 stays silent
-_DETECTOR_STATES = {"even": (0, 1), "odd": (1, 0), "both": (0, 0), "none": (1, 1)}
+# (even port, odd port) per outcome, in _OUTCOMES order: 0 clicks, 1 stays silent
+_DETECTOR_STATES = ((0, 1), (1, 0), (0, 0), (1, 1))
 
 
 # the factors overflow to inf and nan near 1e300 photons; the callers raise InvalidRegime
 @np.errstate(over="ignore", invalid="ignore")
-def _threshold_factors(amps: np.ndarray, outcomes: Sequence[str] = _OUTCOMES) -> np.ndarray:
+def _threshold_factors(amps: np.ndarray) -> np.ndarray:
     """Per-outcome coherence factors M[s, s'] for threshold detection.
 
     ``amps`` is a stack of pointer matrices of shape (..., 4, 6); the result
-    has shape (len(outcomes), ..., 4, 4), entry [k, ...] holding the factors
-    of ``outcomes[k]`` for the pointer matrix at [...].  Every entry comes
+    has shape (4, ..., 4, 4), entry [k, ...] holding the factors of
+    ``_OUTCOMES[k]`` for the pointer matrix at [...].  Every entry comes
     from the same elementwise operations in the same order whatever the
     stack, so one stacked call returns the bits of one call per matrix.
 
     Modes 0/1 (even/odd ports) end on threshold detectors, the remaining
     modes are traced.  For coherent pointer rows the conditioned two-dipole
-    density matrix for an outcome is rho[s,s'] * M[s,s'] up to normalization:
+    density matrix for an outcome is rho[s,s'] * M[s,s'] up to normalization,
+    and the outcome's probability is the trace of that product:
 
         traced mode   exp(-(n_s + n_s')/2 + A_s conj(A_s'))
         silent mode   exp(-(n_s + n_s')/2)
         click mode    difference of the two lines above
 
     The traced exponential is taken on all six modes, the silent one only on
-    the two detector modes; only the factors of ``outcomes`` are formed.
-    Every factor matrix is Hermitian with entries of magnitude <= 1 and
-    diagnostic diagonal equal to the outcome probability per basis state.
+    the two detector modes.  Every factor matrix is Hermitian with entries
+    of magnitude <= 1 and diagonal equal to the outcome probability per
+    basis state.
     """
     n = np.abs(amps) ** 2
     neg = -0.5 * (n[..., :, None, :] + n[..., None, :, :])  # (..., s, s', mode)
@@ -331,8 +331,7 @@ def _threshold_factors(amps: np.ndarray, outcomes: Sequence[str] = _OUTCOMES) ->
     silent = np.exp(neg[..., :2])  # vacuum projection (no click)
     detectors = (traced[..., :2] - silent, silent)  # click, silent
     loss = np.multiply.reduce(traced[..., 2:], axis=-1)
-    ports = map(_DETECTOR_STATES.__getitem__, outcomes)
-    return np.array([detectors[e][..., 0] * detectors[o][..., 1] * loss for e, o in ports])
+    return np.array([detectors[e][..., 0] * detectors[o][..., 1] * loss for e, o in _DETECTOR_STATES])
 
 
 # ==================================================== interrogation engine ==
@@ -496,7 +495,8 @@ def false_even_probability(node_a: Node, node_b: Node, probe: Probe) -> float:
     Probes an equal odd-parity superposition and normalizes by the total
     detected flux; photons lost to the kappa and tau reservoirs do not
     count as detected.  This is the probability that a single detected
-    photon misreports odd parity as even.
+    photon misreports odd parity as even, the weak-probe limit of
+    P(even) / (P(even) + P(odd)) from ``parity_probe`` on that superposition.
     """
     amps = np.array(_pointer_rows(*_route_pair(node_a, node_b, probe), 1.0), complex)
     even_flux, odd_flux = _fluxes(_PSI_PLUS_WEIGHTS, amps)
@@ -620,7 +620,8 @@ def entanglement_generation(
     and, for identical nodes, projects the pair onto the singlet
     (|g,m> - |m,g>)/sqrt2.  The bookkeeping is first order: one detected
     photon is taken to leave every other mode in vacuum, and the kappa and
-    tau loss ports are dropped, not traced.  So the fidelity leaves out both
+    tau loss ports are dropped, not traced: this is the single-photon limit
+    of the threshold-detector model.  So the fidelity leaves out both
     multi-photon heralds and loss: at the reference node with nbar = 0.05,
     heralding on threshold clicks with every other port traced gives about
     0.9877, of which multi-photon heralds cost 0.011 and the loss ports 0.0012.
@@ -701,13 +702,13 @@ def fidelity_success_tradeoff(
 ) -> TradeoffTable:
     """Parity-measurement fidelity versus success over probe strength.
 
-    For each mean photon number the probe interrogates (|gg> + |mm>)/sqrt2;
-    the reported fidelity is the overlap of the even-conditioned state with
-    that input, and success is 1 - exp(-n_detected) with n_detected the
-    total flux reaching the two parity detectors.  A brighter probe heralds
-    more reliably but leaks more which-path information into the loss
-    channels, so fidelity falls as success rises.  A zero entry means no
-    measurement at all: fidelity 1, success 0.
+    For each mean photon number the probe interrogates (|gg> + |mm>)/sqrt2
+    and reads ``parity_probe``'s figures on it, bit for bit: the fidelity is
+    the overlap of the even-conditioned state with that input, and success
+    is 1 - P(none), the probability that a detector clicks.  A brighter
+    probe heralds more reliably but leaks more which-path information into
+    the loss channels, so fidelity falls as success rises.  A zero entry
+    means no measurement at all: fidelity 1, success 0.
     """
     nbars = [_mean_photons(raw) for raw in _iterable(mean_photons_grid, "mean_photons grid")]
     probed = [nbar for nbar in nbars if nbar != 0.0]
@@ -717,21 +718,17 @@ def fidelity_success_tradeoff(
         # take every probed point through the engine in one stacked pass
         route_a, route_b = _route_pair(node_a, node_b, probe)
         amps = np.array([_pointer_rows(route_a, route_b, math.sqrt(n)) for n in probed], complex)
-        unnormalized = _PHI_PLUS_RHO * _threshold_factors(amps, ("even",))[0]
-        p = unnormalized.trace(0, 1, 2).real
-        for q in p.tolist():
+        even, none = _PHI_PLUS_RHO * _threshold_factors(amps)[[0, 3]]  # unnormalized
+        p_even, p_none = even.trace(0, 1, 2).real, none.trace(0, 1, 2).real
+        for q in p_even.tolist():
             if q <= _PROB_FLOOR:
                 raise InvalidRegime("even-parity herald cannot fire for this node configuration")
             if not math.isfinite(q):
                 raise InvalidRegime(f"even-parity herald probability is not finite: P = {q!r}")
         vec = _BELL_VECTORS["phi_plus"]
         # a row times a column per point, the product one matrix would take
-        fidelity = ((np.conj(vec) @ (unnormalized / p[:, None, None]))[:, None] @ vec).real
-        # the detector columns as contiguous rows, each dotted as _fluxes does
-        even, odd = np.abs(amps[:, :, 0]) ** 2, np.abs(amps[:, :, 1]) ** 2
-        w = _PHI_PLUS_WEIGHTS
-        success = [1.0 - math.exp(-(float(w @ e) + float(w @ o))) for e, o in zip(even, odd)]
-        measured = zip(probed, fidelity[:, 0].tolist(), success)
+        fidelity = ((np.conj(vec) @ (even / p_even[:, None, None]))[:, None] @ vec).real
+        measured = zip(probed, fidelity[:, 0].tolist(), (1.0 - p_none).tolist())
     return TradeoffTable(
         points=tuple(TradeoffPoint(0.0, 1.0, 0.0) if nbar == 0.0 else TradeoffPoint(*next(measured))
                      for nbar in nbars)

@@ -522,7 +522,7 @@ def test_tradeoff_table(tmp_path):
     table = read_result_table(str(out / "tradeoff.json"))
     assert table.rows[0][1] == 1.0 and table.rows[0][2] == 0.0
     assert table.rows[-1][1] == pytest.approx(0.9201785628300811, rel=1e-9)
-    assert table.rows[-1][2] == pytest.approx(0.9407598351033234, rel=1e-9)
+    assert table.rows[-1][2] == pytest.approx(0.9407311958357215, rel=1e-9)
 
 
 def test_parity_scan_matches_library(tmp_path):

@@ -3,8 +3,9 @@
 ``NodeRouting.from_params`` used to build the |m> node with
 ``dataclasses.replace`` and go through ``scatter_coefficients`` twice; the
 threshold factors exponentiated the silent factor of all six modes; the Bell
-classifier undid the basis rotation on every chain; the false-even figure and
-the tradeoff ran a full ``parity_probe`` to read two fluxes and one post-state.
+classifier undid the basis rotation on every chain; the false-even figure ran
+a full ``parity_probe`` to read two fluxes, and the tradeoff one to read a
+post-state and a probability.
 All of that is kept here as references, and the current code must reproduce
 every result field bit for bit and every exception by type and message.
 """
@@ -289,8 +290,7 @@ def reference_fidelity_success_tradeoff(node_a, node_b, probe, mean_photons_grid
         if not math.isfinite(p_even):
             raise InvalidRegime(f"even-parity herald probability is not finite: P = {p_even!r}")
         fidelity = float(np.real(np.conj(vec) @ conditioned @ vec))
-        detected = probed.even_flux + probed.odd_flux
-        points.append(TradeoffPoint(nbar, fidelity, float(1.0 - math.exp(-detected))))
+        points.append(TradeoffPoint(nbar, fidelity, 1.0 - probed.outcome_probabilities["none"]))
     return TradeoffTable(points=tuple(points))
 
 
@@ -402,10 +402,8 @@ def test_threshold_factors_match_reference(node_a, node_b, nbar):
         return
     amps = reference_pointer_matrix(route_a, route_b, math.sqrt(nbar))
     want = reference_threshold_factors(amps)
-    # the factors come back stacked in the order asked for
+    # the factors come back stacked in the order of the outcomes
     assert _bits(list(_threshold_factors(amps))) == _bits([want[o] for o in OUTCOMES])
-    for subset in (("even",), ("even", "odd"), ("both", "none")):
-        assert _bits(list(_threshold_factors(amps, subset))) == _bits([want[o] for o in subset])
 
 
 def _special_nodes():
@@ -417,21 +415,20 @@ def _special_nodes():
 @settings(max_examples=200, deadline=None)
 @given(node_a=st.one_of(any_nodes, st.sampled_from(_special_nodes())),
        node_b=st.one_of(any_nodes, st.sampled_from(_special_nodes())),
-       nbars=st.lists(photons, min_size=1, max_size=8),
-       outcomes=st.lists(st.sampled_from(OUTCOMES), min_size=1, max_size=4, unique=True))
-def test_stacked_threshold_factors_match_each_matrix(node_a, node_b, nbars, outcomes):
+       nbars=st.lists(photons, min_size=1, max_size=8))
+def test_stacked_threshold_factors_match_each_matrix(node_a, node_b, nbars):
     try:
         route_a, route_b = reference_routing(node_a, 0.0), reference_routing(node_b, 0.0)
     except NumericsError:  # a tau = 0 node with its dipole line on the probe
         return
     amps = np.array([reference_pointer_matrix(route_a, route_b, math.sqrt(n)) for n in nbars])
-    stacked = _threshold_factors(amps, outcomes)
-    assert stacked.shape == (len(outcomes), len(nbars), 4, 4)
+    stacked = _threshold_factors(amps)
+    assert stacked.shape == (len(OUTCOMES), len(nbars), 4, 4)
     for j, single in enumerate(amps):
         want = reference_threshold_factors(single)
-        assert _bits(list(stacked[:, j])) == _bits([want[o] for o in outcomes])
+        assert _bits(list(stacked[:, j])) == _bits([want[o] for o in OUTCOMES])
     # one more stack axis changes no bit either
-    assert _bits(_threshold_factors(amps[None], outcomes)[:, 0]) == _bits(stacked)
+    assert _bits(_threshold_factors(amps[None])[:, 0]) == _bits(stacked)
 
 
 @settings(max_examples=150, deadline=None)
@@ -439,6 +436,35 @@ def test_stacked_threshold_factors_match_each_matrix(node_a, node_b, nbars, outc
        grid=st.lists(photons, max_size=6), rng_seed=st.integers(0, 2**32 - 1))
 def test_protocols_match_reference(node_a, node_b, state, probe, nbar, grid, rng_seed):
     _assert_same_protocols(node_a, node_b, state, probe, nbar, grid, rng_seed)
+
+
+@st.composite
+def tradeoff_pairs(draw):
+    # two mismatched nodes that always route (tau > 0), or two ideal ones
+    if draw(st.booleans()):
+        return NodeRouting.ideal(), NodeRouting.ideal()
+    node = SystemParams(gamma=draw(thz), g=draw(thz), tau=draw(thz), kappa=draw(thz),
+                        delta=draw(st.floats(-5.0, 5.0).map(lambda v: v * THZ)))
+    scale = st.floats(0.8, 1.25)
+    return node, replace(node, gamma=node.gamma * draw(scale), kappa=node.kappa * draw(scale))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=tradeoff_pairs(), probe=probes,
+       grid=st.lists(st.one_of(st.sampled_from((0.0, 1e-12, 1e-3, 0.05, 1.0, 3.0, 30.0)),
+                               st.floats(1e-3, 10.0)), min_size=1, max_size=4))
+def test_tradeoff_points_are_the_parity_probes_figures(pair, probe, grid):
+    # one detector model: every point is parity_probe's on phi+, bit for bit
+    node_a, node_b = pair
+    phi_plus = TwoDipoleState.bell("phi_plus")
+    vec = phi_plus.vector()
+    for point in fidelity_success_tradeoff(node_a, node_b, probe, grid).points:
+        if point.mean_photons == 0.0:
+            continue
+        probed = parity_probe(node_a, node_b, phi_plus, probe, point.mean_photons)
+        fidelity = float(np.real(np.conj(vec) @ probed.post_states["even"] @ vec))
+        success = 1.0 - probed.outcome_probabilities["none"]
+        assert _bits((point.fidelity, point.success_probability)) == _bits((fidelity, success))
 
 
 @pytest.mark.parametrize("nbar", PHOTONS)

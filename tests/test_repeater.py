@@ -32,12 +32,13 @@ FALSE_EVEN_BASE = 0.002969888429932798
 FALSE_EVEN_G3 = 0.0009251662534133594
 FALSE_EVEN_G4 = 0.0009510747863290563
 HERALD_BASE = 0.011229335663440294
+# fidelity, success; the successes are 1 - P(none) of the threshold detectors
 TRADEOFF_G4 = {
-    0.5: (0.9856988153987257, 0.3756386037940761),
-    1.0: (0.971831165730574, 0.6101728469277893),
-    2.0: (0.9452607434122728, 0.8480347907276151),
-    3.0: (0.9201785628300811, 0.9407598351033234),
-    5.0: (0.8741679771827267, 0.990997555944146),
+    0.5: (0.9856988153987257, 0.3756302199117634),
+    1.0: (0.971831165730574, 0.6101519084973448),
+    2.0: (0.9452607434122728, 0.8480021403758595),
+    3.0: (0.9201785628300811, 0.9407311958357215),
+    5.0: (0.8741679771827267, 0.9909854648450181),
 }
 
 

@@ -466,26 +466,24 @@ def parity_probe(
 
     Detection is modeled with threshold detectors and traced loss channels,
     so the conditioned states include loss-induced decoherence between
-    branches.
+    branches.  Each outcome probability is the trace that normalizes that
+    outcome's conditioned state.
     """
     nbar, amps, factors = _probe_pass(node_a, node_b, probe, mean_photons)
     c = _unit_vector(state)
-    weights = np.abs(c) ** 2
-    probabilities = dict(zip(_OUTCOMES, (weights * factors.diagonal(0, 1, 2).real).sum(1).tolist()))
+    heralded = c[:, None] * np.conj(c) * factors  # every outcome, unnormalized
+    probabilities = dict(zip(_OUTCOMES, heralded.trace(0, 1, 2).real.tolist()))
     for outcome, p in probabilities.items():
         if not math.isfinite(p):
             raise InvalidRegime(f"parity herald probability is not finite: P({outcome}) = {p!r}")
-    heralded = c[:, None] * np.conj(c) * factors[:2]  # even and odd, unnormalized
-    traces = heralded.trace(0, 1, 2).real.tolist()
-    even_flux, odd_flux = _fluxes(weights, amps)
+    even_flux, odd_flux = _fluxes(np.abs(c) ** 2, amps)
     return ParityProbeResult(
         pointer=PointerRecord(nbar, amps.copy()),  # the engine's array is shared
         even_flux=even_flux,
         odd_flux=odd_flux,
         outcome_probabilities=probabilities,
-        post_states={
-            o: None if p <= _PROB_FLOOR else u / p for o, p, u in zip(_OUTCOMES, traces, heralded)
-        },
+        post_states={o: None if probabilities[o] <= _PROB_FLOOR else u / probabilities[o]
+                     for o, u in zip(("even", "odd"), heralded)},
     )
 
 
@@ -572,12 +570,11 @@ def bell_measurement(
     p1 = first.trace(0, 1, 2).real
     lo, hi, w1 = _herald(p1.tolist(), rho, factors)
     rotated = h @ (first[lo:hi] / p1[lo:hi, None, None]) @ h
-    # second stage on every surviving branch: a trace reads only the diagonal
-    # of rho * factor, so only the picked chain forms and normalizes its state
-    diagonals = rotated.diagonal(0, 1, 2)[:, None] * clicks.diagonal(0, 1, 2)
-    p2 = diagonals.sum(2).real.tolist()
+    # second stage the same way, on every surviving branch
+    second = rotated[:, None] * clicks
+    p2 = second.trace(0, 2, 3).real
     chains = []  # (first index, second index, probability)
-    for i, q1, rho1, q2 in zip(range(lo, hi), w1, rotated, p2):
+    for i, q1, rho1, q2 in zip(range(lo, hi), w1, rotated, p2.tolist()):
         lo2, hi2, w2 = _herald(q2, rho1, factors)
         chains += [(i, j, q1 * q) for j, q in zip(range(lo2, hi2), w2)]
 
@@ -587,7 +584,7 @@ def bell_measurement(
         pick = int(_draw(rng, [p for _, _, p in chains]))
 
     i, j, probability = chains[pick]
-    final = h @ (rotated[i - lo] * factors[j] / p2[i - lo][j]) @ h  # undo the rotation
+    final = h @ (second[i - lo, j] / p2[i - lo, j]) @ h  # undo the rotation
     outcome = _BELL_OUTCOMES[i][j]
     target = _BELL_VECTORS[outcome.label]
     fidelity = float(np.real(np.conj(target) @ final @ target))

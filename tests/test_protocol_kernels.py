@@ -162,8 +162,7 @@ def reference_parity_probe(node_a, node_b, state, probe, mean_photons):
         even_flux=float(weights @ (np.abs(amps[:, 0]) ** 2)),
         odd_flux=float(weights @ (np.abs(amps[:, 1]) ** 2)),
         outcome_probabilities={
-            o: float((weights * factors[o].diagonal().real).sum())
-            for o in ("even", "odd", "both", "none")
+            o: float(np.trace(rho * factors[o]).real) for o in ("even", "odd", "both", "none")
         },
         post_states={o: reference_condition(rho, factors[o])[1] for o in ("even", "odd")},
     )

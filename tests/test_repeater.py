@@ -226,6 +226,18 @@ def test_false_even_has_interior_minimum(make_params):
     assert gammas[best] == pytest.approx(3.2551020408163267, rel=1e-12)
 
 
+@pytest.mark.parametrize("pair", [
+    ({}, {}), ({"gamma": 3.0}, {"gamma": 3.0}), ({"gamma": 4.0}, {"gamma": 3.5, "kappa": 0.12}),
+    ({}, {"g": 0.2}), ("ideal", "ideal"),
+])
+def test_false_even_is_the_weak_probe_limit_of_parity(make_params, pair):
+    # the threshold model's P(even) / (P(even) + P(odd)) on psi+ at 1e-6 photons
+    node_a, node_b = (NodeRouting.ideal() if p == "ideal" else make_params(**p) for p in pair)
+    want = false_even_probability(node_a, node_b, PROBE)
+    p = parity_probe(node_a, node_b, TwoDipoleState.bell("psi_plus"), PROBE, 1e-6).outcome_probabilities
+    assert abs(p["even"] / (p["even"] + p["odd"]) - want) <= 1e-5 * want
+
+
 def test_false_even_requires_detectable_flux():
     with pytest.raises(InvalidRegime):
         false_even_probability(_dead_node(), _dead_node(), PROBE)

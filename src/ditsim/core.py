@@ -320,6 +320,8 @@ def _drop_arrays(
     return x, denom, np.divide(-params.gamma, denom, out=coupling)
 
 
+# complex division can overflow inside on a quotient in range (a huge tau gives sigma = -0)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def scattering_arrays(params: SystemParams, delta_omega: np.ndarray) -> ScatterCoefficients:
     """Vectorized :func:`scatter_coefficients` over a detuning array.
 

@@ -51,7 +51,8 @@ class DetuningGrid:
     """Uniform grid of probe detunings, rad/s.
 
     A single-point grid (count = 1) requires start == stop; otherwise the
-    grid must be a proper interval with start < stop.
+    grid must be a proper interval with start < stop whose width stop - start
+    is a finite float.
     """
 
     start: float
@@ -75,6 +76,10 @@ class DetuningGrid:
         elif self.start >= self.stop:
             raise ValueError(
                 f"grid requires start < stop, got [{self.start}, {self.stop}]"
+            )
+        elif not math.isfinite(float(self.stop) - float(self.start)):
+            raise ValueError(
+                f"grid width stop - start overflows the float range, got [{self.start}, {self.stop}]"
             )
 
     @property
@@ -133,18 +138,15 @@ def transmission_spectrum(params: SystemParams, grid: DetuningGrid) -> SpectrumS
         block = slice(start, start + _BLOCK)
         try:
             x, _, t_drop = _drop_arrays(params, points[block])
-        except NumericsError as exc:
-            error = exc
-            break
+        except NumericsError:
+            _drop_arrays(params, points)  # raises the whole grid's error
+            raise
         block_through, block_drop = through[block], drop[block]
         np.abs(np.add(1.0, t_drop, out=x), out=block_through)  # x is spent: reuse it
         block_through **= 2
         np.abs(t_drop, out=block_drop)
         block_drop **= 2
-    else:
-        return SpectrumSeries(grid=grid, detuning=points, through=through, drop=drop)
-    _drop_arrays(params, points)  # raises the whole grid's error
-    raise error
+    return SpectrumSeries(grid=grid, detuning=points, through=through, drop=drop)
 
 
 def _half_crossing(x: np.ndarray, y: np.ndarray, peak_idx: int, level: float, side: int) -> float | None:
@@ -160,8 +162,11 @@ def _half_crossing(x: np.ndarray, y: np.ndarray, peak_idx: int, level: float, si
         return None
     i = peak_idx + side * steps
     prev = i - side  # first sample still above the level
-    span = y[i] - y[prev]
-    frac = 0.0 if span == 0.0 else (level - y[prev]) / span
+    y_i, y_prev = float(y[i]), float(y[prev])
+    span = y_i - y_prev
+    if not math.isfinite(span):
+        raise _overflow(y, (prev, i))
+    frac = 0.0 if span == 0.0 else (level - y_prev) / span
     x_prev = _finite_at(x, prev)
     return float(x_prev + frac * (_finite_at(x, i) - x_prev))
 
@@ -172,6 +177,12 @@ def _finite_at(values, i: int, what: str = "detuning") -> float:
     if not math.isfinite(value):
         raise ValueError(f"spectrum {what} must be finite, got {value} at index {i}")
     return value
+
+
+def _overflow(y, indices) -> ValueError:
+    """The error for finite through samples whose differences leave the float range."""
+    samples = ", ".join(f"{float(y[i])} at index {i}" for i in sorted(set(indices)))
+    return ValueError(f"spectrum through samples overflow the float range of the peak report: {samples}")
 
 
 def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
@@ -192,8 +203,10 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
         the peak is indistinguishable from the baseline at 1e-12 relative.
     ValueError
         If ``detuning`` and ``through`` differ in length, if a ``through``
-        sample is not finite, or if a detuning that the report reads (peak
-        sample, half-crossing brackets) is not finite.
+        sample is not finite, if the baseline, the peak height, the half
+        level or a half crossing's span overflows the float range (naming
+        the samples it is formed from), or if a detuning that the report
+        reads (peak sample, half-crossing brackets) is not finite.
     """
     y, x = np.asarray(series.through), series.detuning
     if len(x) != len(y):
@@ -209,14 +222,17 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
     if idx == 0 or idx == len(y) - 1:
         raise NoPeak("through maximum lies on the grid edge; no interior peak")
 
-    low_left = _finite_at(y, int(np.argmin(y[: idx + 1])), "through sample")
-    low_right = _finite_at(y, idx + int(np.argmin(y[idx:])), "through sample")
+    lows = int(np.argmin(y[: idx + 1])), idx + int(np.argmin(y[idx:]))
+    low_left, low_right = (_finite_at(y, i, "through sample") for i in lows)
+    ym, y0, yp = float(y[idx - 1]), float(y[idx]), float(y[idx + 1])
     baseline = 0.5 * (low_left + low_right)
-    if y[idx] - baseline <= 1e-12 * max(abs(y[idx]), abs(baseline), 1e-300):
+    height = y0 - baseline  # not finite where the baseline is not either
+    if not math.isfinite(height):
+        raise _overflow(y, (*lows, idx))
+    if height <= 1e-12 * max(abs(y0), abs(baseline), 1e-300):
         raise NoPeak("through peak is indistinguishable from the baseline")
 
     # parabola through (idx-1, idx, idx+1); offset clamped to half a step
-    ym, y0, yp = float(y[idx - 1]), float(y[idx]), float(y[idx + 1])
     curvature = ym - 2.0 * y0 + yp
     offset = 0.0 if curvature == 0.0 else 0.5 * (ym - yp) / curvature
     offset = min(0.5, max(-0.5, offset))
@@ -224,6 +240,8 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
     peak_value = y0 - 0.25 * (ym - yp) * offset
 
     level = 0.5 * (peak_value + baseline)
+    if not (math.isfinite(curvature) and math.isfinite(level)):
+        raise _overflow(y, (*lows, idx - 1, idx, idx + 1))
     left = _half_crossing(x, y, idx, level, -1)
     right = _half_crossing(x, y, idx, level, +1)
     if left is None and right is None:

@@ -940,3 +940,13 @@ def test_cli_import_leaves_out_the_network_modules():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_spectrum_of_a_huge_tau_writes_nothing_to_stderr(tmp_path):
+    # a valid grid on which numpy's complex division for sigma overflowed inside
+    conf = write(tmp_path / "huge.conf", "tau: 1.7e296\nstart: 0\nstop: 1.7e296\npoints: 5\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "ditsim.cli", "spectrum", "--config", conf,
+                          "--out", str(tmp_path / "run")], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")

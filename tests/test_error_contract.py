@@ -28,6 +28,7 @@ from ditsim import (
     fidelity_success_tradeoff,
     locate_transparency_peak,
     parameter_sweep,
+    scatter_coefficients,
     scattering_arrays,
     transmission_spectrum,
 )
@@ -95,11 +96,17 @@ def test_peak_leaves_detunings_it_does_not_read_unchecked():
     assert report == ditsim.PeakReport(peak_detuning=0.0, peak_value=1.0, fwhm=1.25)
 
 
-def _through_repro(indices, value):
-    # a 9-point dip with its peak at index 4, as series() below draws it
+def _spectrum_with(samples):
+    # a 9-point dip with its peak at index 4, as series() below draws it,
+    # with the through samples given by index
     out = transmission_spectrum(NODE, DetuningGrid(-3e12, 3e12, 9))
-    out.through[indices] = value
+    for i, value in samples.items():
+        out.through[i] = value
     return out
+
+
+def _through_repro(indices, value):
+    return _spectrum_with(dict.fromkeys(indices, value))
 
 
 # a nan report, a leaked numpy warning and a misleading NoPeak before the check
@@ -110,6 +117,51 @@ THROUGH_REPROS = [([6], math.nan), ([7, 8], math.inf), ([2], -math.inf)]
 def test_peak_names_a_nonfinite_through_sample(indices, value):
     with pytest.raises(ValueError, match=rf"^spectrum through sample must be finite, got {value} at index {indices[0]}$"):
         locate_transparency_peak(_through_repro(indices, value))
+
+
+# finite samples near the float max: a leaked numpy overflow warning, and a
+# baseline at -inf that made a misleading NoPeak, before the check
+HUGE_REPROS = [({4: 1.7e308, 3: -1.7e308}, "-1.7e+308 at index 3, 1.7e+308 at index 4, "),
+               ({3: -1.7e308, 5: -1.7e308}, "-1.7e+308 at index 3, ")]
+
+
+@pytest.mark.parametrize("samples, named", HUGE_REPROS, ids=["peak_over_a_low", "both_lows"])
+def test_peak_names_through_samples_that_overflow(samples, named):
+    series = _spectrum_with(samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            locate_transparency_peak(series)
+    message = str(info.value)
+    assert message.startswith("spectrum through samples overflow the float range of the peak report: "
+                              + named)
+    assert all(f"at index {i}" in message for i in samples)
+
+
+@pytest.mark.parametrize("make", [lambda: DetuningGrid(-1e308, 1e308, 5),
+                                  lambda: DetuningGrid.default(NODE, span=1e296)],
+                         ids=["endpoints", "default"])
+def test_grid_refuses_a_width_that_overflows(make):
+    with pytest.raises(ValueError, match=r"^grid width stop - start overflows the float range, "
+                                         r"got \[-1e\+308, 1e\+308\]$"):
+        make()
+
+
+HUGE_TAU = SystemParams(1e12, 0.33e12, 1.7e308, 1e11)
+
+
+def test_scattering_arrays_form_every_array_without_a_warning():
+    # the quotients are in range (sigma is -0, as scatter_coefficients gives)
+    # though numpy's complex division overflows on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = scattering_arrays(HUGE_TAU, [1.7e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = scattering_arrays(HUGE_TAU, [1.7e308, 0.0])
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert complex(got.sigma_amp[0]) == scatter_coefficients(HUGE_TAU, 1.7e308).sigma_amp
 
 
 @pytest.mark.parametrize("values", [None, 1.0, np.array(1e11)])
@@ -126,8 +178,8 @@ def test_tradeoff_names_a_grid_that_is_not_a_sequence(grid):
 
 # ------------------------------------------------- every public callable --
 
-BAD = [math.nan, math.inf, -math.inf, -1.0, -1e300, 1e300, 1e-300, 5e-324, -5e-324, 0.0, 1.0,
-       None, "1", "x", "nan"]
+BAD = [math.nan, math.inf, -math.inf, -1.0, -1e300, 1e300, -1.7e308, 1.7e308, 1e-300, 5e-324,
+       -5e-324, 0.0, 1.0, None, "1", "x", "nan"]
 bad_numbers = st.sampled_from(BAD)
 numbers = st.one_of(bad_numbers, st.floats(-1e13, 1e13))
 nodes = st.sampled_from([
@@ -148,7 +200,8 @@ def series(draw):
     out = transmission_spectrum(NODE, DetuningGrid(-3e12, 3e12, 9))
     for array in (out.detuning, out.through, out.drop):
         for i in draw(st.lists(st.integers(0, 8), max_size=3)):
-            array[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 1e300, -1e300, 5e-324]))
+            array[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 1e300, -1e300,
+                                             1.7e308, -1.7e308, 5e-324]))
     return out
 
 
@@ -194,6 +247,10 @@ class Fixed:
 @example(data=Fixed(series=_through_repro(*THROUGH_REPROS[0])))
 @example(data=Fixed(series=_through_repro(*THROUGH_REPROS[1])))
 @example(data=Fixed(series=_through_repro(*THROUGH_REPROS[2])))
+@example(data=Fixed(series=_spectrum_with(HUGE_REPROS[0][0])))
+@example(data=Fixed(series=_spectrum_with(HUGE_REPROS[1][0])))
+@example(data=Fixed(params=HUGE_TAU, delta_omega=[1.7e308, 0.0]))
+@example(data=Fixed(start=-1e308, stop=1e308, count=5))
 def test_public_callables_raise_only_contract_errors(name, data):
     function = getattr(ditsim, name)
     parameters = inspect.signature(function).parameters

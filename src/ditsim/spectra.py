@@ -203,10 +203,11 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
         the peak is indistinguishable from the baseline at 1e-12 relative.
     ValueError
         If ``detuning`` and ``through`` differ in length, if a ``through``
-        sample is not finite, if the baseline, the peak height, the half
-        level or a half crossing's span overflows the float range (naming
-        the samples it is formed from), or if a detuning that the report
-        reads (peak sample, half-crossing brackets) is not finite.
+        sample is not finite, if the baseline, the peak height, the
+        parabola's curvature, the half level or a half crossing's span
+        overflows the float range (naming the samples it is formed from), or
+        if a detuning that the report reads (peak sample, half-crossing
+        brackets) is not finite.
     """
     y, x = np.asarray(series.through), series.detuning
     if len(x) != len(y):

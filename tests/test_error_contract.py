@@ -119,23 +119,25 @@ def test_peak_names_a_nonfinite_through_sample(indices, value):
         locate_transparency_peak(_through_repro(indices, value))
 
 
-# finite samples near the float max: a leaked numpy overflow warning, and a
-# baseline at -inf that made a misleading NoPeak, before the check
+# finite samples near the float max: leaked numpy overflow warnings (from the
+# peak height and from a half crossing's span), a baseline at -inf that made a
+# misleading NoPeak, and a parabola whose curvature overflowed, before the checks
 HUGE_REPROS = [({4: 1.7e308, 3: -1.7e308}, "-1.7e+308 at index 3, 1.7e+308 at index 4, "),
-               ({3: -1.7e308, 5: -1.7e308}, "-1.7e+308 at index 3, ")]
+               ({3: -1.7e308, 5: -1.7e308}, "-1.7e+308 at index 3, "),
+               ({2: -1.7e308, 3: 0.5e308, 4: 0.8e308, 5: 0.7e308}, ": -1.7e+308 at index 2, 5e+307 at index 3"),
+               ({3: 0.9e308, 4: 1e308, 5: 0.9e308}, "9e+307 at index 3, 1e+308 at index 4, 9e+307 at index 5")]
 
 
-@pytest.mark.parametrize("samples, named", HUGE_REPROS, ids=["peak_over_a_low", "both_lows"])
+@pytest.mark.parametrize("samples, named", HUGE_REPROS,
+                         ids=["peak_over_a_low", "both_lows", "crossing", "curvature"])
 def test_peak_names_through_samples_that_overflow(samples, named):
     series = _spectrum_with(samples)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(ValueError, match="^spectrum through samples overflow the float range "
+                                             "of the peak report: ") as info:
             locate_transparency_peak(series)
-    message = str(info.value)
-    assert message.startswith("spectrum through samples overflow the float range of the peak report: "
-                              + named)
-    assert all(f"at index {i}" in message for i in samples)
+    assert named in str(info.value)
 
 
 @pytest.mark.parametrize("make", [lambda: DetuningGrid(-1e308, 1e308, 5),
@@ -249,6 +251,7 @@ class Fixed:
 @example(data=Fixed(series=_through_repro(*THROUGH_REPROS[2])))
 @example(data=Fixed(series=_spectrum_with(HUGE_REPROS[0][0])))
 @example(data=Fixed(series=_spectrum_with(HUGE_REPROS[1][0])))
+@example(data=Fixed(series=_spectrum_with(HUGE_REPROS[2][0])))
 @example(data=Fixed(params=HUGE_TAU, delta_omega=[1.7e308, 0.0]))
 @example(data=Fixed(start=-1e308, stop=1e308, count=5))
 def test_public_callables_raise_only_contract_errors(name, data):

@@ -715,8 +715,8 @@ def fidelity_success_tradeoff(
         # take every probed point through the engine in one stacked pass
         route_a, route_b = _route_pair(node_a, node_b, probe)
         amps = np.array([_pointer_rows(route_a, route_b, math.sqrt(n)) for n in probed], complex)
-        even, none = _PHI_PLUS_RHO * _threshold_factors(amps)[[0, 3]]  # unnormalized
-        p_even, p_none = even.trace(0, 1, 2).real, none.trace(0, 1, 2).real
+        heralded = _PHI_PLUS_RHO * _threshold_factors(amps)[[0, 3]]  # even, none; unnormalized
+        p_even, p_none = heralded.trace(0, 2, 3).real
         for q in p_even.tolist():
             if q <= _PROB_FLOOR:
                 raise InvalidRegime("even-parity herald cannot fire for this node configuration")
@@ -724,7 +724,7 @@ def fidelity_success_tradeoff(
                 raise InvalidRegime(f"even-parity herald probability is not finite: P = {q!r}")
         vec = _BELL_VECTORS["phi_plus"]
         # a row times a column per point, the product one matrix would take
-        fidelity = ((np.conj(vec) @ (even / p_even[:, None, None]))[:, None] @ vec).real
+        fidelity = ((np.conj(vec) @ (heralded[0] / p_even[:, None, None]))[:, None] @ vec).real
         measured = zip(probed, fidelity[:, 0].tolist(), (1.0 - p_none).tolist())
     return TradeoffTable(
         points=tuple(TradeoffPoint(0.0, 1.0, 0.0) if nbar == 0.0 else TradeoffPoint(*next(measured))

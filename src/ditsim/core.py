@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -68,6 +69,9 @@ class UndefinedDiagnostic(NumericsError):
 
 
 _FIELDS = ("gamma", "g", "tau", "kappa", "delta", "omega0")
+# the lower bound of each bounded field: its comparison with 0 and that comparison's text
+_BOUNDS = {"gamma": (operator.gt, ">"), "g": (operator.ge, ">="), "tau": (operator.ge, ">="),
+           "kappa": (operator.ge, ">="), "omega0": (operator.ge, ">=")}
 
 
 def _field_problem(name: str, value, check_range: bool = True) -> str | None:
@@ -75,13 +79,14 @@ def _field_problem(name: str, value, check_range: bool = True) -> str | None:
 
     With ``check_range`` false only the type and finiteness are checked.
     """
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
+    try:
+        number = _finite(value, name)
+    except ValueError:
         return f"{name} must be a finite number, got {value!r}"
-    if check_range:
-        if name == "gamma" and value <= 0.0:
-            return f"gamma must be > 0, got {float(value)}"
-        if name in ("g", "tau", "kappa", "omega0") and value < 0.0:
-            return f"{name} must be >= 0, got {float(value)}"
+    if check_range and name in _BOUNDS:
+        test, text = _BOUNDS[name]
+        if not test(number, 0.0):
+            return f"{name} must be {text} 0, got {number}"
     return None
 
 
@@ -93,11 +98,7 @@ def _invalid_params(problems) -> str:
 def _field_ok(name: str, values: np.ndarray) -> np.ndarray:
     """Where the float64 ``values`` pass :func:`_field_problem` for ``name``."""
     ok = np.isfinite(values)
-    if name == "gamma":
-        ok &= values > 0.0
-    elif name in ("g", "tau", "kappa", "omega0"):
-        ok &= values >= 0.0
-    return ok
+    return ok & _BOUNDS[name][0](values, 0.0) if name in _BOUNDS else ok
 
 
 @dataclass(frozen=True)
@@ -131,21 +132,23 @@ class SystemParams:
     omega0: float = 0.0
 
     def __post_init__(self):
-        if self.kappa is None:
-            object.__setattr__(self, "kappa", 0.1 * self.gamma)
-        problems = []
+        problems = {}
         for name in _FIELDS:
             value = getattr(self, name)
+            if value is None and name == "kappa":
+                if "gamma" in problems:
+                    continue  # the default follows only from a valid gamma
+                value = 0.1 * self.gamma
             problem = _field_problem(name, value)
             if problem:
-                problems.append(problem)
+                problems[name] = problem
             else:
                 object.__setattr__(self, name, float(value))
         if problems:
             # range problems are reported only once every field is a finite number
-            finite = [p for name in _FIELDS
-                      if (p := _field_problem(name, getattr(self, name), check_range=False))]
-            raise ValueError(_invalid_params(finite or problems))
+            finite = [p for name, p in problems.items()
+                      if _field_problem(name, getattr(self, name), check_range=False)]
+            raise ValueError(_invalid_params(finite or problems.values()))
 
     @property
     def quality_factor(self) -> float | None:
@@ -162,10 +165,7 @@ class ProbeDetuning:
     delta_omega: float
 
     def __post_init__(self):
-        value = _number(self.delta_omega, "delta_omega")
-        if not math.isfinite(value):
-            raise ValueError(f"delta_omega must be finite, got {self.delta_omega!r}")
-        object.__setattr__(self, "delta_omega", value)
+        object.__setattr__(self, "delta_omega", _finite(self.delta_omega, "delta_omega"))
 
 
 Probe = Union[ProbeDetuning, float]
@@ -185,6 +185,16 @@ def _number(value, name: str, kind: type = float):
     raise ValueError(f"{name} must be a {what} number, got {value!r}")
 
 
+def _finite(value, name: str, kind: type = float, nonnegative: bool = False):
+    """:func:`_number`, with ``ValueError`` naming ``name`` also for a value
+    that is not finite, or (with ``nonnegative``) that is below 0."""
+    number = _number(value, name, kind)
+    if cmath.isfinite(number) and not (nonnegative and number < 0.0):
+        return number
+    bound = " and >= 0" if nonnegative else ""
+    raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+
+
 def _iterable(values, name: str):
     """``iter(values)``, with ``ValueError`` naming ``name`` where it cannot iterate."""
     try:
@@ -196,10 +206,7 @@ def _iterable(values, name: str):
 def _probe_value(probe: Probe) -> float:
     if isinstance(probe, ProbeDetuning):
         return probe.delta_omega
-    value = _number(probe, "probe detuning")
-    if not math.isfinite(value):
-        raise ValueError(f"probe detuning must be finite, got {probe!r}")
-    return value
+    return _finite(probe, "probe detuning")
 
 
 class ScatterCoefficients(NamedTuple):
@@ -580,7 +587,8 @@ def diagnostics(params: SystemParams, eta: float = 0.01) -> DiagnosticNumbers:
         raise UndefinedDiagnostic(
             f"diagnostics need g > 0 and tau > 0 (got g={params.g}, tau={params.tau})"
         )
-    if not 0.0 < _number(eta, "eta") <= 1.0:
+    eta = _number(eta, "eta")
+    if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta!r}")
     g2 = params.g * params.g
     try:
@@ -611,9 +619,7 @@ def weak_excitation_check(params: SystemParams, input_flux: float) -> WeakExcita
     input_flux * |sigma_amp|^2; the report flags valid when it is below 0.1.
     An overflowing |sigma_amp|^2 reads inf (0 at no input) unless :func:`flux_budget` refuses.
     """
-    input_flux = _number(input_flux, "input_flux")
-    if not math.isfinite(input_flux) or input_flux < 0.0:
-        raise ValueError(f"input_flux must be a finite non-negative rate, got {input_flux!r}")
+    input_flux = _finite(input_flux, "input_flux", nonnegative=True)
     sigma_amp = scatter_coefficients(params, 0.0).sigma_amp
     try:
         occupancy = input_flux * abs(sigma_amp) ** 2

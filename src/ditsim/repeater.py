@@ -22,7 +22,6 @@ entry points guard the mean photon number where the model requires it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -36,8 +35,8 @@ from .core import (  # scatter_coefficients stays importable from here
     SystemParams,
     _amplitudes,
     _dipole_loss,
+    _finite,
     _iterable,
-    _number,
     _probe_value,
     scatter_coefficients,  # noqa: F401
 )
@@ -129,12 +128,9 @@ class TwoDipoleState:
             raise ValueError(
                 f"amplitudes must be a sequence of 4 complex numbers, got {self.amplitudes!r}"
             ) from None
-        amps = tuple(_number(a, "amplitudes", complex) for a in raw)
+        amps = tuple(_finite(a, "amplitudes", complex) for a in raw)
         if len(amps) != 4:
             raise ValueError(f"need 4 amplitudes over {BASIS}, got {len(amps)}")
-        for a in amps:
-            if not cmath.isfinite(a):
-                raise ValueError(f"amplitudes must be finite, got {a!r}")
         object.__setattr__(self, "amplitudes", amps)
 
     def vector(self) -> np.ndarray:
@@ -269,13 +265,6 @@ class PointerRecord:
         return self.amplitudes[BASIS.index(basis_state)]
 
 
-def _mean_photons(value) -> float:
-    nbar = _number(value, "mean_photons")
-    if not math.isfinite(nbar) or nbar < 0.0:
-        raise ValueError(f"mean_photons must be finite and >= 0, got {value!r}")
-    return nbar
-
-
 def _pointer_rows(route_a: NodeRouting, route_b: NodeRouting, alpha: float) -> list[list]:
     """4x6 coherent amplitudes as lists, rows over BASIS, columns over PORTS.
 
@@ -372,7 +361,7 @@ def _probe_pass(
     are read-only.
     """
     global _pass_memo
-    nbar = _mean_photons(mean_photons)
+    nbar = _finite(mean_photons, "mean_photons", nonnegative=True)
     (a, b, p, n), result = _pass_memo
     if a is node_a and b is node_b and p is probe and n is nbar:
         return result
@@ -560,6 +549,8 @@ def bell_measurement(
     signature from the (detection-conditioned) distribution instead.  The
     full distribution is returned either way.
     """
+    if rng is not None and not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be None or a numpy.random.Generator, got {rng!r}")
     _, _, factors = _probe_pass(node_a, node_b, probe, mean_photons)
     clicks = factors[:2]  # even, odd
     c = _unit_vector(state)
@@ -630,7 +621,7 @@ def entanglement_generation(
     routing contrast between the arms) the initial product state is returned
     with zero fidelity and zero success probability.
     """
-    nbar = _mean_photons(mean_photons)
+    nbar = _finite(mean_photons, "mean_photons", nonnegative=True)
     if not 0.0 < nbar <= 0.1:
         raise InvalidRegime(
             "entanglement generation requires 0 < mean_photons <= 0.1 "
@@ -707,7 +698,8 @@ def fidelity_success_tradeoff(
     the loss channels, so fidelity falls as success rises.  A zero entry
     means no measurement at all: fidelity 1, success 0.
     """
-    nbars = [_mean_photons(raw) for raw in _iterable(mean_photons_grid, "mean_photons grid")]
+    nbars = [_finite(raw, "mean_photons", nonnegative=True)
+             for raw in _iterable(mean_photons_grid, "mean_photons grid")]
     probed = [nbar for nbar in nbars if nbar != 0.0]
     measured = iter(())  # (nbar, fidelity, success) of the probed points, in order
     if probed:

@@ -26,6 +26,7 @@ from .core import (  # flux_budget and scattering_arrays stay importable from he
     _drop_arrays,
     _field_ok,
     _field_problem,
+    _finite,
     _flux,
     _flux_arrays,
     _invalid_params,
@@ -61,8 +62,7 @@ class DetuningGrid:
 
     def __post_init__(self):
         for name in ("start", "stop"):
-            if not math.isfinite(_number(getattr(self, name), f"grid endpoint {name}")):
-                raise ValueError("grid endpoints must be finite")
+            object.__setattr__(self, name, _finite(getattr(self, name), f"grid endpoint {name}"))
         try:
             count = operator.index(self.count)  # any integer, numpy's included
         except TypeError:
@@ -77,7 +77,7 @@ class DetuningGrid:
             raise ValueError(
                 f"grid requires start < stop, got [{self.start}, {self.stop}]"
             )
-        elif not math.isfinite(float(self.stop) - float(self.start)):
+        elif not math.isfinite(self.stop - self.start):
             raise ValueError(
                 f"grid width stop - start overflows the float range, got [{self.start}, {self.stop}]"
             )
@@ -94,8 +94,8 @@ class DetuningGrid:
     @classmethod
     def default(cls, params: SystemParams, span: float = 3.0, count: int = 2001) -> "DetuningGrid":
         """Symmetric grid of +-span*gamma around the cavity line."""
-        span = _number(span, "span")
-        return cls(-span * params.gamma, span * params.gamma, count)
+        half = _finite(_finite(span, "span") * params.gamma, "span * gamma")
+        return cls(-half, half, count)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,7 @@ from . import _numtext
 
 _PALETTE = ("#1f6feb", "#d73a49", "#2da44e", "#b08800", "#8250df", "#57606a")
 _WIDTH, _HEIGHT = 720, 480  # canvas size in px
+_TICKS = 6  # an axis's span over this is the raw tick step
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,9 @@ def _padded(lo: float, hi: float, axis: str) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
-    raw = span / max(count, 1)
+    raw = span / _TICKS
     # a finite step within two ulps of the ends may never advance across the
     # axis, and a subnormal or zero one has no reciprocal: such an axis is
     # marked at its ends only

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,7 +75,15 @@ def test_invalid_params_reported_together():
         (dict(gamma=0, g=1, tau=1), "gamma must be > 0, got 0.0"),
         (dict(gamma=float("inf"), g=-float("inf"), tau=1, delta=float("nan")),
          "gamma must be a finite number, got inf; g must be a finite number, got -inf; "
-         "kappa must be a finite number, got inf; delta must be a finite number, got nan"),
+         "delta must be a finite number, got nan"),
+        # no OverflowError or TypeError leaks, and an omitted kappa, whose
+        # default follows only from a valid gamma, is not blamed
+        pytest.param(dict(gamma=10**400, g=1, tau=1, kappa=1),
+                     f"gamma must be a finite number, got {10**400!r}", id="int_beyond_float"),
+        pytest.param(dict(gamma=10**400, g=1, tau=1),
+                     f"gamma must be a finite number, got {10**400!r}", id="int_beyond_float_no_kappa"),
+        (dict(gamma="x", g=1, tau=1), "gamma must be a finite number, got 'x'"),
+        (dict(gamma=-1.0, g=1, tau=1), "gamma must be > 0, got -1.0"),
     ],
 )
 def test_invalid_params_message(fields, message):
@@ -82,6 +91,15 @@ def test_invalid_params_message(fields, message):
     with pytest.raises(ValueError) as err:
         SystemParams(**fields)
     assert str(err.value) == "invalid SystemParams: " + message
+
+
+def test_params_accept_the_numbers_every_entry_point_accepts():
+    # SystemParams reads its fields as a probe or a sweep value is read
+    p = SystemParams(np.int64(2), np.float32(0.5), 0)
+    assert (p.gamma, p.g, p.tau, p.kappa) == (2.0, 0.5, 0.0, 0.2)
+    assert all(type(getattr(p, name)) is float
+               for name in ("gamma", "g", "tau", "kappa", "delta", "omega0"))
+    assert SystemParams(Fraction(1, 2), Fraction(1, 4), 1) == SystemParams(0.5, 0.25, 1.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -92,7 +110,7 @@ def test_nonfinite_rates_rejected(bad):
         SystemParams(gamma=1.0, g=0.0, tau=1.0, delta=bad)
     with pytest.raises(ValueError, match="delta_omega must be finite"):
         ProbeDetuning(bad)
-    with pytest.raises(ValueError, match="grid endpoints must be finite"):
+    with pytest.raises(ValueError, match=f"^grid endpoint start must be finite, got {bad!r}$"):
         DetuningGrid(bad, 1.0, 3)
 
 
@@ -356,6 +374,12 @@ def test_diagnostics_undefined_cases(make_params):
         diagnostics(make_params(), eta=0.0)
     with pytest.raises(ValueError):
         diagnostics(make_params(), eta=1.5)
+
+
+def test_diagnostics_read_eta_as_a_float(baseline):
+    # a float32 eta used to make max_safe_flux a float32
+    got = diagnostics(baseline, np.float32(0.5))
+    assert got == diagnostics(baseline, 0.5) and type(got.max_safe_flux) is float
 
 
 def test_max_safe_flux_scales_with_eta(baseline):

@@ -1,14 +1,17 @@
 """The error contract of every public entry point.
 
 Bad numbers (nan, infinities, negatives, extreme magnitudes, subnormals,
-``None``, strings) raise only ``ValueError`` or a ``NumericsError``
-subclass, also with warnings as errors.  A node that is neither
-``SystemParams`` nor ``NodeRouting`` raises ``TypeError`` on purpose.
+an int beyond the float range, ``None``, strings) raise only ``ValueError``
+or a ``NumericsError`` subclass, also with warnings as errors.  numpy
+scalars and fractions, which every entry point reads as floats, are drawn
+with them.  A node that is neither ``SystemParams`` nor ``NodeRouting``
+raises ``TypeError`` on purpose.
 """
 
 import inspect
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from ditsim import (
     SpectrumSeries,
     SystemParams,
     TwoDipoleState,
+    bell_measurement,
     diagnostics,
     fidelity_success_tradeoff,
     locate_transparency_peak,
@@ -49,6 +53,24 @@ def test_diagnostics_names_an_eta_that_is_not_a_number(eta):
 def test_default_grid_names_a_span_that_is_not_a_number(span):
     with pytest.raises(ValueError, match="^span must be a real number"):
         DetuningGrid.default(NODE, span=span)
+
+
+def test_grid_names_a_nonfinite_endpoint_or_span():
+    with pytest.raises(ValueError, match=r"^grid endpoint start must be finite, got inf$"):
+        DetuningGrid(math.inf, 1.0, 3)
+    with pytest.raises(ValueError, match=r"^grid endpoint stop must be finite, got nan$"):
+        DetuningGrid(0.0, math.nan, 3)
+    # the caller gave no endpoint, so the message names the span
+    with pytest.raises(ValueError, match=r"^span must be finite, got inf$"):
+        DetuningGrid.default(NODE, span=math.inf)
+    with pytest.raises(ValueError, match=r"^span \* gamma must be finite, got inf$"):
+        DetuningGrid.default(NODE, span=1e297)
+
+
+@pytest.mark.parametrize("rng", [42, "x", np.random.RandomState(0)], ids=["int", "str", "RandomState"])
+def test_bell_measurement_names_an_rng_that_is_not_a_generator(rng):
+    with pytest.raises(ValueError, match=r"^rng must be None or a numpy.random.Generator, got "):
+        bell_measurement(NODE, NODE, TwoDipoleState.bell("phi_plus"), 0.0, 1.0, rng=rng)
 
 
 @pytest.mark.parametrize("delta_omega", [1.0, np.float64(-2e11), np.array(0.5e12), [[0.0, 1e11]]])
@@ -181,7 +203,8 @@ def test_tradeoff_names_a_grid_that_is_not_a_sequence(grid):
 # ------------------------------------------------- every public callable --
 
 BAD = [math.nan, math.inf, -math.inf, -1.0, -1e300, 1e300, -1.7e308, 1.7e308, 1e-300, 5e-324,
-       -5e-324, 0.0, 1.0, None, "1", "x", "nan"]
+       -5e-324, 0.0, 1.0, None, "1", "x", "nan",
+       np.int64(3), np.float32(0.5), Fraction(1, 2), 10**400]
 bad_numbers = st.sampled_from(BAD)
 numbers = st.one_of(bad_numbers, st.floats(-1e13, 1e13))
 nodes = st.sampled_from([
@@ -217,7 +240,7 @@ ARGUMENTS = {
     "grid": st.just(DetuningGrid(-3e12, 3e12, 11)),
     "series": series(),
     "axis": st.sampled_from([*ditsim.SWEEP_AXES, "omega0", "x", None]),
-    "rng": st.sampled_from([None, 0]).map(lambda s: s if s is None else np.random.default_rng(s)),
+    "rng": st.one_of(st.sampled_from([None, 42, "x"]), st.builds(np.random.default_rng, st.just(0))),
     "values": sequences,
     "mean_photons_grid": sequences,
     "delta_omega": st.one_of(numbers, sequences),

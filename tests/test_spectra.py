@@ -3,6 +3,8 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from ditsim import (
     NoPeak,
     SweepRow,
     SystemParams,
+    flux_budget,
     locate_transparency_peak,
     parameter_sweep,
     transmission_spectrum,
@@ -30,6 +33,14 @@ rate_thz = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
 
 
 # --------------------------------------------------------------- the grid --
+
+
+def test_grid_stores_its_endpoints_as_floats():
+    # a float32 endpoint used to give float32 points and a float32 step
+    grid = DetuningGrid(np.float32(-1e12), Fraction(1, 2), np.int64(5))
+    assert (grid.start, grid.stop) == (float(np.float32(-1e12)), 0.5)
+    assert type(grid.start) is type(grid.stop) is type(grid.step) is float
+    assert grid.points().dtype == np.float64
 
 
 def test_grid_points_and_step():
@@ -304,6 +315,15 @@ def test_sweep_values_accept_ints_and_numpy_numbers(baseline):
     assert all(type(row.value) is float and row.error is None for row in rows)
     as_array = parameter_sweep(baseline, "g", np.array([0.0, 0.33]) * THZ, 0.0).rows
     assert [row.budget for row in as_array] == [row.budget for row in rows[:2]]
+
+
+def test_sweep_rows_are_the_budgets_of_the_replaced_node(baseline):
+    # the promise of the docstring, for values that SystemParams also reads
+    values = [np.int64(3), Fraction(1, 2), np.float32(0.5)]
+    rows = parameter_sweep(baseline, "g", values, 0.0).rows
+    for value, row in zip(values, rows):
+        want = flux_budget(replace(baseline, g=value), 0.0)
+        assert [x.hex() for x in row.budget] == [x.hex() for x in want]
 
 
 # -------------------------------------------------------------- row types --

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -493,13 +494,24 @@ def false_even_probability(node_a: Node, node_b: Node, probe: Probe) -> float:
     return even_flux / total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolResult:
-    """Heralded protocol summary: conditioned state, fidelity, probability."""
+    """Heralded protocol summary: conditioned state, fidelity, probability.
 
-    post_state: TwoDipoleState
+    ``density`` is the heralded two-dipole density matrix (4x4, ``BASIS``
+    order); the protocols return it read-only.  ``post_state`` is its
+    largest-eigenvalue component as a pure state, formed on first read and
+    kept: a caller that never reads it never pays for the eigensolve.
+    """
+
+    density: np.ndarray
     fidelity: float
     success_probability: float
+
+    @cached_property
+    def post_state(self) -> TwoDipoleState:
+        # two threads reading it first both form the same bits; either may stay
+        return _dominant_pure_state(self.density)
 
 
 @dataclass(frozen=True)
@@ -547,7 +559,9 @@ def bell_measurement(
     Herald outcomes are enumerated and, when ``rng`` is None, the most
     likely signature is reported; passing a seeded generator samples the
     signature from the (detection-conditioned) distribution instead.  The
-    full distribution is returned either way.
+    full distribution is returned either way.  The reported chain's
+    conditioned state is the result's ``density``; its ``post_state`` is
+    formed from that only when read.
     """
     if rng is not None and not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be None or a numpy.random.Generator, got {rng!r}")
@@ -579,14 +593,9 @@ def bell_measurement(
     outcome = _BELL_OUTCOMES[i][j]
     target = _BELL_VECTORS[outcome.label]
     fidelity = float(np.real(np.conj(target) @ final @ target))
-    result = ProtocolResult(
-        post_state=_dominant_pure_state(final),
-        fidelity=fidelity,
-        success_probability=probability,
-    )
     return BellMeasurementRecord(
         outcome=outcome,
-        result=result,
+        result=ProtocolResult(_constant(final), fidelity, probability),
         distribution=tuple((_BELL_OUTCOMES[i][j], p) for i, j, p in chains),
     )
 
@@ -614,12 +623,14 @@ def entanglement_generation(
     heralding on threshold clicks with every other port traced gives about
     0.9877, of which multi-photon heralds cost 0.011 and the loss ports 0.0012.
 
-    Returns the heralded state, its fidelity to the singlet and the herald
+    Returns the heralded density matrix (``density``, its ``post_state``
+    formed only when read), its fidelity to the singlet and the herald
     probability per probe pulse.  ``mean_photons`` that is nan, infinite or
     negative raises ``ValueError``; 0 or above 0.1 raises ``InvalidRegime``.
     If no light can reach the dark ports (no
-    routing contrast between the arms) the initial product state is returned
-    with zero fidelity and zero success probability.
+    routing contrast between the arms) the initial product state is returned,
+    as ``post_state`` and as its projector ``density``, with zero fidelity
+    and zero success probability.
     """
     nbar = _finite(mean_photons, "mean_photons", nonnegative=True)
     if not 0.0 < nbar <= 0.1:
@@ -646,11 +657,12 @@ def entanglement_generation(
     herald_probability = p_t + p_d
 
     if herald_probability <= _PROB_FLOOR:
-        return ProtocolResult(
-            post_state=TwoDipoleState((_SQRT_HALF * _SQRT_HALF,) * 4),
-            fidelity=0.0,
-            success_probability=0.0,
-        )
+        product = TwoDipoleState((_SQRT_HALF * _SQRT_HALF,) * 4)
+        v = product.vector()
+        result = ProtocolResult(_constant(np.outer(v, np.conj(v))), 0.0, 0.0)
+        # the state as given: an eigenvector of its projector would round to 0.5
+        object.__setattr__(result, "post_state", product)
+        return result
 
     singlet = _BELL_VECTORS["psi_minus"]
     fidelity = 0.0
@@ -660,11 +672,7 @@ def entanglement_generation(
             continue
         fidelity += abs(np.vdot(singlet, vec)) ** 2 / p * (p / herald_probability)
         mixture += np.outer(vec, np.conj(vec)) / herald_probability
-    return ProtocolResult(
-        post_state=_dominant_pure_state(mixture),
-        fidelity=float(fidelity),
-        success_probability=float(herald_probability),
-    )
+    return ProtocolResult(_constant(mixture), float(fidelity), float(herald_probability))
 
 
 # ===================================================== fidelity tradeoff ==

@@ -8,6 +8,8 @@ a full ``parity_probe`` to read two fluxes, and the tradeoff one to read a
 post-state and a probability.
 All of that is kept here as references, and the current code must reproduce
 every result field bit for bit and every exception by type and message.
+The protocols' ``post_state`` is formed only when read, so it is compared
+by name, and no protocol may form it before then.
 """
 
 import math
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 
 from ditsim import (
     BASIS,
+    BELL_LABELS,
     PARITY_TO_BELL,
     THZ,
     BellMeasurementRecord,
@@ -187,6 +190,13 @@ def reference_false_even_probability(node_a, node_b, probe):
     return result.even_flux / total
 
 
+def reference_result(density, fidelity, probability, post_state):
+    """A ``ProtocolResult`` whose ``post_state`` is given, not formed by its property."""
+    result = ProtocolResult(density, fidelity, probability)
+    object.__setattr__(result, "post_state", post_state)
+    return result
+
+
 def reference_bell_measurement(node_a, node_b, state, probe, mean_photons, rng=None):
     _, factors = reference_probe_pass(node_a, node_b, probe, mean_photons)
     c = reference_normalized_vector(state)
@@ -228,7 +238,7 @@ def reference_bell_measurement(node_a, node_b, state, probe, mean_photons, rng=N
     fidelity = float(np.real(np.conj(target) @ final @ target))
     return BellMeasurementRecord(
         outcome=outcome,
-        result=ProtocolResult(_dominant_pure_state(final), fidelity, probability),
+        result=reference_result(final, fidelity, probability, _dominant_pure_state(final)),
         distribution=tuple((o, p) for o, p, _ in chains),
     )
 
@@ -258,7 +268,10 @@ def reference_entanglement_generation(node_a, node_b, probe, mean_photons):
     herald_probability = p_t + p_d
     if herald_probability <= 1e-300:
         r = complex(_SQRT_HALF)  # the product of two (|g> + |m>)/sqrt2 qubits
-        return ProtocolResult(TwoDipoleState((r * r,) * 4), 0.0, 0.0)
+        product = np.full(4, r * r)
+        # the state as given, not the eigenvector of its projector
+        return reference_result(np.outer(product, np.conj(product)), 0.0, 0.0,
+                                TwoDipoleState((r * r,) * 4))
     singlet = TwoDipoleState.bell("psi_minus").vector()
     fidelity = 0.0
     mixture = np.zeros((4, 4), dtype=complex)
@@ -267,7 +280,8 @@ def reference_entanglement_generation(node_a, node_b, probe, mean_photons):
             continue
         fidelity += abs(np.vdot(singlet, vec)) ** 2 / p * (p / herald_probability)
         mixture += np.outer(vec, np.conj(vec)) / herald_probability
-    return ProtocolResult(_dominant_pure_state(mixture), float(fidelity), float(herald_probability))
+    return reference_result(mixture, float(fidelity), float(herald_probability),
+                            _dominant_pure_state(mixture))
 
 
 def reference_fidelity_success_tradeoff(node_a, node_b, probe, mean_photons_grid):
@@ -295,6 +309,9 @@ def reference_fidelity_success_tradeoff(node_a, node_b, probe, mean_photons_grid
 
 # ---------------------------------------------------------------- helpers --
 
+# values a result derives on read rather than holds as a field
+_DERIVED = {ProtocolResult: ("post_state",)}
+
 
 def _bits(value):
     """A result as nested tuples of bit patterns, type names and strings."""
@@ -311,7 +328,8 @@ def _bits(value):
     if isinstance(value, dict):
         return tuple((k, _bits(value[k])) for k in sorted(value))
     if is_dataclass(value):
-        return type(value).__name__, tuple(_bits(getattr(value, f.name)) for f in fields(value))
+        names = [f.name for f in fields(value)] + list(_DERIVED.get(type(value), ()))
+        return type(value).__name__, tuple(_bits(getattr(value, name)) for name in names)
     raise TypeError(f"no bit pattern for {type(value)!r}")
 
 
@@ -553,6 +571,62 @@ def test_false_even_and_tradeoff_skip_the_parity_probe(baseline, monkeypatch):
         bell_measurement(baseline, baseline, TwoDipoleState.bell(label), 0.0, 1.0)
 
 
+def _counting_eigensolve(monkeypatch):
+    """Every density the protocols hand to ``_dominant_pure_state``, in order."""
+    calls = []
+
+    def counting(rho):
+        calls.append(rho)
+        return _dominant_pure_state(rho)
+
+    monkeypatch.setattr(repeater, "_dominant_pure_state", counting)
+    return calls
+
+
+@pytest.mark.parametrize("pair", ["ideal", "params"])
+def test_post_state_is_formed_on_first_read_only(baseline, monkeypatch, pair):
+    if pair == "ideal":
+        node_a = node_b = NodeRouting.ideal()
+    else:
+        node_a, node_b = baseline, replace(baseline, gamma=2.0 * THZ)
+    calls = _counting_eigensolve(monkeypatch)
+    results = []
+    for label in BELL_LABELS:
+        state = TwoDipoleState.bell(label)
+        results.append(bell_measurement(node_a, node_b, state, 0.0, 1.0).result)
+        results.append(bell_measurement(node_a, node_b, state, 0.0, 1.0,
+                                        rng=np.random.default_rng(5)).result)
+    results.append(entanglement_generation(node_a, node_b, 0.0, 0.05))
+    assert calls == []
+    for result in results:
+        with pytest.raises(ValueError):
+            result.density[0, 0] = 1.0
+        first = result.post_state
+        assert len(calls) == 1 and calls[0] is result.density
+        assert result.post_state is first
+        assert len(calls) == 1
+        assert _bits(first) == _bits(_dominant_pure_state(result.density))
+        calls.clear()
+
+
+@pytest.mark.parametrize("node", ["dead", "decoupled"])
+def test_no_herald_returns_the_product_state_as_given(baseline, monkeypatch, node):
+    if node == "dead":
+        node = NodeRouting(RouteAmplitudes(0j, 0j, 0j, 0j), RouteAmplitudes(0j, 0j, 0j, 0j))
+    else:
+        node = replace(baseline, g=0.0)  # no routing contrast between the arms
+    calls = _counting_eigensolve(monkeypatch)
+    result = entanglement_generation(node, node, 0.0, 0.05)
+    product = TwoDipoleState((repeater._SQRT_HALF * repeater._SQRT_HALF,) * 4)
+    assert product.amplitudes == (0.4999999999999999 + 0j,) * 4  # two ulps below 0.5
+    assert _bits((result.post_state, result.fidelity, result.success_probability)) == _bits(
+        (product, 0.0, 0.0))
+    assert calls == []
+    # the eigenvector of its projector rounds to 0.5, and _bits tells the two apart
+    assert _dominant_pure_state(result.density).amplitudes == (0.5 + 0j,) * 4
+    assert _bits(result) != _bits(ProtocolResult(result.density, 0.0, 0.0))
+
+
 # ------------------------------------------------------ the engine's memo --
 #
 # Consecutive calls on the same node and probe objects reuse the engine's last
@@ -671,6 +745,7 @@ def test_threads_on_two_pairs_match_a_serial_run(baseline):
     states = [TwoDipoleState.bell(label) for label in ("phi_plus", "phi_minus", "psi_plus")]
 
     def work(k):
+        # _bits reads each post_state, so its deferred eigensolve runs in the thread
         out = []
         for r in range(40):
             node_a, node_b, probe, nbar = pairs[(k + r // 3) % 2]
@@ -678,6 +753,7 @@ def test_threads_on_two_pairs_match_a_serial_run(baseline):
             out.append(_bits(bell_measurement(node_a, node_b, state, probe, nbar)))
             out.append(_bits(parity_probe(node_a, node_b, state, probe, nbar)))
             out.append(_bits(false_even_probability(node_a, node_b, probe)))
+            out.append(_bits(entanglement_generation(node_a, node_b, probe, 0.05)))
         return out
 
     serial = [work(k) for k in range(4)]
@@ -698,6 +774,31 @@ def test_threads_on_two_pairs_match_a_serial_run(baseline):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert threaded == serial
+
+
+def test_threads_reading_one_post_state_first_see_the_same_bits(baseline):
+    # no lock: two first reads both form the state, and either one may be kept
+    results = [bell_measurement(baseline, baseline, TwoDipoleState.bell(label), 0.0, 1.0).result
+               for label in BELL_LABELS] + [entanglement_generation(baseline, baseline, 0.0, 0.05)]
+    want = [_bits(_dominant_pure_state(r.density)) for r in results]
+    seen = [None] * 4
+
+    def run(k):
+        seen[k] = [_bits(r.post_state) for r in results]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [want] * 4
+    assert [_bits(r.post_state) for r in results] == want
 
 
 def test_cli_bell_over_four_states_interrogates_the_pair_once(tmp_path, monkeypatch):
@@ -729,7 +830,11 @@ bad_values = st.one_of(st.sampled_from(BAD_NUMBERS + BAD_OTHER), st.floats(), st
 
 def _only_contract_errors(fn, *args, **kwargs):
     try:
-        fn(*args, **kwargs)
+        result = fn(*args, **kwargs)
+        if isinstance(result, BellMeasurementRecord):
+            result = result.result
+        if isinstance(result, ProtocolResult):
+            result.post_state  # formed on first read, under the same contract
     except (ValueError, NumericsError):
         pass
 

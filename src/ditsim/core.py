@@ -41,6 +41,8 @@ _DENOM_FLOOR = 1e-280
 # Complex division divides by a real scale |D|^2 / max(|Re D|, |Im D|), which
 # overflows only when a part of D reaches this
 _HUGE = 2.0**1023
+# a complex D whose parts lie within this has a finite |D|^2 <= 2**1023
+_DENOM_BOUND = 2.0**511
 # how far from 1 the flux fractions of a node whose |sigma|^2 overflows may sum
 _BUDGET_SLACK = 1e-12
 _SHOWN_INDICES = 10  # grid indices an array-path error message lists
@@ -282,49 +284,77 @@ def _grid_indices(bad: np.ndarray) -> str:
     return f"grid indices {shown}{more}"
 
 
-def _drop_arrays(
-    params: SystemParams, dw: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(x, denom, t_drop)`` over a detuning array, both guards applied.
+def _drop_arrays(params: SystemParams, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(x, denom)`` over a 1-d detuning array, both guards applied; the
+    caller forms t_drop = -gamma / denom and silences floating-point
+    warnings (the points that raise them are the ones the guard reports).
 
-    Each term is computed into a buffer reused by the next, with the ufuncs
-    and operand order of the plain expressions, so the bits are theirs.
-    Overflow on extreme inputs is reported by the denominator guard, so the
-    floating-point warnings it would also raise are silenced.
+    X = -i(dw - delta) + tau/2 and D = -i dw + gamma + kappa/2 + g^2/X are
+    built from their real and imaginary parts, with the bits numpy's complex
+    expressions gave them, evaluated left to right:
+
+    - numpy's -1j * r is (-0*r - (-1)*0, -0*0 + (-1)*r) = (+0, -r): the real
+      part is +0 for every finite r, ±0 included, and nan for an infinite r.
+      Adding tau/2 + 0j gives X = (tau/2 + 0.0, -(dw - delta) + 0.0), and
+      that imaginary part equals (delta + 0.0) - dw, signed zeros included.
+    - Where dw - delta overflows, the nan real part made g^2/X and D nan, so
+      with g > 0 the exact test below flags those points as collapsed.  The
+      guard fails there first: such a dw is at least 2^970 in size and Im D is
+      -dw (c is a zero there) or nan.
+    - With c = g^2/X (or 0), ((0 + gamma) + kappa/2) + Re c equals
+      Re c + (gamma + kappa/2).  ((-dw + 0) + 0) + Im c and Im c - dw differ
+      at most in the sign of a zero, which -gamma / D and -sqrt(gamma) / D
+      do not read: numpy divides a + 0j by D with Re D > |Im D| = 0 as
+      ((a + 0 r) s, (0 - a r) s), r = Im D / Re D, s = 1 / (Re D + Im D r),
+      the same bits for r = +0 and r = -0.  Where dw is infinite, the old
+      Re D was nan and Im D is not finite now: the same points fail.
+    - Re c >= 0 (a zero of either sign, or nan): numpy's division of g^2 + 0j
+      by X with Re X >= 0 multiplies factors of one sign.  So
+      Re D >= gamma + kappa/2, and the floor test reads Re D only when
+      gamma + kappa/2 is below the floor.
+
+    The guard takes the minimum and maximum over both parts of D.  A point
+    within ``_DENOM_BOUND`` has a finite |D|^2 <= 2^1023 and a finite scale
+    for complex division, as every term of the finite sum of squares of D
+    that the guard used to take had to; nan fails both comparisons.  When
+    the guard fails, exact per-point tests name the bad grid indices.
     """
-    g, half_tau = params.g, 0.5 * params.tau
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = np.multiply(-1j, dw - params.delta)
-        x += half_tau
-        coupling = None
-        if g > 0.0:
-            if half_tau == 0.0:  # Re x is tau/2 (or nan), so x is never 0 otherwise
-                dead = np.flatnonzero(x == 0.0)
-                if dead.size:
-                    raise DegenerateDipole(
-                        "dipole term diverges at grid indices "
-                        f"{dead.tolist()}: probe exactly on a zero-linewidth dipole line"
-                    )
-            coupling = np.divide(g * g, x)
-        denom = np.multiply(-1j, dw)
-        denom += params.gamma
-        denom += 0.5 * params.kappa
-        denom += 0.0 if coupling is None else coupling
-        # a sum of squares is finite only if every part is, and |D| >= Re D,
-        # so the exact per-point tests run only when one of these passes fails
-        if not (np.isfinite(np.vdot(denom, denom))
-                and np.min(denom.real, initial=np.inf) >= _DENOM_FLOOR):
-            bad = np.flatnonzero(~(np.isfinite(denom) & (np.abs(denom) >= _DENOM_FLOOR)))
-            if bad.size:
-                raise SingularDenominator(
-                    f"scattering denominator collapsed at {_grid_indices(bad)}"
+    g, half_tau, floor = params.g, 0.5 * params.tau, params.gamma + 0.5 * params.kappa
+    x = np.empty(dw.shape, complex)
+    x.real.fill(half_tau + 0.0)
+    np.subtract(params.delta + 0.0, dw, out=x.imag)
+    if g > 0.0:
+        if half_tau == 0.0:  # Re x is tau/2, so x is never 0 otherwise
+            dead = np.flatnonzero(x.imag == 0.0)
+            if dead.size:
+                raise DegenerateDipole(
+                    "dipole term diverges at grid indices "
+                    f"{dead.tolist()}: probe exactly on a zero-linewidth dipole line"
                 )
-            bad = np.flatnonzero(~np.isfinite(_ratio((denom.real, denom.imag))[2]))
-            if bad.size:
-                raise SingularDenominator(
-                    f"scattering denominator out of range at {_grid_indices(bad)}"
-                )
-    return x, denom, np.divide(-params.gamma, denom, out=coupling)
+        denom = np.divide(g * g, x)
+    else:
+        denom = np.zeros_like(x)
+    re, im = denom.real, denom.imag
+    np.add(re, floor, out=re)
+    np.subtract(im, dw, out=im)
+    parts = denom.view(float)
+    if not (-_DENOM_BOUND <= np.min(parts, initial=0.0)
+            and np.max(parts, initial=0.0) <= _DENOM_BOUND
+            and (floor >= _DENOM_FLOOR or np.min(re, initial=np.inf) >= _DENOM_FLOOR)):
+        bad = ~(np.isfinite(denom) & (np.abs(denom) >= _DENOM_FLOOR))
+        if g > 0.0:  # where dw - delta overflowed, Re X was nan
+            bad |= ~np.isfinite(x.imag)
+        bad = np.flatnonzero(bad)
+        if bad.size:
+            raise SingularDenominator(
+                f"scattering denominator collapsed at {_grid_indices(bad)}"
+            )
+        bad = np.flatnonzero(~np.isfinite(_ratio((re, im))[2]))
+        if bad.size:
+            raise SingularDenominator(
+                f"scattering denominator out of range at {_grid_indices(bad)}"
+            )
+    return x, denom
 
 
 # complex division can overflow inside on a quotient in range (a huge tau gives sigma = -0)
@@ -343,12 +373,13 @@ def scattering_arrays(params: SystemParams, delta_omega: np.ndarray) -> ScatterC
         raise ValueError(f"delta_omega must hold real numbers, got {delta_omega!r}")
     flat = np.asarray(dw.ravel(), dtype=float)
     try:
-        x, denom, t_drop = _drop_arrays(params, flat)
+        x, denom = _drop_arrays(params, flat)
     except SingularDenominator:
         bad = np.flatnonzero(~np.isfinite(flat))  # only a failed grid pays for this
         if bad.size:
             raise ValueError(f"delta_omega must be finite at {_grid_indices(bad)}") from None
         raise
+    t_drop = -params.gamma / denom
     b_amp = -math.sqrt(params.gamma) / denom
     sigma = -1j * params.g * b_amp / x if params.g > 0.0 else np.zeros_like(b_amp)
     return ScatterCoefficients(*(a.reshape(dw.shape) for a in (1.0 + t_drop, t_drop, b_amp, sigma)))

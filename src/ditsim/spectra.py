@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
@@ -38,9 +37,10 @@ from .core import (  # flux_budget and scattering_arrays stay importable from he
 )
 
 SWEEP_AXES = _FIELDS[:-1]  # every field but omega0: the leading arguments of core._flux
-# points per kernel call in transmission_spectrum: 128 KiB per complex
-# temporary, so a block's working set stays near 450 KB however long the grid
-_BLOCK = 8192
+# points per kernel call in transmission_spectrum, the fastest on the grids
+# benchmark: a block holds two complex temporaries of 256 KiB (x, and D, which
+# becomes t_drop) and frees them before the next, however long the grid
+_BLOCK = 16384
 
 
 class NoPeak(NumericsError):
@@ -134,18 +134,22 @@ def transmission_spectrum(params: SystemParams, grid: DetuningGrid) -> SpectrumS
     # the call's working set, so the next call reuses pages instead of faulting
     points, through, drop = np.empty((3, grid.count))
     points[...] = grid.points()
-    for start in range(0, points.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        try:
-            x, _, t_drop = _drop_arrays(params, points[block])
-        except NumericsError:
-            _drop_arrays(params, points)  # raises the whole grid's error
-            raise
-        block_through, block_drop = through[block], drop[block]
-        np.abs(np.add(1.0, t_drop, out=x), out=block_through)  # x is spent: reuse it
-        block_through **= 2
-        np.abs(t_drop, out=block_drop)
-        block_drop **= 2
+    # the kernel's guard reports the points that overflow, so numpy's warnings are silenced
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, points.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            try:
+                x, denom = _drop_arrays(params, points[block])
+            except NumericsError:
+                _drop_arrays(params, points)  # raises the whole grid's error
+                raise
+            t_drop = np.divide(-params.gamma, denom, out=denom)
+            block_through, block_drop = through[block], drop[block]
+            np.abs(np.add(1.0, t_drop, out=x), out=block_through)  # x is spent: reuse it
+            block_through **= 2
+            np.abs(t_drop, out=block_drop)
+            block_drop **= 2
+            del x, denom, t_drop  # the next block's temporaries replace these, not join them
     return SpectrumSeries(grid=grid, detuning=points, through=through, drop=drop)
 
 
@@ -263,11 +267,6 @@ class SweepRow(NamedTuple):  # a tuple: a sweep builds one per row
     error: str | None = None
 
 
-# build from a tuple of every field, skipping the keyword handling of __new__
-_new_budget = partial(tuple.__new__, FluxBudget)
-_new_row = partial(tuple.__new__, SweepRow)
-
-
 @dataclass(frozen=True)
 class SweepTable:
     axis: str
@@ -307,8 +306,9 @@ def parameter_sweep(
     slot = SWEEP_AXES.index(axis)
     args[slot] = column
     *fractions, flagged = _flux_arrays(*args)
-    budgets = map(_new_budget, zip(*(f.tolist() for f in fractions)))
-    rows = list(map(_new_row, zip(values, budgets, repeat(None))))
+    # build from a tuple of every field, skipping the keyword handling of __new__
+    budgets = map(tuple.__new__, repeat(FluxBudget), zip(*(f.tolist() for f in fractions)))
+    rows = list(map(tuple.__new__, repeat(SweepRow), zip(values, budgets, repeat(None))))
     for i in np.flatnonzero(flagged | ~_field_ok(axis, column)).tolist():
         value = args[slot] = values[i]
         # base's other fields are valid, so this is what SystemParams reports

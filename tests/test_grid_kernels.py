@@ -21,6 +21,11 @@ CPython's complex arithmetic written out, so that arithmetic is also checked
 against Python's own operators on edge values.  The peak finder
 used to rebuild the whole detuning array with ``grid.points()``; it now reads
 the detunings the spectrum was evaluated at, and must give the same bits.
+The array kernel ``core._drop_arrays`` used to form X and D with numpy's
+complex multiply and guard D with a BLAS sum of squares; it now builds them
+from real parts, and ``scattering_arrays`` and ``transmission_spectrum`` must
+keep every bit, signed zeros included, and every error message of that
+kernel, which is kept here as well.
 """
 
 import cmath
@@ -28,6 +33,7 @@ import math
 import os
 import struct
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -155,6 +161,63 @@ def reference_transmission_spectrum(params, grid):
     denom = -1j * dw + params.gamma + 0.5 * params.kappa + coupling
     t_drop = -params.gamma / denom
     return np.abs(1.0 + t_drop) ** 2, np.abs(t_drop) ** 2, denom
+
+
+def _reference_indices(bad):
+    shown = bad[:10].tolist()
+    return f"grid indices {shown}" + (f" and {bad.size - 10} more" if bad.size > 10 else "")
+
+
+def reference_drop_arrays(params, dw):
+    """``(x, denom, t_drop)`` of the array kernel as it was: X and D as
+    numpy's complex expressions, guarded by a BLAS sum of squares."""
+    g, half_tau = params.g, 0.5 * params.tau
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = np.multiply(-1j, dw - params.delta)
+        x += half_tau
+        coupling = None
+        if g > 0.0:
+            if half_tau == 0.0:
+                dead = np.flatnonzero(x == 0.0)
+                if dead.size:
+                    raise DegenerateDipole(
+                        "dipole term diverges at grid indices "
+                        f"{dead.tolist()}: probe exactly on a zero-linewidth dipole line"
+                    )
+            coupling = np.divide(g * g, x)
+        denom = np.multiply(-1j, dw)
+        denom += params.gamma
+        denom += 0.5 * params.kappa
+        denom += 0.0 if coupling is None else coupling
+        if not (np.isfinite(np.vdot(denom, denom))
+                and np.min(denom.real, initial=np.inf) >= 1e-280):
+            bad = np.flatnonzero(~(np.isfinite(denom) & (np.abs(denom) >= 1e-280)))
+            if bad.size:
+                raise SingularDenominator(
+                    f"scattering denominator collapsed at {_reference_indices(bad)}")
+            bad = np.flatnonzero([reference_out_of_range(complex(d)) for d in denom])
+            if bad.size:
+                raise SingularDenominator(
+                    f"scattering denominator out of range at {_reference_indices(bad)}")
+    return x, denom, np.divide(-params.gamma, denom, out=coupling)
+
+
+def reference_scattering_arrays(params, delta_omega):
+    """``scattering_arrays`` on the kernel above."""
+    dw = np.asarray(delta_omega)
+    flat = np.asarray(dw.ravel(), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            x, denom, t_drop = reference_drop_arrays(params, flat)
+        except SingularDenominator:
+            bad = np.flatnonzero(~np.isfinite(flat))
+            if bad.size:
+                raise ValueError(
+                    f"delta_omega must be finite at {_reference_indices(bad)}") from None
+            raise
+        b_amp = -math.sqrt(params.gamma) / denom
+        sigma = -1j * params.g * b_amp / x if params.g > 0.0 else np.zeros_like(b_amp)
+    return tuple(a.reshape(dw.shape) for a in (1.0 + t_drop, t_drop, b_amp, sigma))
 
 
 def reference_half_crossing(x, y, peak_idx, level, side):
@@ -485,12 +548,12 @@ def test_blocked_spectrum_matches_reference(count):
 
 # D = 1e-300 - i dw collapses where |dw| < 1e-280; points of this grid are whole numbers
 COLLAPSING = SystemParams(gamma=1e-300, g=0.0, tau=0.0, kappa=0.0)
-WHOLE_NUMBERS = DetuningGrid(-10000.0, 30000.0, 40001)  # 0.0 at index 10000, a later block
+WHOLE_NUMBERS = DetuningGrid(-20000.0, 40000.0, 60001)  # 0.0 at index 20000, a later block
 
 
 def test_blocked_spectrum_names_a_bad_point_past_the_first_block():
-    assert WHOLE_NUMBERS.points()[10000] == 0.0 and 10000 > _BLOCK
-    with pytest.raises(SingularDenominator, match=r"collapsed at grid indices \[10000\]$"):
+    assert WHOLE_NUMBERS.points()[20000] == 0.0 and 20000 > _BLOCK
+    with pytest.raises(SingularDenominator, match=r"collapsed at grid indices \[20000\]$"):
         transmission_spectrum(COLLAPSING, WHOLE_NUMBERS)
     _assert_same_spectrum(COLLAPSING, WHOLE_NUMBERS)
 
@@ -506,12 +569,119 @@ def test_blocked_spectrum_counts_bad_points_over_several_blocks():
 
 
 def test_blocked_spectrum_reports_a_later_degenerate_point_first():
-    # g^2 underflows to 0, so D collapses at dw = 0 (index 10000) as above,
-    # while the probe sits on the zero-linewidth dipole line at index 30000
+    # g^2 underflows to 0, so D collapses at dw = 0 (index 20000) as above,
+    # while the probe sits on the zero-linewidth dipole line at index 40000
     params = SystemParams(gamma=1e-300, g=1e-200, tau=0.0, kappa=0.0, delta=20000.0)
-    with pytest.raises(DegenerateDipole, match=r"grid indices \[30000\]:"):
+    with pytest.raises(DegenerateDipole, match=r"grid indices \[40000\]:"):
         transmission_spectrum(params, WHOLE_NUMBERS)
     _assert_same_spectrum(params, WHOLE_NUMBERS)
+
+
+def test_blocked_spectrum_holds_one_block_of_temporaries():
+    # the (3, count) result, then the larger of the grid.points() temporary
+    # and one block's complex x and D; a second block's pair would not fit
+    params = SystemParams(gamma=1.0 * THZ, g=0.33 * THZ, tau=0.001 * THZ, kappa=0.1 * THZ)
+    for count in (_BLOCK + 1, 3 * _BLOCK + 5):
+        grid = DetuningGrid(-3.0 * THZ, 3.0 * THZ, count)
+        tracemalloc.start()
+        try:
+            transmission_spectrum(params, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * count + max(8 * count, 32 * _BLOCK) + 32768, count
+
+
+# ------------------------------------------------ the kernel from real parts --
+
+EDGES_300 = (5e-324, 2.5e-310, 1e-300, 1e300, 1.7e308)  # two subnormals first
+signed_zeros = st.sampled_from((0.0, -0.0))
+edge_rates = st.one_of(
+    st.sampled_from(EDGES_300), st.floats(1e-3, 10.0).map(lambda v: v * THZ),
+    st.floats(min_value=5e-324, allow_infinity=False),
+)
+edge_detunings = st.one_of(
+    signed_zeros, st.sampled_from(EDGES_300 + tuple(-v for v in EDGES_300)),
+    st.floats(-5.0, 5.0).map(lambda v: v * THZ), st.floats(allow_nan=False, allow_infinity=False),
+)
+on_line = st.none()  # stands for the node's own delta
+
+
+@st.composite
+def edge_nodes(draw):
+    return SystemParams(
+        gamma=draw(edge_rates),
+        g=draw(st.one_of(signed_zeros, edge_rates)),
+        tau=draw(st.one_of(signed_zeros, edge_rates)),
+        kappa=draw(st.one_of(signed_zeros, edge_rates)),
+        delta=draw(edge_detunings),
+    )
+
+
+def _kernel_outcome(call, *args):
+    """Every array by bit pattern, signed zeros included, or the error's type and message."""
+    try:
+        arrays = call(*args)
+    except (ValueError, NumericsError) as exc:
+        return type(exc), str(exc)
+    return tuple(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+def _spectrum_rows(params, grid):
+    series = transmission_spectrum(params, grid)
+    return series.detuning, series.through, series.drop
+
+
+def _reference_spectrum_rows(params, grid):
+    points = grid.points()
+    _, _, t_drop = reference_drop_arrays(params, points)
+    return points, np.abs(1.0 + t_drop) ** 2, np.abs(t_drop) ** 2
+
+
+@given(
+    params=edge_nodes(),
+    dw=st.lists(st.one_of(edge_detunings, on_line,
+                          st.sampled_from((math.nan, math.inf, -math.inf))), max_size=8),
+    grid=st.tuples(st.integers(1, 40), st.one_of(edge_detunings, on_line),
+                   st.one_of(edge_detunings, on_line)),
+)
+@settings(deadline=None)  # the example count follows the profile: soak runs 20,000
+@example(  # tau = -0.0: Re X is +0.0, so sigma's imaginary parts are +0.0
+    params=SystemParams(1.0, 1.5e-222, -0.0, 0.0, -1.0), dw=[-7.3e-122, 1e12, -1e-300],
+    grid=(3, -1e-300, 1e12),
+)
+@example(  # dw - delta overflows at index 1: Re X was nan, so D collapses there
+    params=SystemParams(1e12, 3.3e11, 1e9, 1e11, 1.7e308), dw=[0.0, -1e308],
+    grid=(2, -1e308, 0.0),
+)
+def test_kernel_keeps_the_bits_of_the_complex_expressions(params, dw, grid):
+    dw = np.array([params.delta if v is None else v for v in dw], dtype=float)
+    assert _kernel_outcome(scattering_arrays, params, dw) == _kernel_outcome(
+        reference_scattering_arrays, params, dw)
+    count, *ends = grid
+    start, stop = sorted(params.delta if v is None else v for v in ends)
+    if count == 1 or not (start < stop and math.isfinite(stop - start)):
+        count, stop = 1, start
+    grid = DetuningGrid(start, stop, count)
+    with np.errstate(over="ignore"):  # grid.points() warns on grids that end near the float limit
+        assert _kernel_outcome(_spectrum_rows, params, grid) == _kernel_outcome(
+            _reference_spectrum_rows, params, grid)
+
+
+def test_spectrum_kernels_make_no_blas_call(monkeypatch):
+    # OpenBLAS runs vdot and dot on several threads from about 10,000 points
+    # unless its threads are pinned, which made a CLI spectrum several times slower
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS call in a spectrum kernel")
+
+    monkeypatch.setattr(np, "vdot", refuse)
+    monkeypatch.setattr(np, "dot", refuse)
+    params = SystemParams(gamma=1.0 * THZ, g=0.33 * THZ, tau=0.001 * THZ, kappa=0.1 * THZ,
+                          delta=0.02 * THZ)
+    grid = DetuningGrid(-3.0 * THZ, 3.0 * THZ, 20001)
+    arrays = scattering_arrays(params, grid.points())
+    series = transmission_spectrum(params, grid)
+    assert series.through.tobytes() == (np.abs(arrays.t_through) ** 2).tobytes()
 
 
 # ------------------------------------------------------------------- peak --

@@ -538,7 +538,12 @@ def test_array_guard_names_the_singular_points():
 # ------------------------------------------------------ spectrum in blocks --
 
 
-@pytest.mark.parametrize("count", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+# edges of one and three blocks, for the present block and for a block of 8192 points
+_SPECTRUM_COUNTS = sorted({1, 2, 8191, 8192, 8193, 3 * 8192 + 5,
+                           _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5})
+
+
+@pytest.mark.parametrize("count", _SPECTRUM_COUNTS)
 def test_blocked_spectrum_matches_reference(count):
     params = SystemParams(gamma=1.0 * THZ, g=0.33 * THZ, tau=0.001 * THZ, kappa=0.1 * THZ,
                           delta=0.02 * THZ)

@@ -285,9 +285,11 @@ def _grid_indices(bad: np.ndarray) -> str:
 
 
 def _drop_arrays(params: SystemParams, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(x, denom)`` over a 1-d detuning array, both guards applied; the
-    caller forms t_drop = -gamma / denom and silences floating-point
-    warnings (the points that raise them are the ones the guard reports).
+    """``(x, denom)`` over a 1-d detuning array, with the degenerate-dipole
+    test applied.  The caller applies :func:`_guard_denominators` unless
+    :func:`_denominators_in_range` proves that every point passes it, forms
+    t_drop = -gamma / denom, and silences floating-point warnings (the points
+    that raise them are the ones the guard reports).
 
     X = -i(dw - delta) + tau/2 and D = -i dw + gamma + kappa/2 + g^2/X are
     built from their real and imaginary parts, with the bits numpy's complex
@@ -298,7 +300,7 @@ def _drop_arrays(params: SystemParams, dw: np.ndarray) -> tuple[np.ndarray, np.n
       Adding tau/2 + 0j gives X = (tau/2 + 0.0, -(dw - delta) + 0.0), and
       that imaginary part equals (delta + 0.0) - dw, signed zeros included.
     - Where dw - delta overflows, the nan real part made g^2/X and D nan, so
-      with g > 0 the exact test below flags those points as collapsed.  The
+      with g > 0 the guard's exact test flags those points as collapsed.  The
       guard fails there first: such a dw is at least 2^970 in size and Im D is
       -dw (c is a zero there) or nan.
     - With c = g^2/X (or 0), ((0 + gamma) + kappa/2) + Re c equals
@@ -310,14 +312,8 @@ def _drop_arrays(params: SystemParams, dw: np.ndarray) -> tuple[np.ndarray, np.n
       Re D was nan and Im D is not finite now: the same points fail.
     - Re c >= 0 (a zero of either sign, or nan): numpy's division of g^2 + 0j
       by X with Re X >= 0 multiplies factors of one sign.  So
-      Re D >= gamma + kappa/2, and the floor test reads Re D only when
-      gamma + kappa/2 is below the floor.
-
-    The guard takes the minimum and maximum over both parts of D.  A point
-    within ``_DENOM_BOUND`` has a finite |D|^2 <= 2^1023 and a finite scale
-    for complex division, as every term of the finite sum of squares of D
-    that the guard used to take had to; nan fails both comparisons.  When
-    the guard fails, exact per-point tests name the bad grid indices.
+      Re D >= gamma + kappa/2, and the guard's floor test reads Re D only
+      when gamma + kappa/2 is below the floor.
     """
     g, half_tau, floor = params.g, 0.5 * params.tau, params.gamma + 0.5 * params.kappa
     x = np.empty(dw.shape, complex)
@@ -334,15 +330,58 @@ def _drop_arrays(params: SystemParams, dw: np.ndarray) -> tuple[np.ndarray, np.n
         denom = np.divide(g * g, x)
     else:
         denom = np.zeros_like(x)
+    np.add(denom.real, floor, out=denom.real)
+    np.subtract(denom.imag, dw, out=denom.imag)
+    return x, denom
+
+
+def _denominators_in_range(params: SystemParams, reach: float) -> bool:
+    """Whether every D that :func:`_drop_arrays` forms at detunings with
+    |dw| <= ``reach`` passes :func:`_guard_denominators`, proved from scalars.
+
+    With c = g^2/X, D = (Re c + gamma + kappa/2, Im c - dw), and numpy
+    divides g^2 + 0j by X = (tau/2, delta - dw) with Smith's method: it
+    scales by 1/(tau/2 + Im X r) or 1/(Im X + (tau/2) r), r the smaller part
+    over the larger, so each part of c is at most g^2/(tau/2) up to rounding,
+    whatever Im X is.  Each condition is needed:
+
+    - tau/2 >= the floor keeps that scale finite.  Below it, 1/(tau/2) can
+      be inf, and g^2/X is nan though g^2 underflows to 0 (gamma = 1e12,
+      g = 5e-324, tau = 2.5e-310 through dw = delta).
+    - gamma + kappa/2 >= the floor passes the floor test, as Re c >= 0 (see
+      :func:`_drop_arrays`).
+    - 2 (max(gamma + kappa/2, reach) + g^2/(tau/2)) <= ``_DENOM_BOUND``
+      holds each part of D within that bound, the factor 2 covering
+      rounding.  delta needs no term: with |dw| <= 2^510, delta - dw rounds
+      to a finite float for every finite delta, so X stays finite.
+
+    Every term is a Python float, so an overflow makes the test fail.
+    """
+    g, half_tau, floor = params.g, 0.5 * params.tau, params.gamma + 0.5 * params.kappa
+    if not (half_tau >= _DENOM_FLOOR and floor >= _DENOM_FLOOR):
+        return False
+    coupling = g * g / half_tau if g > 0.0 else 0.0
+    return 2.0 * (max(floor, reach) + coupling) <= _DENOM_BOUND
+
+
+def _guard_denominators(params: SystemParams, x: np.ndarray, denom: np.ndarray) -> None:
+    """Raise ``SingularDenominator`` where a point of :func:`_drop_arrays`
+    collapses or leaves the range of complex division.
+
+    The guard takes the minimum and maximum over both parts of D.  A point
+    within ``_DENOM_BOUND`` has a finite |D|^2 <= 2^1023 and a finite scale
+    for complex division, as every term of the finite sum of squares of D
+    that the guard used to take had to; nan fails both comparisons.  When
+    the guard fails, exact per-point tests name the bad grid indices.
+    """
+    floor = params.gamma + 0.5 * params.kappa
     re, im = denom.real, denom.imag
-    np.add(re, floor, out=re)
-    np.subtract(im, dw, out=im)
     parts = denom.view(float)
     if not (-_DENOM_BOUND <= np.min(parts, initial=0.0)
             and np.max(parts, initial=0.0) <= _DENOM_BOUND
             and (floor >= _DENOM_FLOOR or np.min(re, initial=np.inf) >= _DENOM_FLOOR)):
         bad = ~(np.isfinite(denom) & (np.abs(denom) >= _DENOM_FLOOR))
-        if g > 0.0:  # where dw - delta overflowed, Re X was nan
+        if params.g > 0.0:  # where dw - delta overflowed, Re X was nan
             bad |= ~np.isfinite(x.imag)
         bad = np.flatnonzero(bad)
         if bad.size:
@@ -354,7 +393,6 @@ def _drop_arrays(params: SystemParams, dw: np.ndarray) -> tuple[np.ndarray, np.n
             raise SingularDenominator(
                 f"scattering denominator out of range at {_grid_indices(bad)}"
             )
-    return x, denom
 
 
 # complex division can overflow inside on a quotient in range (a huge tau gives sigma = -0)
@@ -374,6 +412,7 @@ def scattering_arrays(params: SystemParams, delta_omega: np.ndarray) -> ScatterC
     flat = np.asarray(dw.ravel(), dtype=float)
     try:
         x, denom = _drop_arrays(params, flat)
+        _guard_denominators(params, x, denom)
     except SingularDenominator:
         bad = np.flatnonzero(~np.isfinite(flat))  # only a failed grid pays for this
         if bad.size:

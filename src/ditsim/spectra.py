@@ -22,12 +22,14 @@ from .core import (  # flux_budget and scattering_arrays stay importable from he
     Probe,
     SystemParams,
     _FIELDS,
+    _denominators_in_range,
     _drop_arrays,
     _field_ok,
     _field_problem,
     _finite,
     _flux,
     _flux_arrays,
+    _guard_denominators,
     _invalid_params,
     _iterable,
     _number,
@@ -41,6 +43,9 @@ SWEEP_AXES = _FIELDS[:-1]  # every field but omega0: the leading arguments of co
 # benchmark: a block holds two complex temporaries of 256 KiB (x, and D, which
 # becomes t_drop) and frees them before the next, however long the grid
 _BLOCK = 16384
+_INDICES = np.arange(_BLOCK, dtype=float)  # a block's grid indices, counted from its first point
+# samples in the half-height search's first window; each next one is 4 times longer
+_WINDOW = 1024
 
 
 class NoPeak(NumericsError):
@@ -89,13 +94,47 @@ class DetuningGrid:
         return (self.stop - self.start) / (self.count - 1)
 
     def points(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
+        """The grid's detunings, the bits of ``np.linspace(start, stop, count)``."""
+        with np.errstate(over="ignore"):  # stop replaces the one product that can overflow
+            return _fill_points(self, np.empty(self.count))
 
     @classmethod
     def default(cls, params: SystemParams, span: float = 3.0, count: int = 2001) -> "DetuningGrid":
         """Symmetric grid of +-span*gamma around the cavity line."""
         half = _finite(_finite(span, "span") * params.gamma, "span * gamma")
         return cls(-half, half, count)
+
+
+def _fill_points(grid: DetuningGrid, out: np.ndarray, first: int = 0) -> np.ndarray:
+    """Write the grid's detunings ``first``, ``first + 1``, ... into ``out``.
+
+    Each is what ``np.linspace(start, stop, count)`` makes: i * step + start
+    for the exact integer i, where the step is (stop - start) / (count - 1),
+    and ``stop`` for the last.  Where that step underflows to 0, linspace
+    forms i / (count - 1) * (stop - start) + start instead, and the one
+    point of a 1-point grid is 0 * 0 + start (so -0.0 gives +0.0).  The
+    product for the last index can overflow, so the caller silences that
+    warning.
+    """
+    if grid.count == 1:
+        out[...] = 0.0 + grid.start
+        return out
+    width, div = grid.stop - grid.start, grid.count - 1
+    step = width / div
+    for at in range(0, out.size, _BLOCK):
+        part = out[at:at + _BLOCK]
+        index = _INDICES[:part.size]
+        if first + at:
+            index = np.add(index, first + at, out=part)
+        if step == 0.0:
+            np.divide(index, div, out=part)
+            part *= width
+        else:
+            np.multiply(index, step, out=part)
+        part += grid.start
+    if first + out.size == grid.count:
+        out[-1] = grid.stop
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,23 +164,32 @@ def transmission_spectrum(params: SystemParams, grid: DetuningGrid) -> SpectrumS
     grid is evaluated in blocks of ``_BLOCK`` points, each squared into the
     result arrays before the next, so the complex temporaries stay small;
     every point goes through the same ufuncs as a whole-grid evaluation and
-    gets the same bits.  When a block fails its guard, the whole grid is
-    evaluated at once so that the error names the bad indices of the whole
-    grid, with a degenerate dipole point anywhere reported first.  The three
-    arrays of the result are the rows of one buffer.
+    gets the same bits.  Each block's detunings are written into the
+    ``detuning`` row just before the kernel reads them, by the generator of
+    :meth:`DetuningGrid.points`, with the bits of ``np.linspace``.  The
+    denominator guard runs on each block only where a scalar bound on the
+    node and the grid's endpoints cannot prove that every point passes it.
+    When a block fails the guard, the whole grid is evaluated at once so
+    that the error names the bad indices of the whole grid, with a
+    degenerate dipole point anywhere reported first.  The three arrays of
+    the result are the rows of one buffer.
     """
     # one allocation, not three: freed, it lifts glibc's trim threshold above
     # the call's working set, so the next call reuses pages instead of faulting
     points, through, drop = np.empty((3, grid.count))
-    points[...] = grid.points()
-    # the kernel's guard reports the points that overflow, so numpy's warnings are silenced
+    guarded = not _denominators_in_range(params, max(abs(grid.start), abs(grid.stop)))
+    # the guard reports the points that overflow, so numpy's warnings are
+    # silenced; so is the overflow of the product that stop replaces
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, points.size, _BLOCK):
+        for start in range(0, grid.count, _BLOCK):
             block = slice(start, start + _BLOCK)
             try:
-                x, denom = _drop_arrays(params, points[block])
+                x, denom = _drop_arrays(params, _fill_points(grid, points[block], start))
+                if guarded:
+                    _guard_denominators(params, x, denom)
             except NumericsError:
-                _drop_arrays(params, points)  # raises the whole grid's error
+                x, denom = _drop_arrays(params, _fill_points(grid, points))
+                _guard_denominators(params, x, denom)  # raises the whole grid's error
                 raise
             t_drop = np.divide(-params.gamma, denom, out=denom)
             block_through, block_drop = through[block], drop[block]
@@ -160,11 +208,17 @@ def _half_crossing(x: np.ndarray, y: np.ndarray, peak_idx: int, level: float, si
     bracketing samples.  Returns None when the curve never reaches the level
     on that side of the grid.
     """
-    above = y[peak_idx::side] > level
-    steps = int(np.argmin(above))  # the first sample not above, if any
-    if above[steps]:
+    # windows that grow outward from the peak: a crossing near it reads few samples
+    outward, begin, width = y[peak_idx::side], 0, _WINDOW
+    while begin < outward.size:
+        above = outward[begin:begin + width] > level
+        steps = int(np.argmin(above))  # the first sample not above, if any
+        if not above[steps]:
+            break
+        begin, width = begin + width, 4 * width
+    else:
         return None
-    i = peak_idx + side * steps
+    i = peak_idx + side * (begin + steps)
     prev = i - side  # first sample still above the level
     y_i, y_prev = float(y[i]), float(y[prev])
     span = y_i - y_prev

@@ -173,6 +173,22 @@ def test_grid_refuses_a_width_that_overflows(make):
         make()
 
 
+# i * step rounds past the float maximum at the last index, where stop
+# replaces it: every point is finite, and no overflow warning may leave
+NEAR_LIMIT = DetuningGrid(-0.0, 1.7976931348623157e308, 31)
+
+
+def test_grid_points_at_the_float_limit_raise_no_warning():
+    with np.errstate(over="ignore"):
+        want = np.linspace(NEAR_LIMIT.start, NEAR_LIMIT.stop, NEAR_LIMIT.count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = NEAR_LIMIT.points()
+        series = transmission_spectrum(SystemParams(1.0 * THZ, 0.0, 0.001 * THZ, 0.1 * THZ), NEAR_LIMIT)
+    assert points.tobytes() == series.detuning.tobytes() == want.tobytes()
+    assert np.all(np.isfinite(points))
+
+
 HUGE_TAU = SystemParams(1e12, 0.33e12, 1.7e308, 1e11)
 
 
@@ -239,7 +255,7 @@ ARGUMENTS = {
     "node_a": two_node_args,
     "node_b": two_node_args,
     "state": st.sampled_from(ditsim.BELL_LABELS).map(TwoDipoleState.bell),
-    "grid": st.just(DetuningGrid(-3e12, 3e12, 11)),
+    "grid": st.sampled_from([DetuningGrid(-3e12, 3e12, 11), NEAR_LIMIT]),
     "series": series(),
     "axis": st.sampled_from([*ditsim.SWEEP_AXES, "omega0", "x", None]),
     "rng": st.one_of(st.sampled_from([None, 42, "x"]), st.builds(np.random.default_rng, st.just(0))),
@@ -279,6 +295,8 @@ class Fixed:
 @example(data=Fixed(series=_spectrum_with(HUGE_REPROS[2][0])))
 @example(data=Fixed(params=HUGE_TAU, delta_omega=[1.7e308, 0.0]))
 @example(data=Fixed(start=-1e308, stop=1e308, count=5))
+@example(data=Fixed(start=NEAR_LIMIT.start, stop=NEAR_LIMIT.stop, count=NEAR_LIMIT.count))
+@example(data=Fixed(params=NODE, grid=NEAR_LIMIT))
 def test_public_callables_raise_only_contract_errors(name, data):
     function = getattr(ditsim, name)
     parameters = inspect.signature(function).parameters
@@ -290,6 +308,8 @@ def test_public_callables_raise_only_contract_errors(name, data):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning is no contract error
             result = function(**args)
+            if isinstance(result, DetuningGrid):
+                result.points()
             if not isinstance(function, type):  # a result built by hand holds what it was given
                 if isinstance(result, BellMeasurementRecord):
                     result = result.result

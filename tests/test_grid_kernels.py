@@ -25,7 +25,12 @@ The array kernel ``core._drop_arrays`` used to form X and D with numpy's
 complex multiply and guard D with a BLAS sum of squares; it now builds them
 from real parts, and ``scattering_arrays`` and ``transmission_spectrum`` must
 keep every bit, signed zeros included, and every error message of that
-kernel, which is kept here as well.
+kernel, which is kept here as well.  The spectrum now skips that kernel's
+guard where a scalar bound proves that every point passes it, and makes its
+detunings block by block with a generator of its own; the bound is checked
+against the guard itself, and the generator against ``np.linspace``.  The
+peak finder's half-height search reads windows that grow outward from the
+peak, and must return what the sample-by-sample walk returns.
 """
 
 import cmath
@@ -55,7 +60,7 @@ from ditsim import (
     transmission_spectrum,
 )
 from ditsim import core
-from ditsim.core import _probe_value
+from ditsim.core import _denominators_in_range, _drop_arrays, _guard_denominators, _probe_value
 from ditsim.spectra import (
     SWEEP_AXES,
     DetuningGrid,
@@ -65,6 +70,8 @@ from ditsim.spectra import (
     SweepRow,
     SweepTable,
     _BLOCK,
+    _WINDOW,
+    _half_crossing,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -350,7 +357,8 @@ def grids(draw):
     start = draw(detunings)
     if count == 1:
         return DetuningGrid(start, start, 1)
-    stop = draw(detunings.filter(lambda v: v > start))
+    # the grid refuses a width stop - start that overflows
+    stop = draw(detunings.filter(lambda v: v > start and math.isfinite(v - start)))
     return DetuningGrid(start, stop, count)
 
 
@@ -583,10 +591,11 @@ def test_blocked_spectrum_reports_a_later_degenerate_point_first():
 
 
 def test_blocked_spectrum_holds_one_block_of_temporaries():
-    # the (3, count) result, then the larger of the grid.points() temporary
-    # and one block's complex x and D; a second block's pair would not fit
+    # the (3, count) result and one block's complex x and D: no whole-grid
+    # temporary (at 8 * _BLOCK + 3 points a grid.points() array would not
+    # fit), and a second block's pair would not fit either
     params = SystemParams(gamma=1.0 * THZ, g=0.33 * THZ, tau=0.001 * THZ, kappa=0.1 * THZ)
-    for count in (_BLOCK + 1, 3 * _BLOCK + 5):
+    for count in (_BLOCK + 1, 3 * _BLOCK + 5, 8 * _BLOCK + 3):
         grid = DetuningGrid(-3.0 * THZ, 3.0 * THZ, count)
         tracemalloc.start()
         try:
@@ -594,7 +603,51 @@ def test_blocked_spectrum_holds_one_block_of_temporaries():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * count + max(8 * count, 32 * _BLOCK) + 32768, count
+        assert peak <= 24 * count + 32 * _BLOCK + 32768, count
+
+
+# ------------------------------------------------- grid points per block --
+
+LIMIT = 1.7976931348623157e308
+GRID_ENDS = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e-300, -1e-300,
+             1e300, -1e300, 1.7e308, -1.7e308, LIMIT, -LIMIT)
+grid_ends = st.one_of(st.sampled_from(GRID_ENDS), st.floats(allow_nan=False, allow_infinity=False))
+# 1 to 3 points, the edges of one and two blocks, and counts of several blocks
+grid_counts = st.one_of(st.sampled_from((1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                         2 * _BLOCK, 2 * _BLOCK + 1)),
+                        st.integers(1, 70000))
+G0_NODE = SystemParams(1.0 * THZ, 0.0, 0.001 * THZ, 0.1 * THZ)  # D = floor - i dw never fails
+
+
+@st.composite
+def linspace_grids(draw):
+    """Any valid grid; some a few subnormal ulps wide, so that the step underflows to 0."""
+    count, start = draw(grid_counts), draw(grid_ends)
+    if count == 1:
+        return DetuningGrid(start, start, 1)
+    if draw(st.booleans()):
+        start = draw(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, -2.5e-310)))
+        stop = start + draw(st.integers(1, 64)) * 5e-324
+    else:
+        stop = draw(grid_ends)
+        start, stop = sorted((start, stop))
+        if not (start < stop and math.isfinite(stop - start)):
+            start, stop = (start, math.nextafter(start, math.inf)) if start < 0 else (
+                math.nextafter(start, -math.inf), start)
+    return DetuningGrid(start, stop, count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=linspace_grids())
+@example(grid=DetuningGrid(-0.0, LIMIT, 31))  # i * step overflows at the last index
+@example(grid=DetuningGrid(-0.0, -0.0, 1))  # linspace gives +0.0
+@example(grid=DetuningGrid(0.0, 5e-324, 3))  # the step underflows to 0
+@example(grid=DetuningGrid(-5e-324, 1.5e-323, 2 * _BLOCK + 1))
+def test_grid_points_keep_the_bits_of_linspace(grid):
+    with np.errstate(over="ignore"):
+        want = np.linspace(grid.start, grid.stop, grid.count).tobytes()
+    assert grid.points().tobytes() == want
+    assert transmission_spectrum(G0_NODE, grid).detuning.tobytes() == want
 
 
 # ------------------------------------------------ the kernel from real parts --
@@ -659,18 +712,66 @@ def _reference_spectrum_rows(params, grid):
     params=SystemParams(1e12, 3.3e11, 1e9, 1e11, 1.7e308), dw=[0.0, -1e308],
     grid=(2, -1e308, 0.0),
 )
+@example(  # 1/(tau/2) is inf, so g^2/X is nan at dw = 0 though g^2 underflows to 0
+    params=SystemParams(1e12, 5e-324, 2.5e-310, 0.0), dw=[0.0], grid=(26, -5.0, 20.0),
+)
+@example(  # |delta| + max|dw| overflows, delta - dw does not
+    params=SystemParams(1e12, 3.3e11, 1e9, 1e11, 1.7e308), dw=[1e308, 1.7e308],
+    grid=(31, 1e308, 1.7e308),
+)
 def test_kernel_keeps_the_bits_of_the_complex_expressions(params, dw, grid):
     dw = np.array([params.delta if v is None else v for v in dw], dtype=float)
     assert _kernel_outcome(scattering_arrays, params, dw) == _kernel_outcome(
         reference_scattering_arrays, params, dw)
-    count, *ends = grid
+    grid = _drawn_grid(params, *grid)
+    assert _kernel_outcome(_spectrum_rows, params, grid) == _kernel_outcome(
+        _reference_spectrum_rows, params, grid)
+
+
+def _drawn_grid(params, count, *ends):
+    """The grid of ``count`` points between the drawn ends (None is the node's
+    delta), or a 1-point grid at the lower end where they make no valid grid."""
     start, stop = sorted(params.delta if v is None else v for v in ends)
     if count == 1 or not (start < stop and math.isfinite(stop - start)):
         count, stop = 1, start
-    grid = DetuningGrid(start, stop, count)
-    with np.errstate(over="ignore"):  # grid.points() warns on grids that end near the float limit
-        assert _kernel_outcome(_spectrum_rows, params, grid) == _kernel_outcome(
-            _reference_spectrum_rows, params, grid)
+    return DetuningGrid(start, stop, count)
+
+
+@st.composite
+def proof_edge_nodes(draw):
+    """Nodes about the edges of the range proof: tau/2 about the floor, and
+    g^2/(tau/2) or gamma + kappa/2 about 2^510."""
+    tau = draw(st.one_of(signed_zeros, edge_rates,
+                         st.sampled_from((2e-280, math.nextafter(2e-280, 0.0), 2.5e-310))))
+    coupling = draw(st.one_of(st.none(), st.floats(0.01, 1.0).map(lambda f: f * 2.0**510)))
+    g = draw(st.one_of(signed_zeros, edge_rates)) if coupling is None else (
+        math.sqrt(coupling) * math.sqrt(0.5 * tau))
+    return SystemParams(
+        gamma=draw(st.one_of(edge_rates, st.sampled_from((1e-280, 9e-281, 2.0**509, 2.0**510)))),
+        g=g, tau=tau,
+        kappa=draw(st.one_of(signed_zeros, edge_rates)),
+        delta=draw(st.one_of(edge_detunings, st.sampled_from((2.0**509, -2.0**510)))),
+    )
+
+
+proof_ends = st.one_of(edge_detunings, on_line,
+                       st.floats(0.01, 1.0).map(lambda f: f * 2.0**510),
+                       st.floats(-1.0, -0.01).map(lambda f: f * 2.0**510))
+
+
+@settings(max_examples=500, deadline=None)
+@given(params=st.one_of(edge_nodes(), proof_edge_nodes()),
+       grid=st.tuples(st.integers(1, 40), proof_ends, proof_ends))
+@example(  # 1/(tau/2) is inf, so g^2/X is nan at dw = 0 though g^2 underflows to 0
+    params=SystemParams(1e12, 5e-324, 2.5e-310, 0.0), grid=(26, -5.0, 20.0),
+)
+def test_range_proof_never_skips_a_failing_guard(params, grid):
+    # where the scalar bound holds, the spectrum skips the guard: it must pass
+    grid = _drawn_grid(params, *grid)
+    if _denominators_in_range(params, max(abs(grid.start), abs(grid.stop))):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x, denom = _drop_arrays(params, grid.points())
+            _guard_denominators(params, x, denom)
 
 
 def test_spectrum_kernels_make_no_blas_call(monkeypatch):
@@ -729,9 +830,7 @@ def test_peak_matches_reference_on_any_curve(grid, seed, ties):
     # plateaus, ties and edge maxima come from small integer samples
     rng = np.random.default_rng(seed)
     y = np.where(rng.random(grid.count) < ties, rng.integers(0, 4, grid.count), rng.random(grid.count))
-    with np.errstate(all="ignore"):
-        x = grid.points()
-    _assert_same_peak(SpectrumSeries(grid=grid, detuning=x, through=y, drop=1.0 - y))
+    _assert_same_peak(SpectrumSeries(grid=grid, detuning=grid.points(), through=y, drop=1.0 - y))
 
 
 @settings(max_examples=200, deadline=None)
@@ -741,11 +840,80 @@ def test_peak_matches_reference_on_spectra(grid, g, tau, delta):
     centred = DetuningGrid(-3.0 * THZ, 3.0 * THZ, grid.count)
     for spectrum_grid in (grid, centred):
         try:
-            with np.errstate(all="ignore"):
-                series = transmission_spectrum(params, spectrum_grid)
+            series = transmission_spectrum(params, spectrum_grid)
         except NumericsError:
             continue
         _assert_same_peak(series)
+
+
+# ---------------------------------------- the half-height search's windows --
+
+# samples from the peak to the first sample not above half height, about the
+# edges of the first three windows (1024, then 4 and 16 times as long)
+CROSSINGS = (1, _WINDOW - 1, _WINDOW, _WINDOW + 1, 5 * _WINDOW - 1, 5 * _WINDOW,
+             5 * _WINDOW + 1, 21 * _WINDOW - 1, 21 * _WINDOW, 21 * _WINDOW + 1)
+SIDE = 21 * _WINDOW + 2  # samples on each side of the peak, which sits at index SIDE
+
+
+def _plateau(left, right):
+    """A peak of 1 on a plateau of 0.9 that drops to 0 ``left`` and ``right``
+    samples away from it (None: it never does on that side), and its grid."""
+    y = np.full(2 * SIDE + 1, 0.9)
+    y[SIDE] = 1.0
+    if left is not None:
+        y[:SIDE - left + 1] = 0.0
+    if right is not None:
+        y[SIDE + right:] = 0.0
+    grid = DetuningGrid(-1.0, 1.0, y.size)
+    return SpectrumSeries(grid=grid, detuning=grid.points(), through=y, drop=1.0 - y)
+
+
+@pytest.mark.parametrize("distance", [*CROSSINGS, None])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_half_crossing_windows_match_the_walk(side, distance):
+    series = _plateau(*((distance, None) if side < 0 else (None, distance)))
+    x, y = series.detuning, series.through
+    got = _half_crossing(x, y, SIDE, 0.5, side)
+    want = reference_half_crossing(x, y, SIDE, 0.5, side)
+    assert (got is None) == (distance is None) == (want is None)
+    assert got is None or _bits(got) == _bits(want)
+
+
+# each side crossing at a window edge, or never (the other side's half width is
+# mirrored); a curve cannot stay above half height on both sides, since the
+# baseline is the mean of the two sides' lowest samples
+@pytest.mark.parametrize("left, right", [*((d, d) for d in CROSSINGS), *((d, None) for d in CROSSINGS),
+                                         *((None, d) for d in CROSSINGS), (7, 5 * _WINDOW), (_WINDOW, 2)])
+def test_peak_windows_match_the_walk(left, right):
+    _assert_same_peak(_plateau(left, right))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_peak_windows_leave_unread_detunings_unchecked(value):
+    # beyond the crossings, past the first window: the report never reads them
+    series = _plateau(5 * _WINDOW, 5 * _WINDOW)
+    series.detuning[[SIDE - 5 * _WINDOW - 1, SIDE + 5 * _WINDOW + 1, 0, -1]] = value
+    _assert_same_peak(series)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", [SIDE + 5 * _WINDOW - 1, SIDE + 5 * _WINDOW, SIDE - 5 * _WINDOW])
+def test_peak_windows_name_a_bracket_detuning_past_the_first_window(index, value):
+    series = _plateau(5 * _WINDOW, 5 * _WINDOW)
+    series.detuning[index] = value
+    with pytest.raises(ValueError, match=rf"^spectrum detuning must be finite, got {value} at index {index}$"):
+        locate_transparency_peak(series)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_peak_windows_name_a_through_sample_past_the_first_window(value):
+    # every through sample is checked before the search: the argmax picks a
+    # nan or +inf, a side's minimum a -inf
+    series = _plateau(5 * _WINDOW, 5 * _WINDOW)
+    index = SIDE + 2 * _WINDOW
+    series.through[index] = value
+    with pytest.raises(ValueError, match=rf"^spectrum through sample must be finite, got {value} at index {index}$"):
+        locate_transparency_peak(series)
 
 
 # -------------------------------------------------------- benchmark pool --

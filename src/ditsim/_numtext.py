@@ -79,9 +79,10 @@ def _quad_table(texts) -> np.ndarray:
 def _tables() -> dict[str, np.ndarray]:
     """Lookup tables, built on first use.
 
-    ``digits``: the four ASCII digits of 0..9999 as a uint32 quad, three
-    times: as is, with leading zeros blank (0 is all blank) and with trailing
-    zeros blank.  ``hi``, ``hi_high``, ``hi_low``, ``lo``: 10**k for k in
+    ``digits``: the four ASCII digits of 0..9999 as a uint32 quad, four
+    times: as is, with leading zeros blank (0 is all blank), with trailing
+    zeros blank, and with leading zeros blank but a lone "0" for 0.  ``hi``,
+    ``hi_high``, ``hi_low``, ``lo``: 10**k for k in
     [_K_LO, _K_HI] as a double-double (hi, lo), hi split in halves; from
     Python ints, whose conversions to float round correctly.  The rest are
     the quads of the text around the digits.
@@ -89,7 +90,10 @@ def _tables() -> dict[str, np.ndarray]:
     d = np.arange(_QUAD)[:, None]
     place = np.array([1000, 100, 10, 1])
     chars = (d // place % 10 + ord("0")).astype(np.uint8)
-    digits = np.concatenate([chars, chars * (d >= place), chars * (d % (10 * place) != 0)])
+    lead = chars * (d >= place)
+    lone = lead.copy()
+    lone[0, 3] = ord("0")
+    digits = np.concatenate([chars, lead, chars * (d % (10 * place) != 0), lone])
     hi, lo = [], []
     for k in range(_K_LO, _K_HI + 1):
         if k >= 0:
@@ -116,9 +120,8 @@ def _tables() -> dict[str, np.ndarray]:
         "lead2": _quad_table("00"[:max(0, z - 2)] for z in range(5)),
         # the point, and repr's "0" of "1.0", by point + 2 * bare
         "point": _quad_table(["", ".", ".0"]),
-        # the last byte of a quad: a digit, blank for 0 (index 10: "0")
-        "first": _quad_table([f"\0\0\0{c}" if c != "0" else "" for c in "0123456789"]
-                             + ["\0\0\0" "0"]),
+        # the last byte of a quad: a digit, blank for 0
+        "first": _quad_table(f"\0\0\0{c}" if c != "0" else "" for c in "0123456789"),
         # the 17th fraction digit, blank for 0 (a trailing zero)
         "last": _quad_table(c if c != "0" else "" for c in "0123456789"),
         # "e+dd" after the last digit's byte, then the rest of the exponent
@@ -324,11 +327,23 @@ def _f2_quads(v: np.ndarray, unsure: np.ndarray) -> np.ndarray:
     units = m // 100
     width = -(-len(str(int(units.max()))) // 4)
 
-    quads = np.zeros((width + 2, v.size), np.uint32)
-    np.take(t["lead"], np.signbit(v), out=quads[0])
-    _whole_quads(units, quads[1:width + 1])
-    # leading zeros are blank, but a whole part of 0 keeps its one "0"
-    quads[width] |= (units == 0) * t["first"][10]
+    quads = np.empty((width + 2, v.size), np.uint32)
+    sign = np.signbit(v)
+    if sign.any():
+        np.take(t["lead"], sign, out=quads[0])
+    else:
+        quads[0] = 0
+    digits, x = t["digits"], units
+    for j in range(width, 0, -1):
+        # as is below a nonzero higher quad, else with leading zeros blank,
+        # the lowest quad keeping the "0" of a whole part of 0
+        blank = (3 if j == width else 1) * _QUAD
+        if j == 1:  # the top quad, so x < _QUAD
+            np.take(digits[blank:], x, out=quads[1])
+        else:
+            high = x // _QUAD
+            np.take(digits, x - high * _QUAD + blank * (high == 0), out=quads[j])
+            x = high
     np.take(t["cents"], m - 100 * units, out=quads[width + 1])
     return quads
 

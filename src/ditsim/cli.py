@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -55,8 +56,8 @@ from .spectra import (
     DetuningGrid,
     NoPeak,
     SpectrumSeries,
+    _sweep_arrays,
     locate_transparency_peak,
-    parameter_sweep,
 )
 from .svgplot import LineSeries, render_lines
 
@@ -342,31 +343,53 @@ def _csv_text(rows) -> str:
     return buffer.getvalue()
 
 
-def _csv_quoted(text: str) -> str:
-    """A string cell as the ``csv`` module writes it in a row of two or more cells."""
-    return _csv_text([(text, "")])[:-2]
+def _csv_quoted(strings: list[str]) -> list[str]:
+    """Each string cell as the ``csv`` module writes it in a row of two or more cells."""
+    text, at, cells = _csv_text([(s, "") for s in strings]), 0, []
+    for s in strings:
+        # each row is the cell and ",\n"; the cell is the string, or the string
+        # quoted with its quotes doubled, and only the quoted one starts with a quote
+        cells.append('"' + s.replace('"', '""') + '"' if text.startswith('"', at) else s)
+        at += len(cells[-1]) + 2
+    return cells
 
 
 # by style: cell and row separators (JSON's: the indent=2 rows block, cells at
-# depth 3), then the text of a missing value, a string and any other non-float
+# depth 3), then the text of a missing value, of a list of strings and of any
+# other non-float
 _STYLES = {
     _numtext.G17: (",", "\n", "", _csv_quoted, _cell),
-    _numtext.JSON: (",\n      ", "\n    ],\n    [\n      ", "null", json.dumps, json.dumps),
+    _numtext.JSON: (",\n      ", "\n    ],\n    [\n      ", "null",
+                    lambda strings: list(map(json.dumps, strings)), json.dumps),
 }
 
 
-def _cells(column: np.ndarray | list, style: str) -> list[str]:
-    """The text of each cell of a column in the style, by the column's kind."""
+def _float_column(column: np.ndarray | list) -> tuple[np.ndarray, list[int]] | None:
+    """A column of floats (an array, or a list of floats and ``None``) as an
+    array and the rows of its holes, its ``None`` cells; None for any other."""
     if isinstance(column, np.ndarray):
-        return _numtext.cells(column, style)
-    *_, null, string, other = _STYLES[style]
+        return column, []
     kinds = set(map(type, column))
-    if kinds <= _FLOATS | {type(None)}:
-        floats = iter(_cells(np.array([v for v in column if v is not None]), style))
-        return [null if v is None else next(floats) for v in column]
+    if not kinds <= _FLOATS | {type(None)}:
+        return None
+    values = np.array(column, dtype=float)  # a None reads as nan
+    if type(None) not in kinds:
+        return values, []
+    holes = [i for i in np.flatnonzero(np.isnan(values)).tolist() if column[i] is None]
+    # the writer replaces a hole's text: a value that the array formatter
+    # need not hand to Python's own formatting spares it that cost
+    values[holes] = 0.1
+    return values, holes
+
+
+def _other_cells(column: list, style: str) -> list[str]:
+    """The text of each cell of a column that is not a float column."""
+    *_, encode, other = _STYLES[style]
+    only_strings = set(map(type, column)) <= {str}
     # each distinct string is encoded once
-    strings = {s: string(s) for s in {v for v in column if isinstance(v, str)}}
-    if kinds <= {str}:
+    distinct = list(set(column) if only_strings else {v for v in column if isinstance(v, str)})
+    strings = dict(zip(distinct, encode(distinct)))
+    if only_strings:
         return list(map(strings.__getitem__, column))
     return [strings[v] if isinstance(v, str) else other(v) for v in column]
 
@@ -377,17 +400,56 @@ def _chunks(table: ResultTable) -> Iterator[list]:
         yield [column[start:start + _CHUNK_ROWS] for column in table.data]
 
 
+# stands in join_cells' text for a row end that holds format fields; neither
+# a float's text nor a separator holds it
+_ROW_END = "\x01"
+
+
 def _chunk_text(columns: list, style: str) -> str:
-    """The rows of a chunk in the style, joined by its separators."""
-    cell_sep, row_sep = _STYLES[style][:2]
-    if all(isinstance(c, np.ndarray) for c in columns):
-        # a .17g float never needs quoting, so the cells are joined directly
-        seps = [cell_sep] * (len(columns) - 1) + [row_sep]
-        return _numtext.join_cells(np.array(columns).T, style, seps)
-    cells = [_cells(c, style) for c in columns]
-    if style == _numtext.G17 and len(cells) == 1:
-        cells = [[text or '""' for text in cells[0]]]  # as the csv module writes a lone empty cell
-    return row_sep.join(map(cell_sep.join, zip(*cells)))
+    """The rows of a chunk in the style, joined by its separators.
+
+    Each row is first a template: its float cells, and a ``%s`` field for
+    each cell of the other columns.  The float cells of every row come from
+    one ``join_cells`` call, whose separators hold the fields between them
+    (no float text or separator holds a ``%``, and a ``.17g`` float never
+    needs quoting); in a row with a hole, the hole's cell is then replaced.
+    One ``%`` fills in the other columns.
+    """
+    cell_sep, row_sep, null = _STYLES[style][:3]
+    floats = [_float_column(c) for c in columns]
+    others = [_other_cells(c, style) for c, f in zip(columns, floats) if f is None]
+    if style == _numtext.G17 and len(columns) == 1:  # as the csv module writes a lone empty cell
+        null, others = '""', [[text or '""' for text in cells] for cells in others]
+    # a row's template split at its float cells: what comes before the
+    # first, then what follows each
+    lead, *seps = cell_sep.join("\0" if f else "%s" for f in floats).split("\0")
+    if not seps:
+        text = row_sep.join([lead] * len(columns[0]))
+    else:
+        block = np.array([f[0] for f in floats if f]).T
+        end = seps[-1] + row_sep + lead  # from a row's last float cell to the next row's first
+        if others:
+            # join_cells pads every separator to the longest: the row end
+            # stands in as one character, as short as the cell separator
+            text = _numtext.join_cells(block, style, [*seps[:-1], _ROW_END]).replace(_ROW_END, end)
+        else:
+            text = _numtext.join_cells(block, style, [*seps[:-1], end])
+        text = lead + text + seps[-1]
+        holes = {}  # by row: where its holes sit among the row's cells
+        for j, f in enumerate(floats):
+            for i in f[1] if f else ():
+                holes.setdefault(i, []).append(j)
+        if holes:
+            lines = text.split(row_sep)
+            for i, empty in holes.items():
+                cells = lines[i].split(cell_sep)  # no float text or field holds it
+                for j in empty:
+                    cells[j] = null
+                lines[i] = cell_sep.join(cells)
+            text = row_sep.join(lines)
+    if others:
+        text %= tuple(chain.from_iterable(zip(*others)))
+    return text
 
 
 def _csv_pieces(table: ResultTable) -> Iterator[str]:
@@ -533,28 +595,26 @@ def _run_sweep(options, args):
     params = _params_from(options)
     probe = ProbeDetuning(options["delta_omega"] * THZ)
     swept = np.linspace(options["start"], options["stop"], options["count"]) * THZ
-    table = parameter_sweep(params, options["axis"], swept, probe)
+    _, _, fractions, errors = _sweep_arrays(params, options["axis"], swept, probe)
     metadata = {
         "command": "sweep",
         "axis": options["axis"],
         "params": _params_meta(params),
         "probe_delta_omega_thz": probe.delta_omega / THZ,
     }
-    # a row without a budget (an invalid point) has empty fractions and its error
-    budgets = [row.budget or (None,) * 4 for row in table.rows]
-    through, drop, loss_kappa, loss_tau = map(list, zip(*budgets))
+    # an error row (an invalid point) has empty fractions and its error
+    error = [""] * len(swept)
+    cells = [fraction.tolist() for fraction in fractions] if errors else fractions
+    for i, message in errors.items():
+        error[i] = message
+        for column in cells:
+            column[i] = None
     value_thz = swept / THZ
-    result = ResultTable.from_columns(metadata, {
-        "value_thz": value_thz,
-        "through": through,
-        "drop": drop,
-        "loss_kappa": loss_kappa,
-        "loss_tau": loss_tau,
-        "error": [row.error or "" for row in table.rows],
-    })
-    ok = np.array([row.budget is not None for row in table.rows])
-    ys = np.array(through, dtype=float)[ok]  # a None reads as nan, and its row is masked out
-    return result, [LineSeries("through", value_thz[ok], ys)] if ok.any() else None
+    names = ("value_thz", "through", "drop", "loss_kappa", "loss_tau", "error")
+    result = ResultTable.from_columns(metadata, dict(zip(names, (value_thz, *cells, error))))
+    ok = np.ones(len(swept), dtype=bool)
+    ok[list(errors)] = False
+    return result, [LineSeries("through", value_thz[ok], fractions[0][ok])] if ok.any() else None
 
 
 def _run_entangle(options, args):

@@ -252,13 +252,16 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
     defined as the mean of the lowest through value on each side of the peak
     (the floor of the dip the peak sits in).  On a side where the curve never
     drops to the half level inside the grid, the other side's half width is
-    mirrored.
+    mirrored.  At least one side always drops to it: the half level is at
+    least the baseline, which is at least the lower of the two sides' lowest
+    samples.
 
     Raises
     ------
     NoPeak
-        If the maximum lies on a grid edge (monotone or dip-only spectra) or
-        the peak is indistinguishable from the baseline at 1e-12 relative.
+        If the spectrum has fewer than 3 samples, if the maximum lies on a
+        grid edge (monotone or dip-only spectra) or if the peak is
+        indistinguishable from the baseline at 1e-12 relative.
     ValueError
         If ``detuning`` and ``through`` differ in length, if a ``through``
         sample is not finite, if the baseline, the peak height, the
@@ -303,8 +306,6 @@ def locate_transparency_peak(series: SpectrumSeries) -> PeakReport:
         raise _overflow(y, (*lows, idx - 1, idx, idx + 1))
     left = _half_crossing(x, y, idx, level, -1)
     right = _half_crossing(x, y, idx, level, +1)
-    if left is None and right is None:
-        raise NoPeak("through curve never reaches half height inside the grid")
     if left is None:
         left = 2.0 * peak_detuning - right
     if right is None:
@@ -328,6 +329,48 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
 
 
+def _sweep_arrays(
+    base: SystemParams, axis: str, values: Sequence[float], probe: Probe
+) -> tuple[list[float], float, list[np.ndarray], dict[int, str]]:
+    """:func:`parameter_sweep`'s rows as columns.
+
+    Returns the swept values as floats, the probe detuning, the four flux
+    fractions as float64 arrays (a row that the array pass flags carries the
+    scalar kernel's floats; an error row's fractions mean nothing) and the
+    message of each error row by row index, in ascending order.
+    """
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    dw = _probe_value(probe)
+    if isinstance(values, np.ndarray):
+        values = values.tolist()  # the floats float() makes of its elements
+    values = [raw if type(raw) is float else _number(raw, f"{axis} sweep value")
+              for raw in _iterable(values, f"{axis} sweep values")]
+    column = np.array(values, dtype=float)
+    args = [getattr(base, name) for name in SWEEP_AXES] + [dw]
+    slot = SWEEP_AXES.index(axis)
+    args[slot] = column
+    *fractions, flagged = _flux_arrays(*args)
+    # a fraction that the swept axis does not reach is a read-only broadcast
+    fractions = [f if f.flags.writeable else f.copy() for f in fractions]
+    errors = {}
+    for i in np.flatnonzero(flagged | ~_field_ok(axis, column)).tolist():
+        value = args[slot] = values[i]
+        # base's other fields are valid, so this is what SystemParams reports
+        problem = _field_problem(axis, value)
+        if problem:
+            errors[i] = _invalid_params([problem])
+            continue
+        try:
+            budget = _flux(*args)
+        except NumericsError as exc:
+            errors[i] = str(exc)
+            continue
+        for fraction, number in zip(fractions, budget):
+            fraction[i] = number
+    return values, dw, fractions, errors
+
+
 def parameter_sweep(
     base: SystemParams, axis: str, values: Sequence[float], probe: Probe
 ) -> SweepTable:
@@ -348,30 +391,10 @@ def parameter_sweep(
     checked before any row is evaluated, and the first that is not raises
     ``ValueError``.
     """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    dw = _probe_value(probe)
-    if isinstance(values, np.ndarray):
-        values = values.tolist()  # the floats float() makes of its elements
-    values = [raw if type(raw) is float else _number(raw, f"{axis} sweep value")
-              for raw in _iterable(values, f"{axis} sweep values")]
-    column = np.array(values, dtype=float)
-    args = [getattr(base, name) for name in SWEEP_AXES] + [dw]
-    slot = SWEEP_AXES.index(axis)
-    args[slot] = column
-    *fractions, flagged = _flux_arrays(*args)
+    values, dw, fractions, errors = _sweep_arrays(base, axis, values, probe)
     # build from a tuple of every field, skipping the keyword handling of __new__
     budgets = map(tuple.__new__, repeat(FluxBudget), zip(*(f.tolist() for f in fractions)))
     rows = list(map(tuple.__new__, repeat(SweepRow), zip(values, budgets, repeat(None))))
-    for i in np.flatnonzero(flagged | ~_field_ok(axis, column)).tolist():
-        value = args[slot] = values[i]
-        # base's other fields are valid, so this is what SystemParams reports
-        problem = _field_problem(axis, value)
-        if problem:
-            rows[i] = SweepRow(value, None, _invalid_params([problem]))
-            continue
-        try:
-            rows[i] = SweepRow(value, _flux(*args))
-        except NumericsError as exc:
-            rows[i] = SweepRow(value, None, str(exc))
+    for i, message in errors.items():
+        rows[i] = SweepRow(values[i], None, message)
     return SweepTable(axis=axis, probe=dw, rows=tuple(rows))

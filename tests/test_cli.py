@@ -15,7 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditsim import THZ, DetuningGrid, _numtext, cli, scattering_arrays, spectra, transmission_spectrum
+from ditsim import (
+    THZ,
+    DetuningGrid,
+    ProbeDetuning,
+    _numtext,
+    cli,
+    parameter_sweep,
+    scattering_arrays,
+    spectra,
+    transmission_spectrum,
+)
 from ditsim.cli import (
     ParseError,
     ResultTable,
@@ -27,6 +37,7 @@ from ditsim.cli import (
     read_result_table,
     write_result_table,
 )
+from ditsim.svgplot import LineSeries, render_lines
 
 BASE_CONF = """\
 # reference operating point, THz
@@ -783,6 +794,82 @@ def test_one_column_csv_tables_match_reference(rows):
     assert_same_bytes_three_ways({}, ("s",), [[None] * rows])
     assert_same_bytes_three_ways({}, ("s",), [[None if i % 2 else s for i, s in enumerate(strings)]])
     assert_same_bytes_three_ways({}, ("x",), [[None if i % 3 else i / 7 for i in range(rows)]])
+
+
+def reference_run_sweep(options, args):
+    """The sweep handler that took the rows of ``parameter_sweep`` apart."""
+    params = cli._params_from(options)
+    probe = ProbeDetuning(options["delta_omega"] * THZ)
+    swept = np.linspace(options["start"], options["stop"], options["count"]) * THZ
+    table = parameter_sweep(params, options["axis"], swept, probe)
+    metadata = {
+        "command": "sweep",
+        "axis": options["axis"],
+        "params": cli._params_meta(params),
+        "probe_delta_omega_thz": probe.delta_omega / THZ,
+    }
+    # a row without a budget (an invalid point) has empty fractions and its error
+    budgets = [row.budget or (None,) * 4 for row in table.rows]
+    through, drop, loss_kappa, loss_tau = map(list, zip(*budgets))
+    value_thz = swept / THZ
+    result = ResultTable.from_columns(metadata, {
+        "value_thz": value_thz,
+        "through": through,
+        "drop": drop,
+        "loss_kappa": loss_kappa,
+        "loss_tau": loss_tau,
+        "error": [row.error or "" for row in table.rows],
+    })
+    ok = np.array([row.budget is not None for row in table.rows])
+    ys = np.array(through, dtype=float)[ok]  # a None reads as nan, and its row is masked out
+    return result, [LineSeries("through", value_thz[ok], ys)] if ok.any() else None
+
+
+def _g_sweep(count):
+    return f"axis: g\nstart: 0\nstop: 1\ncount: {count}\n"
+
+
+def _gamma_errors(errors, valid):
+    """A gamma sweep in steps of 1 THz whose first ``errors`` rows are at or below 0."""
+    return f"axis: gamma\nstart: {1 - errors}\nstop: {valid}\ncount: {errors + valid}\n"
+
+
+def _singular_row(row, count):
+    """A delta sweep on a tau = 0 node that meets the probe exactly at ``row``."""
+    start = -row * 2.0**-10
+    return f"tau: 0\naxis: delta\nstart: {start!r}\nstop: {start + (count - 1) * 2.0**-10!r}\ncount: {count}\n"
+
+
+# a row's float cells go to join_cells with the other rows', five a row: the
+# kernel formats them from 80 rows in CSV and from 200 in JSON, error rows
+# included; a chunk holds 4096 rows
+SWEEP_CASES = {
+    **{f"no errors, {n} rows": _g_sweep(n) for n in (1, 79, 80, 199, 200, 399, 400, 999, 1000, 4095, 4096, 4097)},
+    **{f"{k} error rows of {n}": _gamma_errors(k, n - k) for k, n in ((1, 80), (40, 79), (40, 80), (100, 199),
+                                                                      (100, 200), (1000, 1081))},
+    "errors across the chunk edge": _gamma_errors(4097, 1),
+    "errors up to the chunk edge": _gamma_errors(4096, 200),
+    **{f"error at row {k} of {n}": _singular_row(k, n) for k, n in ((4095, 4097), (4096, 4097), (0, 4097), (79, 81))},
+    "every row an error, 5 rows": "axis: gamma\nstart: -2\nstop: -1\ncount: 5\n",
+    "every row an error, 4097 rows": "axis: kappa\nstart: -2\nstop: -1\ncount: 4097\n",
+}
+
+
+@pytest.mark.parametrize("text", list(SWEEP_CASES.values()), ids=list(SWEEP_CASES))
+def test_sweep_bytes_match_the_row_wise_reference(text, tmp_path):
+    conf = write(tmp_path / "sweep.conf", text)
+    table, plot = reference_run_sweep(cli._coerce("sweep", parse_config_text(text)), None)
+    for fmt in ("csv", "json"):
+        out, want = tmp_path / fmt, tmp_path / f"want.{fmt}"
+        assert main(["sweep", "--config", conf, "--out", str(out), "--format", fmt, "--plot"]) == 0
+        reference_write(table, str(want), fmt)
+        assert (out / f"sweep.{fmt}").read_bytes() == want.read_bytes(), fmt
+        svg = out / "sweep.svg"
+        if plot is None:
+            assert not svg.exists()
+        else:
+            xlabel, ylabel = cli._PLOT_LABELS["sweep"]
+            assert svg.read_text(encoding="utf-8") == render_lines(plot, title="sweep", xlabel=xlabel, ylabel=ylabel)
 
 
 def test_ragged_table_rejected(tmp_path):

@@ -40,6 +40,7 @@ import struct
 import sys
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ from ditsim import (
     scattering_arrays,
     transmission_spectrum,
 )
-from ditsim import core
+from ditsim import core, spectra
 from ditsim.core import _denominators_in_range, _drop_arrays, _guard_denominators, _probe_value
 from ditsim.spectra import (
     SWEEP_AXES,
@@ -844,6 +845,36 @@ def test_peak_matches_reference_on_spectra(grid, g, tau, delta):
         except NumericsError:
             continue
         _assert_same_peak(series)
+
+
+finite_samples = st.one_of(st.floats(-1e300, 1e300), st.floats(-1.0, 1.0), st.integers(-3, 3).map(float),
+                           st.sampled_from((0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(y=st.lists(finite_samples, min_size=3, max_size=80), at=st.integers(0, 2**16), raise_peak=st.booleans())
+def test_half_height_is_reached_on_at_least_one_side(y, at, raise_peak):
+    # the level is at least the baseline, the mean of the two sides' lowest
+    # samples, so the side with the lower of them reaches it
+    y = np.array(y)
+    peak = 1 + at % (y.size - 2)
+    if raise_peak:  # an interior sample above every other one
+        y[peak] = math.nextafter(float(y.max()), math.inf)
+    if not (0 < int(np.argmax(y)) < y.size - 1 and np.isfinite(y).all()):
+        return
+    grid = DetuningGrid(-1.0, 1.0, y.size)
+    results = []
+
+    def half_crossing(*args):
+        results.append(_half_crossing(*args))
+        return results[-1]
+
+    with mock.patch.object(spectra, "_half_crossing", half_crossing):
+        try:
+            locate_transparency_peak(SpectrumSeries(grid=grid, detuning=grid.points(), through=y, drop=y))
+        except (NoPeak, ValueError):  # the peak is the baseline, or a difference overflows
+            pass
+    assert results.count(None) <= 1
 
 
 # ---------------------------------------- the half-height search's windows --

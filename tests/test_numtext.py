@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ditsim import _numtext
@@ -138,6 +138,22 @@ def test_floats_match_cpython(style, values):
     assert_matches(values, style)
 
 
+# .2f's whole part is written in quads of four digits: 9999 fills one and
+# 10000 takes two (9999.995 rounds up into it), and a whole part of 0 keeps its
+# lone "0" whatever the widest cell beside it
+@given(values=st.lists(st.floats(-2e13, 2e13), min_size=1, max_size=64))
+@example(values=[9999.0, 9999.99, 9999.994999999999, 9999.995, 10000.0, 10000.004, 0.5])
+@example(values=[99999999.99, 99999999.995, 100000000.0, 100000001.5, 0.25, 7.0])
+@example(values=[-1.5, -702.123, -0.001, -9999.995, -10000.0, -123456789.01, 64.0])
+@example(values=[-0.0, 0.0, -0.004, -0.005, -0.006, 0.004])
+# a tie, and cents fractions 0.5e-12 and 2e-12 from one, either side of the margin
+@example(values=[0.125, 0.125 + 0.5e-14, 0.125 - 0.5e-14, 0.125 + 2e-14, 0.125 - 2e-14, 2.675,
+                 *neighbours(2.675), *neighbours(9999.995), 1.005 + 2e-14, 1.005 - 2e-14])
+@example(values=[1e13, -1e13, *neighbours(1e13), 9999999999999.99, -9999999999999.995])
+def test_f2_coordinates_match_cpython(values):
+    assert_matches(values, F2)
+
+
 @st.composite
 def decimal_floats(draw):
     """Floats read from decimal strings of 1 to 17 significant digits, some
@@ -200,8 +216,9 @@ def test_float_tables_around_the_crossover_match_reference(style, offset):
 @pytest.mark.parametrize("style", [G17, JSON])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_sweep_style_columns_around_the_crossover_match_reference(style, offset):
-    # one float column per kernel call: the None cells and the error strings
-    # keep the other columns on the per-cell path
+    # each float column at the size where it alone would switch to the
+    # kernel; the writer formats the float cells of all rows together, and
+    # test_cli's sweep cases run the crossovers of that
     rows = _numtext._KERNEL_CELLS[style] + offset
     rng = np.random.default_rng(rows)
     value = np.linspace(-0.3, 2.9, rows).tolist()

@@ -23,8 +23,11 @@ entry points guard the mean photon number where the model requires it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -92,7 +95,7 @@ class InvalidRegime(NumericsError):
 def _sum_squares(amps) -> float:
     """Plain sum of |a|^2, or inf where it overflows."""
     try:
-        return float(sum(abs(a) ** 2 for a in amps))
+        return float(sum([abs(a) ** 2 for a in amps]))
     except OverflowError:
         return math.inf
 
@@ -167,12 +170,15 @@ def _unit_vector(state: TwoDipoleState) -> np.ndarray:
     return np.array(_unit(state.amplitudes), dtype=complex)
 
 
-# Bell vectors as given (fidelity targets), and the normalized probe states of
-# the false-even figure (psi+) and the tradeoff (phi+)
+# Bell vectors as given (fidelity targets) with their conjugates, and the
+# normalized probe states of the false-even figure (psi+) and the tradeoff (phi+)
 _BELL_VECTORS = {label: _constant(TwoDipoleState.bell(label).vector()) for label in BELL_LABELS}
+_BELL_CONJUGATES = {label: _constant(np.conj(v)) for label, v in _BELL_VECTORS.items()}
 _PSI_PLUS_WEIGHTS = _constant(np.abs(_unit_vector(TwoDipoleState.bell("psi_plus"))) ** 2)
 _PHI_PLUS_UNIT = _unit_vector(TwoDipoleState.bell("phi_plus"))
 _PHI_PLUS_RHO = _constant(np.outer(_PHI_PLUS_UNIT, np.conj(_PHI_PLUS_UNIT)))
+# branch weights of (|g> + |m>)/sqrt2 on each node, entanglement generation's input
+_SUPERPOSITION = _constant(0.5 * np.ones(4))
 
 
 # ======================================================= conditional route ==
@@ -266,8 +272,9 @@ class PointerRecord:
         return self.amplitudes[BASIS.index(basis_state)]
 
 
-def _pointer_rows(route_a: NodeRouting, route_b: NodeRouting, alpha: float) -> list[list]:
-    """4x6 coherent amplitudes as lists, rows over BASIS, columns over PORTS.
+def _pointer_rows(route_a: NodeRouting, route_b: NodeRouting, alpha: float) -> list:
+    """4x6 coherent amplitudes as one flat list of 24, rows over BASIS, columns
+    over PORTS, so ``np.array(rows, complex).reshape(-1, 4, 6)`` stacks them.
 
     The probe enters waveguide 1 of node A; both waveguides continue into
     node B.  Port 'even' is the final waveguide-1 output, 'odd' the final
@@ -280,8 +287,8 @@ def _pointer_rows(route_a: NodeRouting, route_b: NodeRouting, alpha: float) -> l
         loss_a = (ra.loss_kappa * alpha, ra.loss_tau * alpha)
         for rb in (route_b.label_g, route_b.label_m):
             drive_b = w1 + w2
-            rows.append([rb.through * w1 + rb.drop * w2, rb.drop * w1 + rb.through * w2,
-                         *loss_a, rb.loss_kappa * drive_b, rb.loss_tau * drive_b])
+            rows += (rb.through * w1 + rb.drop * w2, rb.drop * w1 + rb.through * w2,
+                     *loss_a, rb.loss_kappa * drive_b, rb.loss_tau * drive_b)
     return rows
 
 
@@ -367,7 +374,7 @@ def _probe_pass(
     if a is node_a and b is node_b and p is probe and n is nbar:
         return result
     rows = _pointer_rows(*_route_pair(node_a, node_b, probe), math.sqrt(nbar))
-    amps = _constant(np.array(rows, dtype=complex))
+    amps = _constant(np.array(rows, complex).reshape(4, 6))
     result = nbar, amps, _constant(_threshold_factors(amps))
     if type(probe) in _MEMO_PROBES:
         _pass_memo = (node_a, node_b, probe, nbar), result
@@ -403,9 +410,26 @@ def _herald(p: list, rho: np.ndarray, factors: np.ndarray) -> tuple[int, int, li
 
 
 def _draw(rng: np.random.Generator, probabilities, size=None):
-    """Indices drawn from the weights ``probabilities``, normalized first."""
+    """Indices drawn from the weights ``probabilities``, normalized first.
+
+    These are the steps ``rng.choice(len(p), size, p=p / p.sum())`` takes
+    after its input checks: normalize, cumulative sum, divide by the last
+    entry, one ``rng.random(size)`` draw and a right-side search.  So the
+    same indices come out and ``rng`` is left in the same state.  The
+    weights must be finite and positive with a finite sum, as every
+    distribution the protocols report is.  A single pick from fewer than 8
+    weights runs on floats: numpy sums arrays that short in order, as
+    ``accumulate`` does.
+    """
+    if size is None and len(probabilities) < 8:
+        total = list(accumulate(probabilities))[-1]
+        cdf = list(accumulate(w / total for w in probabilities))
+        return bisect_right([c / cdf[-1] for c in cdf], rng.random())
     p = np.asarray(probabilities, dtype=float)
-    return rng.choice(p.size, size=size, p=p / p.sum())
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    picks = cdf.searchsorted(rng.random(size), side="right")
+    return picks if size is not None else int(picks)
 
 
 def _dominant_pure_state(rho: np.ndarray) -> TwoDipoleState:
@@ -486,7 +510,7 @@ def false_even_probability(node_a: Node, node_b: Node, probe: Probe) -> float:
     photon misreports odd parity as even, the weak-probe limit of
     P(even) / (P(even) + P(odd)) from ``parity_probe`` on that superposition.
     """
-    amps = np.array(_pointer_rows(*_route_pair(node_a, node_b, probe), 1.0), complex)
+    amps = np.array(_pointer_rows(*_route_pair(node_a, node_b, probe), 1.0), complex).reshape(4, 6)
     even_flux, odd_flux = _fluxes(_PSI_PLUS_WEIGHTS, amps)
     total = even_flux + odd_flux
     if total <= _PROB_FLOOR:
@@ -577,26 +601,24 @@ def bell_measurement(
     rotated = h @ (first[lo:hi] / p1[lo:hi, None, None]) @ h
     # second stage the same way, on every surviving branch
     second = rotated[:, None] * clicks
-    p2 = second.trace(0, 2, 3).real
+    p2 = second.trace(0, 2, 3).real.tolist()
     chains = []  # (first index, second index, probability)
-    for i, q1, rho1, q2 in zip(range(lo, hi), w1, rotated, p2.tolist()):
+    for i, q1, rho1, q2 in zip(range(lo, hi), w1, rotated, p2):
         lo2, hi2, w2 = _herald(q2, rho1, factors)
         chains += [(i, j, q1 * q) for j, q in zip(range(lo2, hi2), w2)]
 
     if rng is None:
-        pick = max(range(len(chains)), key=lambda k: chains[k][2])
+        i, j, probability = max(chains, key=itemgetter(2))  # the first of equal ones
     else:
-        pick = int(_draw(rng, [p for _, _, p in chains]))
+        i, j, probability = chains[_draw(rng, [p for _, _, p in chains])]
 
-    i, j, probability = chains[pick]
-    final = h @ (second[i - lo, j] / p2[i - lo, j]) @ h  # undo the rotation
+    final = h @ (second[i - lo, j] / p2[i - lo][j]) @ h  # undo the rotation
     outcome = _BELL_OUTCOMES[i][j]
-    target = _BELL_VECTORS[outcome.label]
-    fidelity = float(np.real(np.conj(target) @ final @ target))
+    fidelity = float((_BELL_CONJUGATES[outcome.label] @ final @ _BELL_VECTORS[outcome.label]).real)
     return BellMeasurementRecord(
         outcome=outcome,
         result=ProtocolResult(_constant(final), fidelity, probability),
-        distribution=tuple((_BELL_OUTCOMES[i][j], p) for i, j, p in chains),
+        distribution=tuple([(_BELL_OUTCOMES[i][j], p) for i, j, p in chains]),
     )
 
 
@@ -646,12 +668,10 @@ def entanglement_generation(
     # (armA + i*armB)/sqrt2 dark, which reduce to contrast/2 and sum/2.
     labels_a, labels_b = (route_a.label_g, route_a.label_m), (route_b.label_g, route_b.label_m)
     branches = [(ra, rb) for ra in labels_a for rb in labels_b]
-    dark_through = np.array([0.5 * alpha * (a.through - b.through) for a, b in branches], complex)
-    dark_drop = np.array([0.5 * alpha * (a.drop - b.drop) for a, b in branches], complex)
-
-    superposition = 0.5 * np.ones(4)  # (g+m)/sqrt2 on each node
-    click_t = superposition * dark_through
-    click_d = superposition * dark_drop
+    half = 0.5 * alpha
+    dark = np.array([half * (a.through - b.through) for a, b in branches]
+                    + [half * (a.drop - b.drop) for a, b in branches], complex).reshape(2, 4)
+    click_t, click_d = _SUPERPOSITION * dark  # through, drop
     p_t = float(np.vdot(click_t, click_t).real)
     p_d = float(np.vdot(click_d, click_d).real)
     herald_probability = p_t + p_d
@@ -714,7 +734,10 @@ def fidelity_success_tradeoff(
         # routing does not depend on the probe strength: resolve it once and
         # take every probed point through the engine in one stacked pass
         route_a, route_b = _route_pair(node_a, node_b, probe)
-        amps = np.array([_pointer_rows(route_a, route_b, math.sqrt(n)) for n in probed], complex)
+        rows = []
+        for n in probed:
+            rows += _pointer_rows(route_a, route_b, math.sqrt(n))
+        amps = np.array(rows, complex).reshape(-1, 4, 6)
         heralded = _PHI_PLUS_RHO * _threshold_factors(amps)[[0, 3]]  # even, none; unnormalized
         p_even, p_none = heralded.trace(0, 2, 3).real
         for q in p_even.tolist():
@@ -722,9 +745,9 @@ def fidelity_success_tradeoff(
                 raise InvalidRegime("even-parity herald cannot fire for this node configuration")
             if not math.isfinite(q):
                 raise InvalidRegime(f"even-parity herald probability is not finite: P = {q!r}")
-        vec = _BELL_VECTORS["phi_plus"]
         # a row times a column per point, the product one matrix would take
-        fidelity = ((np.conj(vec) @ (heralded[0] / p_even[:, None, None]))[:, None] @ vec).real
+        conditioned = _BELL_CONJUGATES["phi_plus"] @ (heralded[0] / p_even[:, None, None])
+        fidelity = (conditioned[:, None] @ _BELL_VECTORS["phi_plus"]).real
         measured = zip(probed, fidelity[:, 0].tolist(), (1.0 - p_none).tolist())
     return TradeoffTable(
         points=tuple(TradeoffPoint(0.0, 1.0, 0.0) if nbar == 0.0 else TradeoffPoint(*next(measured))

@@ -499,6 +499,23 @@ def test_bell_sampling_deterministic_with_seed(tmp_path):
     assert table.metadata["seed"] == 42
 
 
+@pytest.mark.parametrize("samples", [1, 499, 500])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_bell_samples_are_the_counts_generator_choice_draws(samples, seed, tmp_path):
+    # the golden bell_sampled node pair, whose four outcomes all have weight
+    settings = "g_b: 0.3\ndelta_omega: 0.01\nmean_photons: 1.5\nstate: psi_plus\n"
+    conf = write(tmp_path / "b.conf", BASE_CONF + settings + f"samples: {samples}\n")
+    out = tmp_path / "run"
+    assert main(["bell", "--config", conf, "--out", str(out), "--seed", str(seed)]) == 0
+    table = read_result_table(str(out / "bell.csv"))
+    p = np.array([row[3] for row in table.rows])  # written with every digit
+    draws = np.random.default_rng(seed).choice(len(p), samples, p=p / p.sum())
+    counts = np.bincount(draws, minlength=len(p))
+    assert [row[4] for row in table.rows] == counts.tolist()
+    assert [row[5] for row in table.rows] == (counts / samples).tolist()
+    assert table.metadata["seed"] == seed
+
+
 def test_diagnostics_values(tmp_path):
     conf = write(tmp_path / "d.conf", BASE_CONF)
     out = tmp_path / "run"

@@ -12,6 +12,7 @@ The protocols' ``post_state`` is formed only when read, so it is compared
 by name, and no protocol may form it before then.
 """
 
+import ast
 import math
 import os
 import struct
@@ -52,7 +53,7 @@ from ditsim import (
     scatter_coefficients,
 )
 from ditsim import cli, core, repeater
-from ditsim.repeater import _dominant_pure_state, _threshold_factors
+from ditsim.repeater import _dominant_pure_state, _draw, _threshold_factors
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
@@ -819,6 +820,115 @@ def test_cli_bell_over_four_states_interrogates_the_pair_once(tmp_path, monkeypa
     conf.write_text("mean_photons: 1.0\n")
     assert cli.main(["bell", "--config", str(conf), "--out", str(tmp_path)]) == 0
     assert calls == {"from_params": 2, "threshold_factors": 1}
+
+
+# ---------------------------------------------------------------- sampler --
+#
+# ``_draw`` runs the steps of ``Generator.choice`` after its input checks, so
+# it must give choice's indices and leave the generator where choice leaves it.
+
+positive_weights = st.floats(1e-300, 1e300)
+
+
+@st.composite
+def weight_lists(draw, sizes=st.integers(1, 4)):
+    n = draw(sizes)
+    kind = draw(st.sampled_from(("any", "equal", "tiny", "unit sum")))
+    if kind == "equal":
+        return [draw(positive_weights)] * n
+    weights = draw(st.lists(positive_weights, min_size=n, max_size=n))
+    if kind == "tiny":  # one outcome near the herald floor
+        weights[draw(st.integers(0, n - 1))] = draw(st.floats(1e-300, 2e-300))
+    elif kind == "unit sum":  # a distribution as the protocols report it
+        weights = (np.asarray(weights) / math.fsum(weights)).tolist()
+    return weights
+
+
+def _choice(rng, weights, size):
+    p = np.asarray(weights, dtype=float)
+    return rng.choice(len(p), size, p=p / p.sum())
+
+
+@settings(max_examples=400, deadline=None)
+@given(weights=weight_lists(), seed=st.integers(0, 2**64 - 1),
+       size=st.sampled_from((None, 0, 1, 500)), as_array=st.booleans())
+def test_draw_matches_generator_choice(weights, seed, size, as_array):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _draw(ours, np.asarray(weights) if as_array else weights, size)
+    want = _choice(theirs, weights, size)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.array_equal(got, want)
+    assert np.all(np.asarray(got) < len(weights))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class _FixedUniform(np.random.Generator):
+    """A generator whose ``random`` returns ``u``; ``choice`` reads it too."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.u if size in (None, ()) else np.full(size, self.u)
+
+
+def _float(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _switch_points(weights):
+    """The bit patterns in [0, 1) at which choice's pick moves up, found by
+    bisection with choice itself as the oracle."""
+    p = np.asarray(weights, dtype=float)
+
+    def pick(bits):
+        return _FixedUniform(_float(bits)).choice(len(p), p=p / p.sum())
+
+    points, lo, top = [], 0, struct.unpack("<q", struct.pack("<d", np.nextafter(1.0, 0.0)))[0]
+    while pick(lo) < pick(top):
+        floor, hi = pick(lo), top  # hi: the smallest bits picking above floor
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if pick(mid) > floor else (mid, hi)
+        points.append(hi)
+        lo = hi
+    return points
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=weight_lists(st.integers(1, 9)), size=st.sampled_from((None, 3)))
+def test_draw_switches_outcome_exactly_where_choice_does(weights, size):
+    # numpy sums 8 or more weights pairwise, so those single picks take the array path
+    switches = _switch_points(weights)
+    for bits in [0, *switches, *(b - 1 for b in switches)]:
+        u = _float(bits)
+        want = _choice(_FixedUniform(u), weights, size)
+        got = _draw(_FixedUniform(u), weights, size)
+        assert type(got) is type(want) and np.array_equal(got, want)
+        assert np.all(np.asarray(got) < len(weights))
+
+
+@pytest.mark.parametrize("size", [None, 3])
+def test_draw_on_a_cumulative_boundary_picks_the_next_outcome(size):
+    weights = [1.0, 1.0, 2.0, 1e-300]  # cumulative 0.25, 0.5, 1.0, 1.0
+    below_one = np.nextafter(1.0, 0.0)
+    for u, want in ((0.0, 0), (np.nextafter(0.25, 0.0), 0), (0.25, 1), (0.5, 2), (below_one, 2)):
+        got = _draw(_FixedUniform(u), weights, size)
+        assert np.array_equal(got, np.full(size, want) if size else want)
+        assert np.array_equal(_choice(_FixedUniform(u), weights, size), got)
+
+
+def test_no_choice_call_is_left_in_the_package():
+    package = os.path.join(ROOT, "src", "ditsim")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Attribute) and node.func.attr == "choice"]
+            assert calls == [], name
 
 
 # --------------------------------------------------------- error contract --

@@ -23,11 +23,8 @@ entry points guard the mean photon number where the model requires it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
-from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -95,7 +92,7 @@ class InvalidRegime(NumericsError):
 def _sum_squares(amps) -> float:
     """Plain sum of |a|^2, or inf where it overflows."""
     try:
-        return float(sum([abs(a) ** 2 for a in amps]))
+        return float(sum(abs(a) ** 2 for a in amps))
     except OverflowError:
         return math.inf
 
@@ -417,14 +414,8 @@ def _draw(rng: np.random.Generator, probabilities, size=None):
     entry, one ``rng.random(size)`` draw and a right-side search.  So the
     same indices come out and ``rng`` is left in the same state.  The
     weights must be finite and positive with a finite sum, as every
-    distribution the protocols report is.  A single pick from fewer than 8
-    weights runs on floats: numpy sums arrays that short in order, as
-    ``accumulate`` does.
+    distribution the protocols report is.
     """
-    if size is None and len(probabilities) < 8:
-        total = list(accumulate(probabilities))[-1]
-        cdf = list(accumulate(w / total for w in probabilities))
-        return bisect_right([c / cdf[-1] for c in cdf], rng.random())
     p = np.asarray(probabilities, dtype=float)
     cdf = (p / p.sum()).cumsum()
     cdf /= cdf[-1]
@@ -601,24 +592,25 @@ def bell_measurement(
     rotated = h @ (first[lo:hi] / p1[lo:hi, None, None]) @ h
     # second stage the same way, on every surviving branch
     second = rotated[:, None] * clicks
-    p2 = second.trace(0, 2, 3).real.tolist()
+    p2 = second.trace(0, 2, 3).real
     chains = []  # (first index, second index, probability)
-    for i, q1, rho1, q2 in zip(range(lo, hi), w1, rotated, p2):
+    for i, q1, rho1, q2 in zip(range(lo, hi), w1, rotated, p2.tolist()):
         lo2, hi2, w2 = _herald(q2, rho1, factors)
         chains += [(i, j, q1 * q) for j, q in zip(range(lo2, hi2), w2)]
 
     if rng is None:
-        i, j, probability = max(chains, key=itemgetter(2))  # the first of equal ones
+        pick = max(range(len(chains)), key=lambda k: chains[k][2])
     else:
-        i, j, probability = chains[_draw(rng, [p for _, _, p in chains])]
+        pick = _draw(rng, [p for _, _, p in chains])
 
-    final = h @ (second[i - lo, j] / p2[i - lo][j]) @ h  # undo the rotation
+    i, j, probability = chains[pick]
+    final = h @ (second[i - lo, j] / p2[i - lo, j]) @ h  # undo the rotation
     outcome = _BELL_OUTCOMES[i][j]
     fidelity = float((_BELL_CONJUGATES[outcome.label] @ final @ _BELL_VECTORS[outcome.label]).real)
     return BellMeasurementRecord(
         outcome=outcome,
         result=ProtocolResult(_constant(final), fidelity, probability),
-        distribution=tuple([(_BELL_OUTCOMES[i][j], p) for i, j, p in chains]),
+        distribution=tuple((_BELL_OUTCOMES[i][j], p) for i, j, p in chains),
     )
 
 

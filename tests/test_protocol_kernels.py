@@ -900,7 +900,7 @@ def _switch_points(weights):
 @settings(max_examples=200, deadline=None)
 @given(weights=weight_lists(st.integers(1, 9)), size=st.sampled_from((None, 3)))
 def test_draw_switches_outcome_exactly_where_choice_does(weights, size):
-    # numpy sums 8 or more weights pairwise, so those single picks take the array path
+    # numpy sums 8 or more weights pairwise; _draw must sum them as choice does
     switches = _switch_points(weights)
     for bits in [0, *switches, *(b - 1 for b in switches)]:
         u = _float(bits)

@@ -3,8 +3,8 @@
 ``join_cells(values, style, seps)`` writes every cell of a 2-D float64 array
 in row-major order, each followed by the separator of its column, and drops
 the separator after the last cell (so one column with one separator is
-``sep.join``); ``cells(values, style)`` lists a 1-D array's cells.  Only they
-decide how floats become text: from ``_KERNEL_CELLS`` cells on, by style,
+``sep.join``).  Only it decides how floats become text: from
+``_KERNEL_CELLS`` cells on, by style,
 the array kernel below, which costs about 0.15-0.4 ms a call; below that,
 CPython cell by cell.  The styles are
 
@@ -17,7 +17,7 @@ The digits come from integer arithmetic on a double-double scaling of each
 value, in the manner of Grisu3 (Loitsch, PLDI 2010): a cell whose digits the
 fast path cannot certify is formatted by CPython instead, so every byte is
 CPython's.  Cells handed over: zero, non-finite values, magnitudes outside
-[1e-280, 1e280] (``.2f``: not below 1e13), roundings within ``_TIE``
+[1e-280, 1e280] (``.2f``: values outside [0, 9999)), roundings within ``_TIE``
 (``.2f``: ``_F2_TIE``) of a tie, ``repr`` candidates within ``_ROUND_TRIP``
 (relative) of the edge of the round-trip interval, and powers of two for
 ``repr`` (their interval is lopsided).
@@ -58,7 +58,10 @@ _ROUND_TRIP = 1e-9
 _MIN, _MAX = 1e-280, 1e280
 # .2f forms 100 * x exactly and rounds once more, by less than 1e-16: a
 # margin this small keeps only ties and near-ties away from rint
-_F2_TIE, _F2_MAX = 1e-12, 1e13
+_F2_TIE = 1e-12
+# .2f's fast path takes x in [0, _F2_MAX), whose whole part fits one quad;
+# its one caller, render_lines, passes coordinates in [38, 702] px
+_F2_MAX = 9999.0
 # cells per block: bounds the temporaries (about 0.5 KiB a cell)
 _BLOCK = 8192
 
@@ -311,11 +314,10 @@ def _float_quads(v: np.ndarray, style: str, unsure: np.ndarray) -> np.ndarray:
 
 
 def _f2_quads(v: np.ndarray, unsure: np.ndarray) -> np.ndarray:
-    """The ``.2f`` text of each cell as quad planes: sign, whole digits, ".dd"."""
+    """The ``.2f`` text of each cell as two quad planes: whole digits, ".dd"."""
     t = _tables()
-    a = np.abs(v)
-    unsure |= ~(a < _F2_MAX)
-    a[unsure] = 0.0
+    unsure |= ~((v > 0) & (v < _F2_MAX))
+    a = np.where(unsure, 0.0, v)
     # a * 100 exactly, as p + err
     p = a * 100.0
     ah, al = _split(a)
@@ -324,27 +326,11 @@ def _f2_quads(v: np.ndarray, unsure: np.ndarray) -> np.ndarray:
     frac = (p - m) + err
     unsure |= np.abs(np.abs(frac) - 0.5) < _F2_TIE
     m = m.astype(np.int64) + (frac > 0.5) - (frac < -0.5)
-    units = m // 100
-    width = -(-len(str(int(units.max()))) // 4)
-
-    quads = np.empty((width + 2, v.size), np.uint32)
-    sign = np.signbit(v)
-    if sign.any():
-        np.take(t["lead"], sign, out=quads[0])
-    else:
-        quads[0] = 0
-    digits, x = t["digits"], units
-    for j in range(width, 0, -1):
-        # as is below a nonzero higher quad, else with leading zeros blank,
-        # the lowest quad keeping the "0" of a whole part of 0
-        blank = (3 if j == width else 1) * _QUAD
-        if j == 1:  # the top quad, so x < _QUAD
-            np.take(digits[blank:], x, out=quads[1])
-        else:
-            high = x // _QUAD
-            np.take(digits, x - high * _QUAD + blank * (high == 0), out=quads[j])
-            x = high
-    np.take(t["cents"], m - 100 * units, out=quads[width + 1])
+    units = m // 100  # below _QUAD, as a < 9999
+    quads = np.empty((2, v.size), np.uint32)
+    # leading zeros blank, but a lone "0" for a whole part of 0
+    np.take(t["digits"][3 * _QUAD:], units, out=quads[0])
+    np.take(t["cents"], m - 100 * units, out=quads[1])
     return quads
 
 
@@ -413,9 +399,3 @@ def join_cells(values: np.ndarray, style: str, seps: Sequence[str]) -> str:
     blocks = (_join_block(values[i:i + step], style, marks) for i in range(0, rows, step))
     return seps[-1].join(blocks)
 
-
-def cells(values: np.ndarray, style: str) -> list[str]:
-    """The text of each value of a 1-D float64 array, by the choice of :func:`join_cells`."""
-    if values.size < _KERNEL_CELLS[style]:
-        return _python_cells(values.tolist(), style)
-    return join_cells(values[:, None], style, ["\n"]).split("\n")

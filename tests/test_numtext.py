@@ -90,7 +90,7 @@ HANDED = [
     ("zero", STYLES, [0.0, -0.0]),
     ("non-finite", STYLES, [math.nan, math.inf, -math.inf]),
     ("outside the scaled range", (G17, JSON), [1e-300, -1e300, 5e-324, 1e-310]),
-    ("outside the .2f range", (F2,), [1e13, -1e300]),
+    ("outside the .2f range", (F2,), [9999.0, 1e13, -123.456, -1e300]),
     ("a tie at 17 digits", (G17, JSON), [1 + 3 * 2.0**-17, 1 + 2.0**-17]),
     ("a .2f tie", (F2,), [0.125, 2.675, -0.005, 0.375]),
     # 1e23 sits exactly on the edge; the others are within rounding of it
@@ -112,9 +112,9 @@ def test_each_reason_to_hand_over_is_taken(style, values):
 
 @pytest.mark.parametrize("style", STYLES)
 def test_plain_values_take_the_fast_path(style):
-    values = [0.1, 1 / 3, -123.456, 2.5e-7, 0.30000000000000004, 7.0, 1e-4, 702.123]
-    if style != F2:  # past .2f's range, and a .2f near-tie
-        values += [6.02e23, 12.345]
+    values = [0.1, 1 / 3, 2.5e-7, 0.30000000000000004, 7.0, 1e-4, 702.123, 9998.99]
+    if style != F2:  # outside .2f's range, and a .2f near-tie
+        values += [-123.456, 6.02e23, 12.345]
     assert not handed_over(values, style).any()
     assert_matches(values, style)
 
@@ -138,9 +138,9 @@ def test_floats_match_cpython(style, values):
     assert_matches(values, style)
 
 
-# .2f's whole part is written in quads of four digits: 9999 fills one and
-# 10000 takes two (9999.995 rounds up into it), and a whole part of 0 keeps its
-# lone "0" whatever the widest cell beside it
+# .2f's fast path writes a whole part of up to four digits, the lone "0" of
+# 0 included, and hands over negative values and values from 9999 up (9999.995
+# would round up to five digits); across that edge every cell is CPython's
 @given(values=st.lists(st.floats(-2e13, 2e13), min_size=1, max_size=64))
 @example(values=[9999.0, 9999.99, 9999.994999999999, 9999.995, 10000.0, 10000.004, 0.5])
 @example(values=[99999999.99, 99999999.995, 100000000.0, 100000001.5, 0.25, 7.0])

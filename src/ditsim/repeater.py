@@ -90,11 +90,18 @@ class InvalidRegime(NumericsError):
 
 
 def _sum_squares(amps) -> float:
-    """Plain sum of |a|^2, or inf where it overflows."""
+    """|a|^2 added left to right, or inf where it overflows.
+
+    Not the builtin ``sum``: from Python 3.12 it compensates float sums, so
+    the same state would normalize to other bits on other Python versions.
+    """
+    total = 0.0
     try:
-        return float(sum(abs(a) ** 2 for a in amps))
+        for a in amps:
+            total += abs(a) ** 2
     except OverflowError:
         return math.inf
+    return total
 
 
 def _unit(amps: tuple) -> tuple:

@@ -102,7 +102,11 @@ def reference_mean_photons(value):
 
 
 def reference_normalized_vector(state):
-    n = math.sqrt(float(sum(abs(a) ** 2 for a in state.amplitudes)))
+    # squares added left to right, not by the builtin sum (compensated from 3.12)
+    total = 0.0
+    for a in state.amplitudes:
+        total += abs(a) ** 2
+    n = math.sqrt(total)
     if n == 0.0:
         raise ValueError("cannot normalize a zero state")
     return TwoDipoleState(tuple(a / n for a in state.amplitudes)).vector()
@@ -1035,6 +1039,14 @@ def test_norm_overflow_reports_infinity_and_zero_still_fails():
     assert huge.norm() == pytest.approx(1.0)
     with pytest.raises(ValueError, match="cannot normalize a zero state"):
         TwoDipoleState((0.0, 0.0, 0.0, 0.0)).normalized()
+
+
+def test_norm_adds_the_squares_left_to_right():
+    # the builtin sum compensates from Python 3.12 and gives 8.306 here
+    amps = (1.98 - 0.09j, 0.65 + 0.62j, -0.28 - 1.55j, 0.96 - 0.41j)
+    state = TwoDipoleState(amps)
+    assert state.norm() == 8.306000000000001
+    assert state.normalized().amplitudes == tuple(a / math.sqrt(8.306000000000001) for a in amps)
 
 
 @settings(max_examples=300, deadline=None)

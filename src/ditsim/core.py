@@ -324,8 +324,8 @@ def _drop_arrays(params: SystemParams, dw: np.ndarray) -> tuple[np.ndarray, np.n
             dead = np.flatnonzero(x.imag == 0.0)
             if dead.size:
                 raise DegenerateDipole(
-                    "dipole term diverges at grid indices "
-                    f"{dead.tolist()}: probe exactly on a zero-linewidth dipole line"
+                    f"dipole term diverges at {_grid_indices(dead)}: "
+                    "probe exactly on a zero-linewidth dipole line"
                 )
         denom = np.divide(g * g, x)
     else:

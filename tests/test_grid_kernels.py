@@ -544,6 +544,17 @@ def test_array_guard_names_the_singular_points():
     assert scattering_arrays(params, np.array([])).t_drop.shape == (0,)
 
 
+def test_degenerate_dipole_message_lists_ten_indices():
+    # a million points on the line of a zero-linewidth dipole: the message
+    # stays short, as every other grid error's does
+    params = SystemParams(1e12, 3.3e11, 0.0, 1e11)
+    with pytest.raises(DegenerateDipole) as info:
+        scattering_arrays(params, np.zeros(10**6))
+    message = str(info.value)
+    assert len(message) < 200
+    assert "grid indices [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] and 999990 more:" in message
+
+
 # ------------------------------------------------------ spectrum in blocks --
 
 

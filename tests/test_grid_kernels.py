@@ -160,8 +160,8 @@ def reference_transmission_spectrum(params, grid):
         dead = np.flatnonzero(x == 0.0)
         if dead.size:
             raise DegenerateDipole(
-                "dipole term diverges at grid indices "
-                f"{dead.tolist()}: probe exactly on a zero-linewidth dipole line"
+                f"dipole term diverges at {_reference_indices(dead)}: "
+                "probe exactly on a zero-linewidth dipole line"
             )
         coupling = params.g * params.g / x
     else:
@@ -189,8 +189,8 @@ def reference_drop_arrays(params, dw):
                 dead = np.flatnonzero(x == 0.0)
                 if dead.size:
                     raise DegenerateDipole(
-                        "dipole term diverges at grid indices "
-                        f"{dead.tolist()}: probe exactly on a zero-linewidth dipole line"
+                        f"dipole term diverges at {_reference_indices(dead)}: "
+                        "probe exactly on a zero-linewidth dipole line"
                     )
             coupling = np.divide(g * g, x)
         denom = np.multiply(-1j, dw)

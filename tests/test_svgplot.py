@@ -1,6 +1,7 @@
 """SVG rendering: the whole-series path against the per-point reference loop."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from xml.sax.saxutils import escape
 
+from ditsim import _numtext
 from ditsim.svgplot import (
     _PALETTE,
     LineSeries,
@@ -177,6 +179,46 @@ def series_lists(draw):
 @given(series_lists())
 def test_render_matches_reference(lines):
     assert_same_svg(lines, title="t", xlabel="x", ylabel="y")
+
+
+@st.composite
+def spanned_series(draw):
+    """Series about a centre, spread over 1e-300 to 1e300 or constant, with
+    NaN gaps and infinities; a series can be a single point."""
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 30))
+        center = draw(st.sampled_from([0.0, 1.0, -7.5e3, 1e-300, -1e300, 1e300]))
+        cells = []
+        for _axis in "xy":
+            span = 10.0 ** draw(st.integers(-300, 300))
+            if draw(st.booleans()):
+                v = [center + span] * n
+            else:
+                v = [center + span * u for u in draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))]
+            for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+                v[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            cells.append(v)
+        lines.append(LineSeries("", *cells))
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(spanned_series())
+def test_polyline_coordinates_stay_in_the_f2_fast_path_range(lines):
+    # _numtext's .2f kernel writes values in [0, _F2_MAX); render_lines is
+    # its one caller and must pass it nothing else
+    passed, join_cells = [], _numtext.join_cells
+
+    def spy(values, style, seps):
+        if style == _numtext.F2:
+            passed.append(np.asarray(values, dtype=float).ravel())
+        return join_cells(values, style, seps)
+
+    with mock.patch.object(_numtext, "join_cells", spy):
+        render_lines(lines)
+    coordinates = np.concatenate(passed or [np.empty(0)])
+    assert ((coordinates >= 0.0) & (coordinates < _numtext._F2_MAX)).all(), coordinates
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,6 @@ from . import _numtext
 from .core import (
     THZ,
     NumericsError,
-    ProbeDetuning,
     SystemParams,
     _FIELDS as _PARAM_KEYS,
     _field_problem,
@@ -539,12 +538,12 @@ def _two_node_setup(command: str, options: Mapping):
     """Node A, node B (``_b`` keys override), the probe and their metadata."""
     node_a = _params_from(options)
     node_b = _params_from(options, suffix="_b")
-    probe = ProbeDetuning(options["delta_omega"] * THZ)
+    probe = options["delta_omega"] * THZ  # rad/s, finite by _coerce's rules
     metadata = {
         "command": command,
         "params_a": _params_meta(node_a),
         "params_b": _params_meta(node_b),
-        "probe_delta_omega_thz": probe.delta_omega / THZ,
+        "probe_delta_omega_thz": probe / THZ,
     }
     return node_a, node_b, probe, metadata
 
@@ -593,14 +592,14 @@ def _run_spectrum(options, args):
 
 def _run_sweep(options, args):
     params = _params_from(options)
-    probe = ProbeDetuning(options["delta_omega"] * THZ)
+    probe = options["delta_omega"] * THZ
     swept = np.linspace(options["start"], options["stop"], options["count"]) * THZ
     _, _, fractions, errors = _sweep_arrays(params, options["axis"], swept, probe)
     metadata = {
         "command": "sweep",
         "axis": options["axis"],
         "params": _params_meta(params),
-        "probe_delta_omega_thz": probe.delta_omega / THZ,
+        "probe_delta_omega_thz": probe / THZ,
     }
     # an error row (an invalid point) has empty fractions and its error
     error = [""] * len(swept)

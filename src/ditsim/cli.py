@@ -324,7 +324,9 @@ class ResultTable:
         return tuple(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.data)))
 
 
-# rows per formatting chunk: bounds the per-cell strings alive at once
+# rows per formatting chunk: bounds the per-cell strings alive at once, and
+# the transient copies of a chunk's formatted text (join_cells' bytes and str,
+# the row-end replace, the hole edits and the % fill) made before it is kept
 _CHUNK_ROWS = 4096
 
 
@@ -343,7 +345,12 @@ def _csv_text(rows) -> str:
 
 
 def _csv_quoted(strings: list[str]) -> list[str]:
-    """Each string cell as the ``csv`` module writes it in a row of two or more cells."""
+    """Each string cell as the ``csv`` module writes it in a row of two or more cells.
+
+    One ``csv`` call for all of them, not one per string: every sweep error
+    message names its own value, so an error sweep's strings are mostly
+    distinct, and a call per string costs more.
+    """
     text, at, cells = _csv_text([(s, "") for s in strings]), 0, []
     for s in strings:
         # each row is the cell and ",\n"; the cell is the string, or the string
@@ -372,7 +379,7 @@ def _float_column(column: np.ndarray | list) -> tuple[np.ndarray, list[int]] | N
     if not kinds <= _FLOATS | {type(None)}:
         return None
     values = np.array(column, dtype=float)  # a None reads as nan
-    if type(None) not in kinds:
+    if type(None) not in kinds:  # a chunk's slice of a column whose holes lie elsewhere
         return values, []
     holes = [i for i in np.flatnonzero(np.isnan(values)).tolist() if column[i] is None]
     # the writer replaces a hole's text: a value that the array formatter

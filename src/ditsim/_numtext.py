@@ -4,9 +4,8 @@
 in row-major order, each followed by the separator of its column, and drops
 the separator after the last cell (so one column with one separator is
 ``sep.join``).  Only it decides how floats become text: from
-``_KERNEL_CELLS`` cells on, by style,
-the array kernel below, which costs about 0.15-0.4 ms a call; below that,
-CPython cell by cell.  The styles are
+``_KERNEL_CELLS`` cells on, by style, the array kernel below, which costs
+about 0.15-0.4 ms a call; below that, CPython cell by cell.  The styles are
 
 * ``G17``:  ``format(x, ".17g")``  (CSV cells),
 * ``JSON``: ``repr(x)``, with ``NaN``, ``Infinity`` and ``-Infinity`` for

@@ -541,13 +541,12 @@ def _params_meta(params: SystemParams) -> dict:
     return {f"{name}_thz": getattr(params, name) / THZ for name in _PARAM_KEYS}
 
 
-def _two_node_setup(command: str, options: Mapping):
+def _two_node_setup(options: Mapping):
     """Node A, node B (``_b`` keys override), the probe and their metadata."""
     node_a = _params_from(options)
     node_b = _params_from(options, suffix="_b")
     probe = options["delta_omega"] * THZ  # rad/s, finite by _coerce's rules
     metadata = {
-        "command": command,
         "params_a": _params_meta(node_a),
         "params_b": _params_meta(node_b),
         "probe_delta_omega_thz": probe / THZ,
@@ -582,7 +581,6 @@ def _run_spectrum(options, args):
         pass
 
     metadata = {
-        "command": "spectrum",
         "params": _params_meta(params),
         "grid": {"start_thz": x_thz[0], "stop_thz": x_thz[-1], "count": grid.count},
         "peak": peak_meta,
@@ -603,7 +601,6 @@ def _run_sweep(options, args):
     swept = np.linspace(options["start"], options["stop"], options["count"]) * THZ
     _, _, fractions, errors = _sweep_arrays(params, options["axis"], swept, probe)
     metadata = {
-        "command": "sweep",
         "axis": options["axis"],
         "params": _params_meta(params),
         "probe_delta_omega_thz": probe / THZ,
@@ -624,7 +621,7 @@ def _run_sweep(options, args):
 
 
 def _run_entangle(options, args):
-    node_a, node_b, probe, metadata = _two_node_setup("entangle", options)
+    node_a, node_b, probe, metadata = _two_node_setup(options)
     nbar = options["mean_photons"]
     result = entanglement_generation(node_a, node_b, probe, nbar)
     metadata["post_state"] = [[a.real, a.imag] for a in result.post_state.amplitudes]
@@ -636,7 +633,7 @@ def _run_entangle(options, args):
 
 
 def _run_parity(options, args):
-    node_a, node_b, probe, metadata = _two_node_setup("parity", options)
+    node_a, node_b, probe, metadata = _two_node_setup(options)
     gammas = np.linspace(options["gamma_start"], options["gamma_stop"], options["gamma_count"])
     false_even = [
         false_even_probability(replace(node_a, gamma=g), replace(node_b, gamma=g), probe)
@@ -661,7 +658,7 @@ def _run_parity(options, args):
 
 
 def _run_bell(options, args):
-    node_a, node_b, probe, metadata = _two_node_setup("bell", options)
+    node_a, node_b, probe, metadata = _two_node_setup(options)
     nbar = options["mean_photons"]
     metadata["mean_photons"] = nbar
 
@@ -705,7 +702,7 @@ def _run_bell(options, args):
 
 
 def _run_tradeoff(options, args):
-    node_a, node_b, probe, metadata = _two_node_setup("tradeoff", options)
+    node_a, node_b, probe, metadata = _two_node_setup(options)
     grid = np.linspace(options["nbar_start"], options["nbar_stop"], options["nbar_count"])
     table = fidelity_success_tradeoff(node_a, node_b, probe, grid)
     metadata["state"] = "phi_plus"
@@ -725,7 +722,6 @@ def _run_diagnostics(options, args):
     arrays = scattering_arrays(params, np.array([params.delta]))
     transparency = float(np.abs(arrays.t_through[0]) ** 2)
     metadata = {
-        "command": "diagnostics",
         "params": _params_meta(params),
         "eta": eta,
         "quality_factor": params.quality_factor,
@@ -758,8 +754,11 @@ _PLOT_LABELS = {
 
 
 def run(command: str, options: dict, args) -> tuple[ResultTable, list[LineSeries] | None]:
-    """Execute one command on ``_coerce``'s options; returns the table and plot series."""
-    return _HANDLERS[command](options, args)
+    """Execute one command on ``_coerce``'s options; returns the table and plot series.
+    The table's metadata names the command."""
+    table, series = _HANDLERS[command](options, args)
+    table.metadata["command"] = command
+    return table, series
 
 
 def _seed_value(text: str) -> int:

@@ -33,6 +33,27 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
+__all__ = [
+    "THZ",
+    "SystemParams",
+    "ProbeDetuning",
+    "ScatterCoefficients",
+    "FluxBudget",
+    "DiagnosticNumbers",
+    "WeakExcitationReport",
+    "NumericsError",
+    "DegenerateDipole",
+    "SingularDenominator",
+    "SingularSystem",
+    "UndefinedDiagnostic",
+    "scatter_coefficients",
+    "scattering_arrays",
+    "steady_state_oracle",
+    "flux_budget",
+    "diagnostics",
+    "weak_excitation_check",
+]
+
 THZ = 1.0e12  # rad/s per THz
 
 # |denominator| below this is treated as numerically singular.  The physical

@@ -42,6 +42,29 @@ from .core import (  # scatter_coefficients stays importable from here
     scatter_coefficients,  # noqa: F401
 )
 
+__all__ = [
+    "BASIS",
+    "PORTS",
+    "BELL_LABELS",
+    "PARITY_TO_BELL",
+    "TwoDipoleState",
+    "RouteAmplitudes",
+    "NodeRouting",
+    "PointerRecord",
+    "ParityProbeResult",
+    "ProtocolResult",
+    "BellOutcome",
+    "BellMeasurementRecord",
+    "TradeoffPoint",
+    "TradeoffTable",
+    "InvalidRegime",
+    "parity_probe",
+    "false_even_probability",
+    "entanglement_generation",
+    "bell_measurement",
+    "fidelity_success_tradeoff",
+]
+
 BASIS = ("gg", "gm", "mg", "mm")
 PORTS = ("even", "odd", "kappa_a", "tau_a", "kappa_b", "tau_b")
 BELL_LABELS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
@@ -164,7 +187,7 @@ class TwoDipoleState:
             "psi_plus": (0.0, r, r, 0.0),
             "psi_minus": (0.0, r, -r, 0.0),
         }
-        if label not in table:
+        if not isinstance(label, str) or label not in table:  # a list or array would not hash
             raise ValueError(f"label must be one of {BELL_LABELS}, got {label!r}")
         return cls(table[label])
 
@@ -400,7 +423,9 @@ def _herald(p: list, rho: np.ndarray, factors: np.ndarray) -> tuple[int, int, li
     ``factors`` are the engine's, in ``_OUTCOMES`` order; where neither outcome
     can fire, "both" and "none" name the cause."""
     lo, hi = int(p[0] <= _PROB_FLOOR), 2 - int(p[1] <= _PROB_FLOOR)
-    total = sum(p[lo:hi])
+    total = 0.0
+    for q in p[lo:hi]:  # left to right, as in _sum_squares
+        total += q
     if total <= _PROB_FLOOR:
         p_both, p_none = ((rho * f).trace().real for f in factors[2:])
         if p_both > p_none:

@@ -9,6 +9,7 @@ the full flux budget per point.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from itertools import repeat
@@ -37,6 +38,19 @@ from .core import (  # flux_budget and scattering_arrays stay importable from he
     flux_budget,  # noqa: F401
     scattering_arrays,  # noqa: F401
 )
+
+__all__ = [
+    "SWEEP_AXES",
+    "DetuningGrid",
+    "SpectrumSeries",
+    "PeakReport",
+    "NoPeak",
+    "SweepRow",
+    "SweepTable",
+    "transmission_spectrum",
+    "locate_transparency_peak",
+    "parameter_sweep",
+]
 
 SWEEP_AXES = _FIELDS[:-1]  # every field but omega0: the leading arguments of core._flux
 # points per kernel call in transmission_spectrum, the fastest on the grids
@@ -101,7 +115,14 @@ class DetuningGrid:
     @classmethod
     def default(cls, params: SystemParams, span: float = 3.0, count: int = 2001) -> "DetuningGrid":
         """Symmetric grid of +-span*gamma around the cavity line."""
-        half = _finite(_finite(span, "span") * params.gamma, "span * gamma")
+        span = _finite(span, "span")
+        if span <= 0.0:
+            raise ValueError(f"span must be positive, got {span!r}")
+        if isinstance(count, numbers.Integral) and count == 1:
+            raise ValueError("count must be at least 2 for a grid of +-span*gamma, got 1")
+        half = _finite(span * params.gamma, "span * gamma")
+        if half == 0.0:
+            raise ValueError(f"span * gamma underflows to 0, got span {span!r} and gamma {params.gamma!r}")
         return cls(-half, half, count)
 
 

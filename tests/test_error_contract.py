@@ -67,6 +67,16 @@ def test_grid_names_a_nonfinite_endpoint_or_span():
         DetuningGrid.default(NODE, span=math.inf)
     with pytest.raises(ValueError, match=r"^span \* gamma must be finite, got inf$"):
         DetuningGrid.default(NODE, span=1e297)
+    # nor a default grid without width: a span at or below 0, one point, or a
+    # width that underflows
+    for span in (-1.0, 0.0, -0.0):
+        with pytest.raises(ValueError, match=rf"^span must be positive, got {span!r}$"):
+            DetuningGrid.default(NODE, span=span)
+    for count in (1, np.int64(1)):
+        with pytest.raises(ValueError, match=r"^count must be at least 2 for a grid of \+-span\*gamma, got 1$"):
+            DetuningGrid.default(NODE, count=count)
+    with pytest.raises(ValueError, match=r"^span \* gamma underflows to 0, got span 0.1 and gamma 5e-324$"):
+        DetuningGrid.default(SystemParams(5e-324, 0.0, 0.0, 0.0), span=0.1)
 
 
 @pytest.mark.parametrize("rng", [42, "x", np.random.RandomState(0)], ids=["int", "str", "RandomState"])
@@ -270,6 +280,22 @@ CALLABLES = sorted(
     if callable(obj := getattr(ditsim, name))
     and not (isinstance(obj, type) and issubclass(obj, BaseException))
 )
+
+
+def test_each_public_name_is_declared_once_beside_its_definition():
+    modules = (ditsim.core, ditsim.spectra, ditsim.repeater)
+    assert ditsim.__all__ == [*(name for module in modules for name in module.__all__), "__version__"]
+    assert len(set(ditsim.__all__)) == len(ditsim.__all__)
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(ditsim, name)
+            assert vars(module)[name] is obj, name
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, name
+    # nothing else public: the aliases Probe and Node stay out
+    public = {name for name in dir(ditsim) if not name.startswith("_")
+              and not inspect.ismodule(getattr(ditsim, name))}
+    assert public == set(ditsim.__all__) - {"__version__"}
 
 
 class Fixed:

@@ -924,15 +924,33 @@ def test_draw_on_a_cumulative_boundary_picks_the_next_outcome(size):
         assert np.array_equal(_choice(_FixedUniform(u), weights, size), got)
 
 
+def _banned(node) -> bool:
+    """A ``.choice(`` call, or a float sum whose bits depend on the Python
+    version: builtin ``sum`` (compensated from 3.12), ``math.fsum`` or the
+    ``statistics`` module."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return (isinstance(func, ast.Name) and func.id == "sum"
+                or isinstance(func, ast.Attribute) and (func.attr == "choice" or func.attr == "fsum"))
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "statistics" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "statistics" or node.module == "math" and any(
+            alias.name == "fsum" for alias in node.names)
+    return False
+
+
 def test_no_choice_call_is_left_in_the_package():
+    # nor a float sum whose bits depend on the Python version
+    for text in ("sum(p)", "math.fsum(p)", "from math import fsum", "import statistics",
+                 "from statistics import fmean", "rng.choice(4)"):
+        assert any(_banned(node) for node in ast.walk(ast.parse(text))), text
     package = os.path.join(ROOT, "src", "ditsim")
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as f:
                 tree = ast.parse(f.read())
-            calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-                     and isinstance(node.func, ast.Attribute) and node.func.attr == "choice"]
-            assert calls == [], name
+            assert [node.lineno for node in ast.walk(tree) if _banned(node)] == [], name
 
 
 # --------------------------------------------------------- error contract --

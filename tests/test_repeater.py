@@ -57,8 +57,9 @@ def test_bell_states_are_orthonormal():
 
 
 def test_bell_label_validation():
-    with pytest.raises(ValueError, match="phi_plus"):
-        TwoDipoleState.bell("singlet")
+    for label in ("singlet", None, 3, [1.0], np.array(1.0), ["phi_plus"]):
+        with pytest.raises(ValueError, match="phi_plus"):
+            TwoDipoleState.bell(label)
 
 
 def test_normalization_and_fidelity():

@@ -63,8 +63,8 @@ def test_through_power_on_resonance_is_the_purcell_form():
 def test_on_resonance_only_g_squared_over_tau_matters():
     # the abstract's claim: (g, tau) -> (s*g, s^2*tau) keeps the Purcell factor,
     # and with it every number, whether s*g is below the cavity linewidth or above.
-    # The parity probabilities also carry the click factor's absolute error of
-    # about ulp(1): it is the difference of two exponentials near 1
+    # The parity probabilities also carry the click factor's absolute error,
+    # below ulp(1): it is the difference of two exponentials near 1
     rng = np.random.default_rng(153601)
 
     def figures(node_a, node_b):

@@ -26,7 +26,7 @@ import os
 import sys
 from dataclasses import replace
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,8 +60,6 @@ from .spectra import (
 )
 from .svgplot import LineSeries, render_lines
 
-COMMANDS = ("spectrum", "sweep", "entangle", "parity", "bell", "tradeoff", "diagnostics")
-
 
 class _Required(str):
     """The default of a key that must be given; its text ends the message."""
@@ -82,17 +80,11 @@ _IN_RAD_S = _rule(
 )
 
 
-def _thz(rule: Callable) -> Callable:
-    """``rule`` for a value in THz, then whether it stays finite in rad/s."""
-    return lambda value: rule(value) or _IN_RAD_S(value)
-
-
 def _node_rule(name: str) -> Callable:
-    """The problem ``SystemParams`` finds in its field ``name``, else None."""
-    return _thz(lambda value: (p := _field_problem(name, value)) and p.removeprefix(name + " "))
+    """The problem ``SystemParams`` finds in its field ``name``, else ``_IN_RAD_S``'s."""
+    return lambda v: (p := _field_problem(name, v)) and p.removeprefix(name + " ") or _IN_RAD_S(v)
 
 
-_POSITIVE = _rule(lambda v: v > 0, "must be > 0")
 _NONNEGATIVE = _rule(lambda v: v >= 0, "must be >= 0")
 _COUNT = _rule(lambda v: v >= 1, "must be >= 1")
 _FRACTION = _rule(lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
@@ -111,44 +103,44 @@ _TWO_NODE_KEYS = {
     **{f"{name}_b": (float, None, _node_rule(name)) for name in _PARAM_KEYS},
     **_PROBE_KEY,
 }
-_KEYS: dict[str, dict[str, tuple]] = {
-    "spectrum": {
-        **_NODE_KEYS,
-        "span": (float, 3.0, _POSITIVE),
-        "points": (int, 2001, _rule(lambda v: v >= 2, "must be >= 2")),
-        "start": (float, None, _IN_RAD_S),
-        "stop": (float, None, _IN_RAD_S),
-    },
-    "sweep": {
-        **_NODE_KEYS,
-        **_PROBE_KEY,
-        "axis": (str, _Required(f" (one of {', '.join(SWEEP_AXES)})"), _one_of(SWEEP_AXES)),
-        "start": (float, _Required(), _IN_RAD_S),
-        "stop": (float, _Required(), _IN_RAD_S),
-        "count": (int, 41, _COUNT),
-    },
-    "entangle": {**_TWO_NODE_KEYS, "mean_photons": (float, 0.05, _NONNEGATIVE)},
-    "parity": {
-        **_TWO_NODE_KEYS,
-        "gamma_start": (float, 0.5, _thz(_POSITIVE)),
-        "gamma_stop": (float, 8.0, _thz(_POSITIVE)),
-        "gamma_count": (int, 50, _COUNT),
-    },
-    "bell": {
-        **_TWO_NODE_KEYS,
-        "mean_photons": (float, 1.0, _NONNEGATIVE),
-        "samples": (int, 0, _NONNEGATIVE),
-        "state": (str, None, _one_of(BELL_LABELS)),
-    },
-    "tradeoff": {
-        **_TWO_NODE_KEYS,
-        "nbar_start": (float, 0.0, _NONNEGATIVE),
-        "nbar_stop": (float, 5.0, _NONNEGATIVE),
-        "nbar_count": (int, 21, _COUNT),
-    },
-    "diagnostics": {**_NODE_KEYS, "eta": (float, 0.01, _FRACTION)},
-}
 _EXPECTED = {int: "an integer", float: "a number"}
+
+
+def _scan(low: str, high: str) -> Callable:
+    """The rule of a scan from ``low`` to ``high``: it may be a single point."""
+    def problem(options: Mapping) -> str | None:
+        start, stop = options[low], options[high]
+        if None not in (start, stop) and stop < start:
+            return f"key {high!r}: must be >= {low!r}, got {stop} and {start}"
+    return problem
+
+
+def _sweep_range(options: Mapping) -> str | None:
+    """A sweep of more than one point runs from 'start' up to 'stop'."""
+    start, stop, count = options.get("start"), options.get("stop"), options["count"]
+    if None not in (start, stop, count) and count > 1 and not start < stop:
+        return f"key 'start': must be < 'stop', got {start} and {stop}"
+
+
+def _spectrum_grid(options: Mapping) -> tuple[SystemParams, DetuningGrid]:
+    """The spectrum's node and grid: explicit 'start' and 'stop', else +-span*gamma."""
+    params, count = _params_from(options), options["points"]
+    if "start" in options:
+        return params, DetuningGrid(options["start"] * THZ, options["stop"] * THZ, count)
+    return params, DetuningGrid.default(params, span=options["span"], count=count)
+
+
+def _grid_problem(options: Mapping) -> str | None:
+    """'start' and 'stop' come together, and the grid is one ``DetuningGrid`` accepts."""
+    if ("start" in options) != ("stop" in options):
+        return "keys 'start' and 'stop' must be given together"
+    if None not in options.values():  # the grid reads every key
+        try:
+            _spectrum_grid(options)
+        except ValueError as exc:
+            grid = ("keys 'start' and 'stop': the grid" if "start" in options
+                    else "key 'span': the grid +-span*gamma")
+            return f"{grid} is not one DetuningGrid accepts (values in rad/s): {exc}"
 
 
 class ParseError(ValueError):
@@ -201,9 +193,15 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _coerce(command: str, raw: Mapping[str, str]) -> dict:
-    """Type- and range-checked settings with defaults filled in; collects every problem."""
-    keys = _KEYS[command]
-    unknown, problems, options = [], [], {}
+    """Type- and range-checked settings with defaults filled in; collects every problem.
+
+    Every rule reads the settings the command runs with, defaults included.  A
+    key whose value is unreadable or breaks its own rule holds None, and the
+    rule that relates keys skips it."""
+    keys, check = _COMMANDS[command].keys, _COMMANDS[command].check
+    options = {key: default for key, (_, default, _) in keys.items()
+               if default is not None and not isinstance(default, _Required)}
+    unknown, problems = [], []
     for key, value in raw.items():
         if key not in keys:
             import difflib
@@ -212,7 +210,7 @@ def _coerce(command: str, raw: Mapping[str, str]) -> dict:
             hint = f" (did you mean {near[0]!r}?)" if near else ""
             unknown.append(f"key {key!r} is not recognized for '{command}'{hint}")
             continue
-        kind = keys[key][0]
+        kind, options[key] = keys[key][0], None
         try:
             typed = kind(value)
         except ValueError:
@@ -220,51 +218,20 @@ def _coerce(command: str, raw: Mapping[str, str]) -> dict:
             continue
         if kind is float and not math.isfinite(typed):
             problems.append(f"key {key!r}: must be finite, got {value!r}")
-            continue
-        options[key] = typed
-    given = set(options)
+        else:
+            options[key] = typed
 
     for key, (_, default, rule) in keys.items():
-        if key in given:
-            if rule and (problem := rule(options[key])):
+        if options.get(key) is not None:
+            if problem := rule(options[key]):
                 problems.append(f"key {key!r}: {problem}")
-        elif isinstance(default, _Required):
+                options[key] = None
+        elif isinstance(default, _Required) and key not in options:
             problems.append(f"key {key!r} is required{default}")
-        elif default is not None:
-            options[key] = default
-    problems = unknown + problems + _pair_problems(command, options, given)
+    problems = unknown + problems + [p for p in [check(options)] if p]
     if problems:
         raise ValidationError(problems)
     return options
-
-
-def _pair_problems(command: str, options: dict, given: set) -> list[str]:
-    """The rules that relate a range's two ends, and a spectrum grid's width."""
-    low, high = {"parity": ("gamma_start", "gamma_stop"),
-                 "tradeoff": ("nbar_start", "nbar_stop")}.get(command, ("start", "stop"))
-    if not {low, high} <= given:
-        if command != "spectrum":
-            return []
-        if {low, high} & given:
-            return ["keys 'start' and 'stop' must be given together"]
-        gamma, span = options["gamma"] * THZ, options["span"]
-        # the default grid is +-span*gamma, whose width np.linspace forms; the
-        # keys' own rules report a bad gamma or span
-        if 0.0 < gamma < math.inf and span > 0.0 and not math.isfinite(2.0 * (span * gamma)):
-            return [f"key 'span': the grid +-span*gamma overflows in rad/s, got {span!r}"]
-        return []
-    start, stop = options[low], options[high]
-    if command in ("parity", "tradeoff"):  # a scan may be a single point
-        if stop < start:
-            return [f"key {high!r}: must be >= {low!r}, got {stop} and {start}"]
-    elif not start < stop and not (command == "sweep" and options["count"] <= 1):
-        return [f"key 'start': must be < 'stop', got {start} and {stop}"]
-    elif command == "spectrum":
-        ends = start * THZ, stop * THZ  # an infinite end is its own key's problem
-        if all(map(math.isfinite, ends)) and not math.isfinite(ends[1] - ends[0]):
-            return [f"keys 'start' and 'stop': the grid width overflows in rad/s, "
-                    f"got {start} and {stop}"]
-    return []
 
 
 # ============================================================== results ==
@@ -555,11 +522,7 @@ def _two_node_setup(options: Mapping):
 
 
 def _run_spectrum(options, args):
-    params = _params_from(options)
-    if "start" in options:
-        grid = DetuningGrid(options["start"] * THZ, options["stop"] * THZ, options["points"])
-    else:
-        grid = DetuningGrid.default(params, span=options["span"], count=options["points"])
+    params, grid = _spectrum_grid(options)
     points = grid.points()
     arrays = scattering_arrays(params, points)
     # the same |t|^2 that transmission_spectrum forms, from the one evaluation
@@ -735,28 +698,57 @@ def _run_diagnostics(options, args):
     }), None
 
 
-_HANDLERS = {
-    "spectrum": _run_spectrum,
-    "sweep": _run_sweep,
-    "entangle": _run_entangle,
-    "parity": _run_parity,
-    "bell": _run_bell,
-    "tradeoff": _run_tradeoff,
-    "diagnostics": _run_diagnostics,
-}
+class _Command(NamedTuple):
+    """A command's keys, handler, rule relating its keys (a problem, else None,
+    as a key's rule gives), and plot axis labels."""
 
-_PLOT_LABELS = {
-    "spectrum": ("detuning (THz)", "output power fraction"),
-    "sweep": ("value (THz)", "output power fraction"),
-    "parity": ("linewidth gamma (THz)", "false even probability"),
-    "tradeoff": ("mean photon number", "probability"),
+    keys: dict[str, tuple]
+    run: Callable
+    check: Callable[[Mapping], str | None] = lambda options: None
+    labels: tuple[str, str] | None = None
+
+
+_COMMANDS = {
+    "spectrum": _Command({
+        **_NODE_KEYS,
+        "span": (float, 3.0, _rule(lambda v: v > 0, "must be > 0")),
+        "points": (int, 2001, _rule(lambda v: v >= 2, "must be >= 2")),
+        "start": (float, None, _IN_RAD_S), "stop": (float, None, _IN_RAD_S),
+    }, _run_spectrum, _grid_problem, ("detuning (THz)", "output power fraction")),
+    "sweep": _Command({
+        **_NODE_KEYS, **_PROBE_KEY,
+        "axis": (str, _Required(f" (one of {', '.join(SWEEP_AXES)})"), _one_of(SWEEP_AXES)),
+        "start": (float, _Required(), _IN_RAD_S), "stop": (float, _Required(), _IN_RAD_S),
+        "count": (int, 41, _COUNT),
+    }, _run_sweep, _sweep_range, ("value (THz)", "output power fraction")),
+    "entangle": _Command({**_TWO_NODE_KEYS, "mean_photons": (float, 0.05, _NONNEGATIVE)},
+                         _run_entangle),
+    "parity": _Command({
+        **_TWO_NODE_KEYS,
+        "gamma_start": (float, 0.5, _node_rule("gamma")),
+        "gamma_stop": (float, 8.0, _node_rule("gamma")),
+        "gamma_count": (int, 50, _COUNT),
+    }, _run_parity, _scan("gamma_start", "gamma_stop"),
+        ("linewidth gamma (THz)", "false even probability")),
+    "bell": _Command({
+        **_TWO_NODE_KEYS,
+        "mean_photons": (float, 1.0, _NONNEGATIVE), "samples": (int, 0, _NONNEGATIVE),
+        "state": (str, None, _one_of(BELL_LABELS)),
+    }, _run_bell),
+    "tradeoff": _Command({
+        **_TWO_NODE_KEYS,
+        "nbar_start": (float, 0.0, _NONNEGATIVE), "nbar_stop": (float, 5.0, _NONNEGATIVE),
+        "nbar_count": (int, 21, _COUNT),
+    }, _run_tradeoff, _scan("nbar_start", "nbar_stop"), ("mean photon number", "probability")),
+    "diagnostics": _Command({**_NODE_KEYS, "eta": (float, 0.01, _FRACTION)}, _run_diagnostics),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(command: str, options: dict, args) -> tuple[ResultTable, list[LineSeries] | None]:
     """Execute one command on ``_coerce``'s options; returns the table and plot series.
     The table's metadata names the command."""
-    table, series = _HANDLERS[command](options, args)
+    table, series = _COMMANDS[command].run(options, args)
     table.metadata["command"] = command
     return table, series
 
@@ -822,7 +814,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     svg = None
     if args.plot and plot is not None:
-        xlabel, ylabel = _PLOT_LABELS.get(args.command, ("", ""))
+        xlabel, ylabel = _COMMANDS[args.command].labels
         svg = render_lines(plot, title=args.command, xlabel=xlabel, ylabel=ylabel)
     out_path = os.path.join(args.out, f"{args.command}.{args.format}")
     svg_path = os.path.join(args.out, f"{args.command}.svg")

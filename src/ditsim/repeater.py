@@ -319,19 +319,19 @@ def _pointer_rows(route_a: NodeRouting, route_b: NodeRouting, alpha: float) -> l
     return rows
 
 
-_OUTCOMES = ("even", "odd", "both", "none")
-# (even port, odd port) per outcome, in _OUTCOMES order: 0 clicks, 1 stays silent
-_DETECTOR_STATES = ((0, 1), (1, 0), (0, 0), (1, 1))
+# (even port, odd port) per outcome: 0 clicks, 1 stays silent
+_DETECTOR_STATES = {"even": (0, 1), "odd": (1, 0), "both": (0, 0), "none": (1, 1)}
+_OUTCOMES = tuple(_DETECTOR_STATES)
 
 
 # the factors overflow to inf and nan near 1e300 photons; the callers raise InvalidRegime
 @np.errstate(over="ignore", invalid="ignore")
-def _threshold_factors(amps: np.ndarray) -> np.ndarray:
+def _threshold_factors(amps: np.ndarray, outcomes: Sequence[str] = _OUTCOMES) -> np.ndarray:
     """Per-outcome coherence factors M[s, s'] for threshold detection.
 
     ``amps`` is a stack of pointer matrices of shape (..., 4, 6); the result
-    has shape (4, ..., 4, 4), entry [k, ...] holding the factors of
-    ``_OUTCOMES[k]`` for the pointer matrix at [...].  Every entry comes
+    has shape (len(outcomes), ..., 4, 4), entry [k, ...] holding the factors
+    of ``outcomes[k]`` for the pointer matrix at [...].  Every entry comes
     from the same elementwise operations in the same order whatever the
     stack, so one stacked call returns the bits of one call per matrix.
 
@@ -355,7 +355,8 @@ def _threshold_factors(amps: np.ndarray) -> np.ndarray:
     silent = np.exp(neg[..., :2])  # vacuum projection (no click)
     detectors = (traced[..., :2] - silent, silent)  # click, silent
     loss = np.multiply.reduce(traced[..., 2:], axis=-1)
-    return np.array([detectors[e][..., 0] * detectors[o][..., 1] * loss for e, o in _DETECTOR_STATES])
+    return np.array([detectors[e][..., 0] * detectors[o][..., 1] * loss
+                     for e, o in map(_DETECTOR_STATES.__getitem__, outcomes)])
 
 
 # ==================================================== interrogation engine ==
@@ -534,10 +535,13 @@ def false_even_probability(node_a: Node, node_b: Node, probe: Probe) -> float:
     P(even) / (P(even) + P(odd)) from ``parity_probe`` on that superposition.
     """
     amps = np.array(_pointer_rows(*_route_pair(node_a, node_b, probe), 1.0), complex).reshape(4, 6)
-    even_flux, odd_flux = _fluxes(_PSI_PLUS_WEIGHTS, amps)
+    with np.errstate(over="ignore", invalid="ignore"):  # a routing that overflows; refused below
+        even_flux, odd_flux = _fluxes(_PSI_PLUS_WEIGHTS, amps)
     total = even_flux + odd_flux
     if total <= _PROB_FLOOR:
         raise InvalidRegime("no probe flux reaches the parity detectors")
+    if not math.isfinite(total):
+        raise InvalidRegime(f"parity detector flux is not finite: even {even_flux!r}, odd {odd_flux!r}")
     return even_flux / total
 
 
@@ -695,10 +699,13 @@ def entanglement_generation(
     half = 0.5 * alpha
     dark = np.array([half * (a.through - b.through) for a, b in branches]
                     + [half * (a.drop - b.drop) for a, b in branches], complex).reshape(2, 4)
-    click_t, click_d = _SUPERPOSITION * dark  # through, drop
-    p_t = float(np.vdot(click_t, click_t).real)
-    p_d = float(np.vdot(click_d, click_d).real)
+    with np.errstate(over="ignore", invalid="ignore"):  # a routing that overflows; refused below
+        click_t, click_d = _SUPERPOSITION * dark  # through, drop
+        p_t = float(np.vdot(click_t, click_t).real)
+        p_d = float(np.vdot(click_d, click_d).real)
     herald_probability = p_t + p_d
+    if not math.isfinite(herald_probability):
+        raise InvalidRegime(f"entanglement herald probability is not finite: P = {herald_probability!r}")
 
     if herald_probability <= _PROB_FLOOR:
         product = TwoDipoleState((_SQRT_HALF * _SQRT_HALF,) * 4)
@@ -762,7 +769,7 @@ def fidelity_success_tradeoff(
         for n in probed:
             rows += _pointer_rows(route_a, route_b, math.sqrt(n))
         amps = np.array(rows, complex).reshape(-1, 4, 6)
-        heralded = _PHI_PLUS_RHO * _threshold_factors(amps)[[0, 3]]  # even, none; unnormalized
+        heralded = _PHI_PLUS_RHO * _threshold_factors(amps, ("even", "none"))  # unnormalized
         p_even, p_none = heralded.trace(0, 2, 3).real
         for q in p_even.tolist():
             if q <= _PROB_FLOOR:

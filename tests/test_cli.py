@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,11 +9,12 @@ import sys
 import tempfile
 import warnings
 from xml.etree import ElementTree
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ditsim import (
@@ -148,12 +150,17 @@ MULTI_PROBLEM_CONFIGS = [
     (
         "spectrum",
         "points: 1\nstart: 2\nstop: 1.5\ng: -1\nomega0: -3\nvolume: 2\n",
-        "error: invalid configuration (5 problems)\n"
+        "error: invalid configuration (4 problems)\n"
         "  - key 'volume' is not recognized for 'spectrum'\n"
         "  - key 'g': must be >= 0, got -1.0\n"
         "  - key 'omega0': must be >= 0, got -3.0\n"
-        "  - key 'points': must be >= 2, got 1\n"
-        "  - key 'start': must be < 'stop', got 2.0 and 1.5\n",
+        "  - key 'points': must be >= 2, got 1\n",
+    ),
+    (  # an unreadable end is reported once, as unreadable
+        "spectrum",
+        "start: abc\nstop: 1\n",
+        "error: invalid configuration (1 problem)\n"
+        "  - key 'start': expected a number, got 'abc'\n",
     ),
     (
         "sweep",
@@ -167,22 +174,20 @@ MULTI_PROBLEM_CONFIGS = [
     (
         "sweep",
         "count: 0\nstart: abc\ngamma_b: 1\ngamma: -1\n",
-        "error: invalid configuration (7 problems)\n"
+        "error: invalid configuration (6 problems)\n"
         "  - key 'gamma_b' is not recognized for 'sweep' (did you mean 'gamma'?)\n"
         "  - key 'start': expected a number, got 'abc'\n"
         "  - key 'gamma': must be > 0, got -1.0\n"
         "  - key 'axis' is required (one of gamma, g, tau, kappa, delta)\n"
-        "  - key 'start' is required\n"
         "  - key 'stop' is required\n"
         "  - key 'count': must be >= 1, got 0\n",
     ),
     (
         "sweep",
         "axis: g\nstart: 2\nstop: 1\ncount: x\nkappa: -0.5\n",
-        "error: invalid configuration (3 problems)\n"
+        "error: invalid configuration (2 problems)\n"
         "  - key 'count': expected an integer, got 'x'\n"
-        "  - key 'kappa': must be >= 0, got -0.5\n"
-        "  - key 'start': must be < 'stop', got 2.0 and 1.0\n",
+        "  - key 'kappa': must be >= 0, got -0.5\n",
     ),
     (
         "entangle",
@@ -197,13 +202,12 @@ MULTI_PROBLEM_CONFIGS = [
     (
         "parity",
         "gamma_start: 0\ngamma_stop: -1\ngamma_count: 0\nkappa_b: -1\ngamma_cnt: 3\n",
-        "error: invalid configuration (6 problems)\n"
+        "error: invalid configuration (5 problems)\n"
         "  - key 'gamma_cnt' is not recognized for 'parity' (did you mean 'gamma_count'?)\n"
         "  - key 'kappa_b': must be >= 0, got -1.0\n"
         "  - key 'gamma_start': must be > 0, got 0.0\n"
         "  - key 'gamma_stop': must be > 0, got -1.0\n"
-        "  - key 'gamma_count': must be >= 1, got 0\n"
-        "  - key 'gamma_stop': must be >= 'gamma_start', got -1.0 and 0.0\n",
+        "  - key 'gamma_count': must be >= 1, got 0\n",
     ),
     (
         "parity",
@@ -235,12 +239,11 @@ MULTI_PROBLEM_CONFIGS = [
     (
         "tradeoff",
         "nbar_start: -1\nnbar_stop: -2\nnbar_count: many\ng: -0.1\n",
-        "error: invalid configuration (5 problems)\n"
+        "error: invalid configuration (4 problems)\n"
         "  - key 'nbar_count': expected an integer, got 'many'\n"
         "  - key 'g': must be >= 0, got -0.1\n"
         "  - key 'nbar_start': must be >= 0, got -1.0\n"
-        "  - key 'nbar_stop': must be >= 0, got -2.0\n"
-        "  - key 'nbar_stop': must be >= 'nbar_start', got -2.0 and -1.0\n",
+        "  - key 'nbar_stop': must be >= 0, got -2.0\n",
     ),
     (
         "diagnostics",
@@ -265,7 +268,8 @@ MULTI_PROBLEM_CONFIGS = [
 @pytest.mark.parametrize("command, text, stderr", MULTI_PROBLEM_CONFIGS)
 def test_multi_problem_configs_report_every_problem_in_order(command, text, stderr, tmp_path, capsys):
     # unknown keys and unreadable values in file order, then each key's rule
-    # in the order of the command's keys, then the rules that relate two keys
+    # in the order of the command's keys, then the rules that relate keys whose
+    # values passed their own rules (a spectrum grid: every key's)
     conf = write(tmp_path / "bad.conf", text)
     assert main([command, "--config", conf, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == stderr
@@ -286,17 +290,28 @@ def _readme_config_format():
 def test_readme_config_format_lists_every_key_and_default(command):
     shared, bullets = _readme_config_format()
     text = " ".join((shared + bullets[command]).split())
-    for key, (_, default, _) in cli._KEYS[command].items():
+    for key, (_, default, _) in cli._COMMANDS[command].keys.items():
         if default is None or isinstance(default, cli._Required):
             assert f"`{key}`" in text, key
         else:
             assert f"`{key}` ({default!r}" in text, key
 
 
-def test_one_sided_range_is_checked_against_nothing():
-    # a range end is compared with the other end only when both are given
-    assert cli._coerce("parity", {"gamma_stop": "0.3"})["gamma_stop"] == 0.3
-    assert cli._coerce("tradeoff", {"nbar_start": "9"})["nbar_start"] == 9.0
+@pytest.mark.parametrize("command, text, written, problem", [
+    ("parity", "gamma_stop: 0.1\n", "gamma_start: 0.5\n",
+     "key 'gamma_stop': must be >= 'gamma_start', got 0.1 and 0.5"),
+    ("tradeoff", "nbar_start: 6\n", "nbar_stop: 5\n",
+     "key 'nbar_stop': must be >= 'nbar_start', got 5.0 and 6.0"),
+    ("sweep", "axis: g\nstart: 2\nstop: 1\n", "count: 41\n", "key 'start': must be < 'stop', got 2.0 and 1.0"),
+])
+def test_one_sided_range_is_checked_against_the_default(command, text, written, problem, tmp_path, capsys):
+    # the end left out takes its default and the range rule reads it, as it
+    # reads the default written out
+    for i, config in enumerate((text, text + written)):
+        conf = write(tmp_path / f"range{i}.conf", config)
+        assert main([command, "--config", conf, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: invalid configuration (1 problem)\n  - {problem}\n"
+    assert not os.path.exists(tmp_path / "run")
 
 
 _NODE = ("gamma", "g", "tau", "kappa", "delta", "omega0")
@@ -312,8 +327,8 @@ THZ_KEYS = (
 
 
 def test_thz_keys_are_every_float_key_in_thz():
-    floats = {(command, key) for command, keys in cli._KEYS.items()
-              for key, (kind, _, _) in keys.items() if kind is float}
+    floats = {(command, key) for command, spec in cli._COMMANDS.items()
+              for key, (kind, _, _) in spec.keys.items() if kind is float}
     assert floats - set(THZ_KEYS) == {
         ("spectrum", "span"), ("entangle", "mean_photons"), ("bell", "mean_photons"),
         ("tradeoff", "nbar_start"), ("tradeoff", "nbar_stop"), ("diagnostics", "eta"),
@@ -351,23 +366,45 @@ def test_thz_keys_that_overflow_in_rad_s_exit_two(command, key, tmp_path, capsys
         assert not [p for p in exc.problems if p.startswith(f"key {key!r}")]
 
 
+# how a grid that DetuningGrid refuses is reported: the keys, then its message
+SPAN_GRID = "key 'span': the grid +-span*gamma is not one DetuningGrid accepts (values in rad/s): "
+ENDS_GRID = "keys 'start' and 'stop': the grid is not one DetuningGrid accepts (values in rad/s): "
+WIDTH = "grid width stop - start overflows the float range, got "
+
+
 @pytest.mark.parametrize(
     "text, problem",
     [
-        ("span: 1e296\n", "key 'span': the grid +-span*gamma overflows in rad/s, got 1e+296"),
-        ("span: 1e300\n", "key 'span': the grid +-span*gamma overflows in rad/s, got 1e+300"),
-        ("gamma: 2\nspan: 5e295\n",
-         "key 'span': the grid +-span*gamma overflows in rad/s, got 5e+295"),
-        ("start: -1e296\nstop: 1e296\n",
-         "keys 'start' and 'stop': the grid width overflows in rad/s, got -1e+296 and 1e+296"),
-        ("start: -1.7e296\nstop: 2e295\n",
-         "keys 'start' and 'stop': the grid width overflows in rad/s, got -1.7e+296 and 2e+295"),
+        ("span: 1e296\n", SPAN_GRID + WIDTH + "[-1e+308, 1e+308]"),
+        ("span: 1e300\n", SPAN_GRID + "span * gamma must be finite, got inf"),
+        ("gamma: 2\nspan: 5e295\n", SPAN_GRID + WIDTH + "[-1e+308, 1e+308]"),
+        ("start: -1e296\nstop: 1e296\n", ENDS_GRID + WIDTH + "[-1e+308, 1e+308]"),
+        ("start: -1.7e296\nstop: 2e295\n", ENDS_GRID + WIDTH + "[-1.7000000000000001e+308, 2e+307]"),
     ],
 )
 def test_spectrum_grid_wider_than_the_float_range_exits_two(text, problem, tmp_path, capsys):
     # np.linspace would make nan points of it, which the kernel then reports
     # as a collapsed denominator
     conf = write(tmp_path / "wide.conf", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrum", "--config", conf, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: invalid configuration (1 problem)\n  - {problem}\n"
+    assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        # span * gamma = 1e-328 rad/s underflows to 0; this exited 1 with a traceback
+        ("gamma: 1e-300\nspan: 1e-40\n",
+         SPAN_GRID + "span * gamma underflows to 0, got span 1e-40 and gamma 1e-288"),
+        ("start: 2\nstop: 1.5\n", ENDS_GRID + "grid requires start < stop, got [2000000000000.0, 1500000000000.0]"),
+        ("start: -0\nstop: 0\n", ENDS_GRID + "grid requires start < stop, got [-0.0, 0.0]"),
+    ],
+)
+def test_spectrum_grid_that_detuning_grid_refuses_exits_two(text, problem, tmp_path, capsys):
+    conf = write(tmp_path / "grid.conf", text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["spectrum", "--config", conf, "--out", str(tmp_path / "run")]) == 2
@@ -383,6 +420,51 @@ def test_spectrum_grid_just_inside_the_float_range_runs(text, tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["spectrum", "--config", conf, "--out", str(tmp_path), "--plot"]) == 0
     assert capsys.readouterr().err == ""
+
+
+# edge values of each key's type: zeros, the subnormal and float limits, the
+# rad/s overflow edge near 1.8e296 THz, the entangle regime's ends, and
+# values that cannot be read; counts stay small
+EDGE_VALUES = {
+    float: ["0", "-0", "1", "-1", "0.1", "0.5", "8", "5e-324", "1e-300", "1e-40", "1e-155", "1e155",
+            "1.7e296", "1.8e296", "1e300", "1.7e308", "nan", "-inf", "x"],
+    int: ["-1", "0", "1", "2", "3", "2.5", "x"],
+    str: ["x", "omega0", *spectra.SWEEP_AXES, "phi_plus", "psi_minus"],
+}
+
+
+@st.composite
+def configs(draw):
+    """A command and a config of edge values for its required keys and some
+    others, now and then with an unknown key."""
+    command = draw(st.sampled_from(cli.COMMANDS))
+    keys = cli._COMMANDS[command].keys
+    chosen = [key for key, (_, default, _) in keys.items() if isinstance(default, cli._Required)]
+    chosen += draw(st.lists(st.sampled_from(sorted(keys.keys() - set(chosen))), unique=True, max_size=5))
+    settings = {key: draw(st.sampled_from(EDGE_VALUES[keys[key][0]])) for key in chosen}
+    if draw(st.booleans()) and draw(st.booleans()):
+        settings["volume"] = "1"
+    return command, settings
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=configs())
+@example(case=("spectrum", {"gamma": "1e-300", "span": "1e-40"}))
+@example(case=("parity", {"gamma_stop": "0.1"}))
+@example(case=("tradeoff", {"nbar_start": "6"}))
+@example(case=("entangle", {"tau": "0"}))
+def test_every_config_exits_zero_two_or_three(case):
+    # whatever the values, a run ends in an exit code, never an exception or
+    # a numpy warning
+    command, settings = case
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        conf = write(Path(tmp) / "edge.conf", "".join(f"{k}: {v}\n" for k, v in settings.items()))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", conf, "--out", os.path.join(tmp, "run"), "--plot"])
+    assert code in (0, 2, 3)
+    assert (code == 0) == (err.getvalue() == ""), err.getvalue()
 
 
 def test_spectrum_plot_of_a_subnormal_axis_is_valid_svg(tmp_path):
@@ -885,7 +967,7 @@ def test_sweep_bytes_match_the_row_wise_reference(text, tmp_path):
         if plot is None:
             assert not svg.exists()
         else:
-            xlabel, ylabel = cli._PLOT_LABELS["sweep"]
+            xlabel, ylabel = cli._COMMANDS["sweep"].labels
             assert svg.read_text(encoding="utf-8") == render_lines(plot, title="sweep", xlabel=xlabel, ylabel=ylabel)
 
 

@@ -26,14 +26,18 @@ from ditsim import (
     NodeRouting,
     NumericsError,
     ProtocolResult,
+    RouteAmplitudes,
     SpectrumSeries,
     SystemParams,
     TwoDipoleState,
     bell_measurement,
     diagnostics,
+    entanglement_generation,
+    false_even_probability,
     fidelity_success_tradeoff,
     locate_transparency_peak,
     parameter_sweep,
+    parity_probe,
     scatter_coefficients,
     scattering_arrays,
     transmission_spectrum,
@@ -226,6 +230,28 @@ def test_sweep_names_values_that_are_not_a_sequence(values):
 def test_tradeoff_names_a_grid_that_is_not_a_sequence(grid):
     with pytest.raises(ValueError, match="^mean_photons grid must be a sequence of real numbers"):
         fidelity_success_tradeoff(NODE, NODE, 0.0, grid)
+
+
+PROTOCOLS = {
+    "parity_probe": lambda a, b: parity_probe(a, b, TwoDipoleState.bell("psi_plus"), 0.0, 1.0),
+    "bell_measurement": lambda a, b: bell_measurement(a, b, TwoDipoleState.bell("phi_plus"), 0.0, 1.0),
+    "fidelity_success_tradeoff": lambda a, b: fidelity_success_tradeoff(a, b, 0.0, [0.5, 1.0]),
+    "false_even_probability": lambda a, b: false_even_probability(a, b, 0.0),
+    "entanglement_generation": lambda a, b: entanglement_generation(a, b, 0.0, 0.05),
+}
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+@pytest.mark.parametrize("through", [math.nan, math.inf, 1e200])
+def test_protocols_refuse_a_routing_whose_figures_are_not_finite(name, through):
+    # a hand-made routing: false_even_probability returned nan here, and
+    # entanglement_generation a nan fidelity with a numpy warning
+    bad = NodeRouting(RouteAmplitudes(through, 0j, 0j, 0j), RouteAmplitudes(0j, -1 + 0j, 0j, 0j))
+    for pair in ((bad, NodeRouting.ideal()), (NodeRouting.ideal(), bad)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ditsim.InvalidRegime, match="not finite"):
+                PROTOCOLS[name](*pair)
 
 
 # ------------------------------------------------- every public callable --

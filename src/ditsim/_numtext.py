@@ -4,8 +4,8 @@
 in row-major order, each followed by the separator of its column, and drops
 the separator after the last cell (so one column with one separator is
 ``sep.join``).  Only it decides how floats become text: from
-``_KERNEL_CELLS`` cells on, by style, the array kernel below, which costs
-about 0.15-0.4 ms a call; below that, CPython cell by cell.  The styles are
+``_KERNEL_CELLS`` = 400 cells on, in any style, the array kernel below
+(about 0.15-0.4 ms a call); below that, CPython cell by cell.  The styles are
 
 * ``G17``:  ``format(x, ".17g")``  (CSV cells),
 * ``JSON``: ``repr(x)``, with ``NaN``, ``Infinity`` and ``-Infinity`` for
@@ -13,13 +13,16 @@ about 0.15-0.4 ms a call; below that, CPython cell by cell.  The styles are
 * ``F2``:   ``format(x, ".2f")``  (SVG coordinates).
 
 The digits come from integer arithmetic on a double-double scaling of each
-value, in the manner of Grisu3 (Loitsch, PLDI 2010): a cell whose digits the
-fast path cannot certify is formatted by CPython instead, so every byte is
-CPython's.  Cells handed over: zero, non-finite values, magnitudes outside
-[1e-280, 1e280] (``.2f``: values outside [0, 9999)), roundings within ``_TIE``
-(``.2f``: ``_F2_TIE``) of a tie, ``repr`` candidates within ``_ROUND_TRIP``
-(relative) of the edge of the round-trip interval, and powers of two for
-``repr`` (their interval is lopsided).
+value, in the manner of Grisu3 (Loitsch, PLDI 2010).  ``repr``'s digits are
+the 15-digit rounding where it reads back, else the 16-digit one, else 17:
+no search, as no shorter rounding but the 15-digit one can read back
+(Matula, CACM 1968).  A cell whose digits the fast path cannot certify is
+formatted by CPython instead, so every byte is CPython's.  Cells handed
+over: zero, non-finite values, magnitudes outside [1e-280, 1e280] (``.2f``:
+values outside [0, 9999)), roundings within ``_TIE`` (``.2f``: ``_F2_TIE``)
+of a tie, ``repr`` candidates within ``_ROUND_TRIP`` (relative) of the edge
+of the round-trip interval, and powers of two for ``repr`` (their interval
+is lopsided).
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ G17 = ".17g"
 JSON = "json"
 F2 = ".2f"
 
-# arrays of at least this many cells, by style, go through the kernel
-_KERNEL_CELLS = {G17: 400, JSON: 1000, F2: 400}
+# arrays of at least this many cells go through the kernel, in every style
+_KERNEL_CELLS = 400
 _NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -187,42 +190,20 @@ def _rounded(h, frac, half_ulp, step):
 def _shortest(a, h, frac, unsure):
     """repr's digits, scaled to 17 digits like ``h + frac`` (``a`` scaled).
 
-    The correctly rounded value with p digits reads back as ``a`` for every
-    p from the shortest length up.  Lengths 16 and 15 are tried on every
-    cell at once; only the cells that pass at 15 try ever shorter lengths
-    until one fails, and a candidate that ends in zeros passes at the
-    lengths they allow too.  Marks ``unsure`` the cells it cannot certify.
+    repr takes the fewest digits whose rounding reads back as ``a``.  Over
+    the scaled range 15-digit decimals lie more than an ulp apart (proved in
+    ``test_numtext``), so a shorter rounding that reads back is the 15-digit
+    one with trailing zeros, which the text builder blanks.  Marks
+    ``unsure`` the cells it cannot certify.
     """
     mantissa, _ = np.frexp(a)
     unsure |= mantissa == 0.5
     # half an ulp of a, in units of the last of the 17 digits
     half_ulp = h / (mantissa * 2.0**54)
-    # the 15-digit candidate is never nearer than the 16-digit one, so a cell
-    # that certainly fails at 16 digits is in no doubt at 15
     d16, pass16, doubt16 = _rounded(h, frac, half_ulp, 10)
     d15, pass15, doubt15 = _rounded(h, frac, half_ulp, 100)
     unsure |= doubt16 | doubt15
-    n = np.where(pass16, d16, h + (frac > 0.5))
-    cells = np.flatnonzero(pass15 & ~unsure)
-    # each pass keeps the candidates that passed, and tries the next shorter
-    # length on them; step is 10**(17 - p) for p digits
-    d, step = d15[cells], np.full(cells.size, 100)
-    while cells.size:
-        n[cells] = d
-        digits = d // step
-        for factor in (_QUAD, 10):
-            grow = np.flatnonzero(digits % factor == 0)
-            while grow.size:
-                step[grow] *= factor
-                digits[grow] //= factor
-                grow = grow[digits[grow] % factor == 0]
-        step *= 10
-        shorter = step <= _P16
-        cells, step = cells[shorter], step[shorter]
-        d, passed, doubt = _rounded(h[cells], frac[cells], half_ulp[cells], step)
-        unsure[cells[doubt]] = True
-        cells, d, step = cells[passed], d[passed], step[passed]
-    return n
+    return np.where(pass15, d15, np.where(pass16, d16, h + (frac > 0.5)))
 
 
 def _whole_quads(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -381,7 +362,7 @@ def join_cells(values: np.ndarray, style: str, seps: Sequence[str]) -> str:
         raise ValueError(f"separators must not hold '\\0', got {list(seps)!r}")
     if not values.size:
         return ""
-    if values.size < _KERNEL_CELLS[style]:
+    if values.size < _KERNEL_CELLS:
         # one str.format call over every cell, a field before each separator;
         # .17g and .2f are format specs, JSON's cells are formatted first
         cells, field = values.ravel().tolist(), "{:" + style + "}"

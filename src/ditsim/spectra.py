@@ -120,9 +120,10 @@ class DetuningGrid:
             raise ValueError(f"span must be positive, got {span!r}")
         if isinstance(count, numbers.Integral) and count == 1:
             raise ValueError("count must be at least 2 for a grid of +-span*gamma, got 1")
-        half = _finite(span * params.gamma, "span * gamma")
-        if half == 0.0:
-            raise ValueError(f"span * gamma underflows to 0, got span {span!r} and gamma {params.gamma!r}")
+        half = span * params.gamma
+        if math.isinf(half) or half == 0.0:
+            fault = "overflows" if half else "underflows to 0"
+            raise ValueError(f"span * gamma {fault}, got span {span!r} and gamma {params.gamma!r}")
         return cls(-half, half, count)
 
 

@@ -69,7 +69,7 @@ def test_grid_names_a_nonfinite_endpoint_or_span():
     # the caller gave no endpoint, so the message names the span
     with pytest.raises(ValueError, match=r"^span must be finite, got inf$"):
         DetuningGrid.default(NODE, span=math.inf)
-    with pytest.raises(ValueError, match=r"^span \* gamma must be finite, got inf$"):
+    with pytest.raises(ValueError, match=r"^span \* gamma overflows, got span 1e\+297 and gamma 1000000000000\.0$"):
         DetuningGrid.default(NODE, span=1e297)
     # nor a default grid without width: a span at or below 0, one point, or a
     # width that underflows

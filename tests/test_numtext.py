@@ -13,6 +13,7 @@ per-cell references of ``test_cli`` and ``test_svgplot``.
 
 import math
 import struct
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from test_svgplot import assert_same_svg
 
 G17, JSON, F2 = _numtext.G17, _numtext.JSON, _numtext.F2
 STYLES = (G17, JSON, F2)
+FORMAT = {G17: "csv", JSON: "json"}  # the result-file format whose cells take each style
 _JSON_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -43,7 +45,7 @@ def assert_matches(values, style):
     # through the kernel whatever the size, and as join_cells picks
     values = [float(v) for v in values]
     column = np.array(values).reshape(-1, 1)
-    with mock.patch.dict(_numtext._KERNEL_CELLS, {style: 1}):
+    with mock.patch.object(_numtext, "_KERNEL_CELLS", 1):
         got = _numtext.join_cells(column, style, ["\n"])
     want = [reference(x, style) for x in values]
     mismatches = [(x, g, w) for x, g, w in zip(values, got.split("\n"), want) if g != w]
@@ -117,6 +119,54 @@ def test_plain_values_take_the_fast_path(style):
         values += [-123.456, 6.02e23, 12.345]
     assert not handed_over(values, style).any()
     assert_matches(values, style)
+
+
+# Proofs in exact arithmetic, after Ryu (Adams, PLDI 2018): what the kernel
+# relies on is checked for every input it can see, not sampled.
+
+
+def _floor_log10(x):
+    """The decimal exponent e of float x > 0: 10**e <= x < 10**(e + 1), exactly."""
+    e, exact = math.floor(math.log10(x)), Fraction(x)
+    e -= Fraction(10) ** e > exact
+    return e + (Fraction(10) ** (e + 1) <= exact)
+
+
+def test_at_most_one_15_digit_decimal_lies_within_half_an_ulp():
+    # _shortest searches no length below 15 (Matula, CACM 1968): across each
+    # decade [10**e, 10**(e + 1)) of the scaled range, 15-digit decimals lie
+    # 10**(e - 14) apart, more than the ulp of the decade's largest double,
+    # so no two lie within half an ulp of one double, and a shorter rounding
+    # that reads back is the 15-digit one
+    decades = range(_floor_log10(_numtext._MIN), _floor_log10(_numtext._MAX) + 1)
+    assert (decades.start, decades.stop) == (-281, 281)
+    for e in decades:
+        top = Fraction(10) ** (e + 1)
+        largest = float(top)
+        if Fraction(largest) >= top:
+            largest = math.nextafter(largest, 0.0)
+        assert Fraction(math.ulp(largest)) < Fraction(10) ** (e - 14), e
+
+
+def _significant_bits(x):
+    """Bits of float x's significand, without its trailing zeros (0 for 0)."""
+    n = abs(Fraction(x)).numerator
+    return (n // (n & -n)).bit_length() if n else 0
+
+
+def test_each_double_double_power_of_ten_is_within_its_bound():
+    # hi is 10**k correctly rounded and lo the rest correctly rounded, so
+    # |hi + lo - 10**k| <= ulp(lo) / 2 <= 2**-106 * 10**k; and each Veltkamp
+    # split is exact, in halves of at most 26 bits, so the Dekker products
+    # of _scaled are exact
+    t = _numtext._tables()
+    powers = range(_numtext._K_LO, _numtext._K_HI + 1)
+    assert len(powers) == len(t["hi"]) == len(t["lo"]) == 565
+    for k, hi, lo, high, low in zip(powers, *(t[n].tolist() for n in ("hi", "lo", "hi_high", "hi_low"))):
+        exact = Fraction(10) ** k
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**106, k
+        assert Fraction(high) + Fraction(low) == Fraction(hi), k
+        assert max(_significant_bits(high), _significant_bits(low)) <= 26, k
 
 
 def _float_from_bits(bits):
@@ -209,8 +259,8 @@ def _float_table(rows, cols=5, seed=0):
 @pytest.mark.parametrize("style", [G17, JSON])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_float_tables_around_the_crossover_match_reference(style, offset):
-    rows = -(-_numtext._KERNEL_CELLS[style] // 5) + offset
-    assert_same_table_bytes(_float_table(rows, seed=rows))
+    rows = -(-_numtext._KERNEL_CELLS // 5) + offset
+    assert_same_table_bytes(_float_table(rows, seed=rows), [FORMAT[style]])
 
 
 @pytest.mark.parametrize("style", [G17, JSON])
@@ -219,7 +269,7 @@ def test_sweep_style_columns_around_the_crossover_match_reference(style, offset)
     # each float column at the size where it alone would switch to the
     # kernel; the writer formats the float cells of all rows together, and
     # test_cli's sweep cases run the crossovers of that
-    rows = _numtext._KERNEL_CELLS[style] + offset
+    rows = _numtext._KERNEL_CELLS + offset
     rng = np.random.default_rng(rows)
     value = np.linspace(-0.3, 2.9, rows).tolist()
     table = []
@@ -230,12 +280,12 @@ def test_sweep_style_columns_around_the_crossover_match_reference(style, offset)
             through, drop = rng.random(2).tolist()
             table.append((v, through, drop, 1e-3 * through, 1e-9 * drop, ""))
     names = ("value_thz", "through", "drop", "loss_kappa", "loss_tau", "error")
-    assert_same_table_bytes(ResultTable({"axis": "gamma"}, names, tuple(table)))
+    assert_same_table_bytes(ResultTable({"axis": "gamma"}, names, tuple(table)), [FORMAT[style]])
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_plot_lines_around_the_crossover_match_reference(offset):
-    points = _numtext._KERNEL_CELLS[F2] // 2 + offset  # a point is two cells
+    points = _numtext._KERNEL_CELLS // 2 + offset  # a point is two cells
     x = np.linspace(-3.0, 3.0, points)
     y = 1.0 / (1.0 + x**2)
     assert_same_svg([LineSeries("through", x, y), LineSeries("drop", x, 1.0 - y)], title="t")

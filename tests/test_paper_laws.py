@@ -6,7 +6,9 @@ On resonance the dipole enters the scattering only through g^2/tau, so the
 through power is a function of the Purcell factor alone, and every protocol
 number is unchanged by (g, tau) -> (s*g, s^2*tau).  Rates and detunings
 also scale together: multiplying all of them by a power of 4 is exact in
-floating point, so the dimensionless outputs keep their bits.
+floating point, so the dimensionless outputs keep their bits.  As tau and
+kappa go to 0 the transparency window's width follows a closed form from
+weak coupling to strong.
 
 Each law holds through any change that moves bits on purpose, within the
 tolerance it states.
@@ -25,6 +27,7 @@ from ditsim import (
     entanglement_generation,
     false_even_probability,
     flux_budget,
+    locate_transparency_peak,
     parity_probe,
     scatter_coefficients,
     transmission_spectrum,
@@ -114,3 +117,20 @@ def test_scaling_every_rate_by_a_power_of_four_keeps_every_bit():
             assert np.all(np.abs(fractions - budget) <= 2.0 * np.spacing(budget)), (node, probe, k)
             assert _parity(scaled, scaled, c * probe).tobytes() == parity, (node, probe, k)
             assert transmission_spectrum(scaled, scaled_grid).through.tobytes() == through, (node, probe, k)
+
+
+def test_transparency_width_follows_its_law_as_tau_and_kappa_vanish():
+    # as tau, kappa -> 0 the through curve is (g^2 - w^2)^2 / ((g^2 - w^2)^2 + Gamma^2 w^2),
+    # Gamma = gamma + kappa/2, whose full width at half height is
+    # W = sqrt(Gamma^2 + 4 g^2) - Gamma: 2 g^2/Gamma in weak coupling, 2g - Gamma in
+    # strong. The finder's width departs from W by about (tau + kappa) / (2W),
+    # plus its interpolation error, below (step / W)^2
+    gamma, grid = 1.0 * THZ, DetuningGrid(-3.0 * THZ, 3.0 * THZ, 200001)
+    step = (grid.stop - grid.start) / (grid.count - 1)
+    for rate in (1e-6 * THZ, 1e-4 * THZ):
+        for g in (0.05 * THZ, 0.1 * THZ, 0.2 * THZ, 0.33 * THZ, 0.5 * THZ, 1.0 * THZ, 2.0 * THZ):
+            node = SystemParams(gamma, g, rate, rate)
+            big_gamma = gamma + 0.5 * rate
+            law = math.sqrt(big_gamma**2 + 4.0 * g * g) - big_gamma
+            fwhm = locate_transparency_peak(transmission_spectrum(node, grid)).fwhm
+            assert abs(fwhm / law - 1.0) <= 2.0 * rate / law + (step / law) ** 2, node

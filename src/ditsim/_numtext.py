@@ -193,7 +193,7 @@ def _shortest(a, h, frac, unsure):
     repr takes the fewest digits whose rounding reads back as ``a``.  Over
     the scaled range 15-digit decimals lie more than an ulp apart (proved in
     ``test_numtext``), so a shorter rounding that reads back is the 15-digit
-    one with trailing zeros, which the text builder blanks.  Marks
+    one with trailing zeros, which ``_fraction_quads`` blanks.  Marks
     ``unsure`` the cells it cannot certify.
     """
     mantissa, _ = np.frexp(a)

@@ -293,7 +293,7 @@ class ResultTable:
 
 # rows per formatting chunk: bounds the per-cell strings alive at once, and
 # the transient copies of a chunk's formatted text (join_cells' bytes and str,
-# the row-end replace, the hole edits and the % fill) made before it is kept
+# the hole edits and the % fill) made before it is kept
 _CHUNK_ROWS = 4096
 
 
@@ -311,29 +311,17 @@ def _csv_text(rows) -> str:
     return buffer.getvalue()
 
 
-def _csv_quoted(strings: list[str]) -> list[str]:
-    """Each string cell as the ``csv`` module writes it in a row of two or more cells.
-
-    One ``csv`` call for all of them, not one per string: every sweep error
-    message names its own value, so an error sweep's strings are mostly
-    distinct, and a call per string costs more.
-    """
-    text, at, cells = _csv_text([(s, "") for s in strings]), 0, []
-    for s in strings:
-        # each row is the cell and ",\n"; the cell is the string, or the string
-        # quoted with its quotes doubled, and only the quoted one starts with a quote
-        cells.append('"' + s.replace('"', '""') + '"' if text.startswith('"', at) else s)
-        at += len(cells[-1]) + 2
-    return cells
+def _csv_quoted(string: str) -> str:
+    """A string cell as the ``csv`` module writes it in a row of two or more cells."""
+    return _csv_text([(string, "")])[:-2]
 
 
 # by style: cell and row separators (JSON's: the indent=2 rows block, cells at
-# depth 3), then the text of a missing value, of a list of strings and of any
-# other non-float
+# depth 3), then the text of a missing value, of a string and of any other
+# non-float
 _STYLES = {
     _numtext.G17: (",", "\n", "", _csv_quoted, _cell),
-    _numtext.JSON: (",\n      ", "\n    ],\n    [\n      ", "null",
-                    lambda strings: list(map(json.dumps, strings)), json.dumps),
+    _numtext.JSON: (",\n      ", "\n    ],\n    [\n      ", "null", json.dumps, json.dumps),
 }
 
 
@@ -342,17 +330,10 @@ def _float_column(column: np.ndarray | list) -> tuple[np.ndarray, list[int]] | N
     array and the rows of its holes, its ``None`` cells; None for any other."""
     if isinstance(column, np.ndarray):
         return column, []
-    kinds = set(map(type, column))
-    if not kinds <= _FLOATS | {type(None)}:
+    if not set(map(type, column)) <= _FLOATS | {type(None)}:
         return None
     values = np.array(column, dtype=float)  # a None reads as nan
-    if type(None) not in kinds:  # a chunk's slice of a column whose holes lie elsewhere
-        return values, []
-    holes = [i for i in np.flatnonzero(np.isnan(values)).tolist() if column[i] is None]
-    # the writer replaces a hole's text: a value that the array formatter
-    # need not hand to Python's own formatting spares it that cost
-    values[holes] = 0.1
-    return values, holes
+    return values, [i for i in np.flatnonzero(np.isnan(values)).tolist() if column[i] is None]
 
 
 def _other_cells(column: list, style: str) -> list[str]:
@@ -360,8 +341,7 @@ def _other_cells(column: list, style: str) -> list[str]:
     *_, encode, other = _STYLES[style]
     only_strings = set(map(type, column)) <= {str}
     # each distinct string is encoded once
-    distinct = list(set(column) if only_strings else {v for v in column if isinstance(v, str)})
-    strings = dict(zip(distinct, encode(distinct)))
+    strings = {v: encode(v) for v in set(column) if isinstance(v, str)}
     if only_strings:
         return list(map(strings.__getitem__, column))
     return [strings[v] if isinstance(v, str) else other(v) for v in column]
@@ -371,11 +351,6 @@ def _chunks(table: ResultTable) -> Iterator[list]:
     """The columns of each chunk of ``_CHUNK_ROWS`` rows."""
     for start in range(0, table.row_count, _CHUNK_ROWS):
         yield [column[start:start + _CHUNK_ROWS] for column in table.data]
-
-
-# stands in join_cells' text for a row end that holds format fields; neither
-# a float's text nor a separator holds it
-_ROW_END = "\x01"
 
 
 def _chunk_text(columns: list, style: str) -> str:
@@ -401,13 +376,7 @@ def _chunk_text(columns: list, style: str) -> str:
     else:
         block = np.array([f[0] for f in floats if f]).T
         end = seps[-1] + row_sep + lead  # from a row's last float cell to the next row's first
-        if others:
-            # join_cells pads every separator to the longest: the row end
-            # stands in as one character, as short as the cell separator
-            text = _numtext.join_cells(block, style, [*seps[:-1], _ROW_END]).replace(_ROW_END, end)
-        else:
-            text = _numtext.join_cells(block, style, [*seps[:-1], end])
-        text = lead + text + seps[-1]
+        text = lead + _numtext.join_cells(block, style, [*seps[:-1], end]) + seps[-1]
         holes = {}  # by row: where its holes sit among the row's cells
         for j, f in enumerate(floats):
             for i in f[1] if f else ():

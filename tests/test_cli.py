@@ -1032,7 +1032,7 @@ def column_tables(draw, count, blocks=column_blocks):
     return {"rows": rows, "x": draw(floats)}, names, cells
 
 
-@pytest.mark.parametrize("count", [0, 1, 399, 400, 999, 1000, 4095, 4096, 4097, 9001])
+@pytest.mark.parametrize("count", [0, 1, 399, 400, 4095, 4096, 4097, 9001])
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
 def test_column_table_bytes_match_row_table_and_reference(count, data):

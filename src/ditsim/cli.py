@@ -698,7 +698,7 @@ _COMMANDS = {
         "gamma_stop": (float, 8.0, _node_rule("gamma")),
         "gamma_count": (int, 50, _COUNT),
     }, _run_parity, _scan("gamma_start", "gamma_stop"),
-        ("linewidth gamma (THz)", "false even probability")),
+        ("cavity decay rate gamma (THz)", "false even probability")),
     "bell": _Command({
         **_TWO_NODE_KEYS,
         "mean_photons": (float, 1.0, _NONNEGATIVE), "samples": (int, 0, _NONNEGATIVE),

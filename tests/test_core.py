@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ditsim import (
@@ -322,6 +322,79 @@ def test_flux_conserved_property(gamma, g, tau, kappa, delta, probe):
     b = flux_budget(p, probe * THZ)
     assert abs(b.total - 1.0) < 1e-9
     assert min(b.through, b.drop, b.cavity_loss, b.dipole_loss) >= 0.0
+
+
+def _exact_fluxes(params: SystemParams, dw: float) -> tuple[Fraction, ...]:
+    """(through, drop, cavity loss, dipole loss) of the node's float inputs,
+    exactly: X = tau/2 - i(dw - delta), D = gamma + kappa/2 - i dw + g^2/X,
+    |X|^2 and |D|^2 are rationals of them, so no square root is needed."""
+    gamma, g, tau, kappa, delta = (
+        Fraction(getattr(params, name)) for name in ("gamma", "g", "tau", "kappa", "delta")
+    )
+    dw = Fraction(dw)
+    x_re, x_im = tau / 2, delta - dw
+    x2 = x_re**2 + x_im**2
+    d_re, d_im = gamma + kappa / 2, -dw
+    if g:  # g^2/X = g^2 conj(X) / |X|^2
+        d_re += g * g * x_re / x2
+        d_im -= g * g * x_im / x2
+    d2 = d_re**2 + d_im**2
+    return (
+        ((d_re - gamma) ** 2 + d_im**2) / d2,  # |1 + t_drop|^2 = |D - gamma|^2 / |D|^2
+        gamma**2 / d2,
+        kappa * gamma / d2,
+        tau * g * g * gamma / (d2 * x2) if g else Fraction(0),
+    )
+
+
+def _ulps(got: float, exact: Fraction) -> Fraction:
+    return abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact)))
+
+
+# log-uniform over the decades between lo and hi
+def _log_rate(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# bare-filter dips on resonance, where 1 + t_drop cancels, and probes on the dipole line
+@example(gamma=1.0, g=0.0, tau=0.001, kappa=1e-2, delta=0.0, dw=0.0)
+@example(gamma=1.0, g=0.0, tau=0.001, kappa=1e-4, delta=0.0, dw=0.0)
+@example(gamma=1.0, g=0.0, tau=0.001, kappa=1e-6, delta=0.0, dw=0.0)
+@example(gamma=1.0, g=0.0, tau=0.001, kappa=1e-8, delta=0.0, dw=0.0)
+@example(gamma=1.0, g=0.33, tau=0.001, kappa=0.1, delta=0.0, dw=0.0)
+@example(gamma=1.0, g=0.33, tau=1e-5, kappa=0.1, delta=0.7, dw=0.7)
+@example(gamma=0.1, g=10.0, tau=1.0, kappa=1e-4, delta=-1.0, dw=-1.0)
+@given(
+    gamma=_log_rate(0.1, 10.0),
+    g=_log_rate(0.01, 10.0) | st.just(0.0),
+    tau=_log_rate(1e-5, 1.0),
+    kappa=_log_rate(1e-4, 1.0),
+    delta=st.floats(-1.0, 1.0),
+    dw=st.floats(-3.0, 3.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_flux_fractions_round_within_their_budget_of_the_exact_values(
+    gamma, g, tau, kappa, delta, dw
+):
+    """Each flux fraction against its exact rational value: the loss and drop
+    fractions within 64 ulps, and ``through`` within 16 eps relative plus
+    16 eps absolute, which covers the cancellation in 1 + t_drop."""
+    params = SystemParams(gamma * THZ, g * THZ, tau * THZ, kappa * THZ, delta * THZ)
+    probe = dw * THZ
+    through, drop, cavity_loss, dipole_loss = _exact_fluxes(params, probe)
+    budget = flux_budget(params, probe)
+    arrays = scattering_arrays(params, np.array([probe]))
+    for got, exact in [
+        (budget.drop, drop),
+        (budget.cavity_loss, cavity_loss),
+        (budget.dipole_loss, dipole_loss),
+        (float(np.abs(arrays.t_drop[0]) ** 2), drop),
+    ]:
+        assert _ulps(got, exact) <= 64, (got, float(exact))
+    eps = Fraction(2) ** -52
+    for got in (budget.through, float(np.abs(arrays.t_through[0]) ** 2)):
+        # relative error at most 16 eps (1 + 1/through)
+        assert abs(Fraction(got) - through) <= 16 * eps * (through + 1), (got, float(through))
 
 
 # ----------------------------------------------------------------- arrays --

@@ -500,26 +500,32 @@ class FluxBudget(NamedTuple):  # a tuple: sweeps build one per row
         return self.through + self.drop + self.cavity_loss + self.dipole_loss
 
 
+def _abs2(z: complex) -> float:
+    """|z|^2 as ``a * a`` on ``a = abs(z)``: C ``pow`` misrounds some squares."""
+    size = abs(z)
+    return size * size
+
+
 def _dipole_loss(t_drop: complex, b_amp: complex, sigma_amp: complex,
                  g: float, tau: float, kappa: float, dw: float) -> float:
-    """``tau * abs(sigma_amp) ** 2``, the dipole-loss fraction of one node.
+    """``tau * _abs2(sigma_amp)``, the dipole-loss fraction of one node.
 
-    Where ``abs(sigma_amp) ** 2`` overflows (a subnormal tau probed near the
-    dipole line) the fraction is formed as ``(tau * |sigma|) * |sigma|`` and
-    kept if the four fractions still sum to 1 within ``_BUDGET_SLACK``;
-    otherwise g^2 has dropped out of the denominator, and
-    :class:`DegenerateDipole` says so.
+    Where |sigma_amp|^2 overflows (a subnormal tau probed near the dipole
+    line) the fraction is formed as ``(tau * |sigma|) * |sigma|`` and kept if
+    the four fractions still sum to 1 within ``_BUDGET_SLACK``; otherwise
+    g^2 has dropped out of the denominator, and :class:`DegenerateDipole`
+    says so.
     """
     try:
-        return tau * abs(sigma_amp) ** 2
-    except OverflowError:
-        pass
-    try:
         size = abs(sigma_amp)
-    except OverflowError:
+    except OverflowError:  # finite parts, |sigma| beyond the float range
         size = math.inf
+    else:
+        square = size * size
+        if not (math.isinf(square) and math.isfinite(size)):
+            return tau * square
     loss = (tau * size) * size
-    total = abs(1.0 + t_drop) ** 2 + abs(t_drop) ** 2 + kappa * abs(b_amp) ** 2 + loss
+    total = _abs2(1.0 + t_drop) + _abs2(t_drop) + kappa * _abs2(b_amp) + loss
     if not abs(total - 1.0) <= _BUDGET_SLACK:
         raise DegenerateDipole(
             f"dipole-loss term unresolved: g^2 = {g * g!r} underflows out of the "
@@ -535,9 +541,9 @@ def _flux(
     """:func:`flux_budget` on plain floats, without building a ``SystemParams``."""
     t_drop, b_amp, sigma_amp = _amplitudes(gamma, g, tau, kappa, delta, dw)
     return FluxBudget(
-        through=abs(1.0 + t_drop) ** 2,
-        drop=abs(t_drop) ** 2,
-        cavity_loss=kappa * abs(b_amp) ** 2,
+        through=_abs2(1.0 + t_drop),
+        drop=_abs2(t_drop),
+        cavity_loss=kappa * _abs2(b_amp),
         dipole_loss=_dipole_loss(t_drop, b_amp, sigma_amp, g, tau, kappa, dw),
     )
 
@@ -584,8 +590,9 @@ def _c_quot(a, b, by=None):
 
 
 def _c_abs2(z):
-    """``abs(z) ** 2``: C ``hypot``, then C ``pow``, as CPython rounds them."""
-    return np.float_power(np.hypot(*z), 2.0)
+    """:func:`_abs2`: C ``hypot``, as CPython's ``abs``, then a product."""
+    size = np.hypot(*z)
+    return size * size
 
 
 def _flux_arrays(gamma, g, tau, kappa, delta, dw):

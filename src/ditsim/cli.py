@@ -54,9 +54,9 @@ from .spectra import (
     SWEEP_AXES,
     DetuningGrid,
     NoPeak,
-    SpectrumSeries,
     _sweep_arrays,
     locate_transparency_peak,
+    transmission_spectrum,
 )
 from .svgplot import LineSeries, render_lines
 
@@ -492,11 +492,10 @@ def _two_node_setup(options: Mapping):
 
 def _run_spectrum(options, args):
     params, grid = _spectrum_grid(options)
-    points = grid.points()
+    series = transmission_spectrum(params, grid)
+    points, through, drop = series.detuning, series.through, series.drop
+    # the loss fractions need the cavity and dipole amplitudes
     arrays = scattering_arrays(params, points)
-    # the same |t|^2 that transmission_spectrum forms, from the one evaluation
-    through, drop = np.abs(arrays.t_through) ** 2, np.abs(arrays.t_drop) ** 2
-    series = SpectrumSeries(grid, points, through, drop)
     x_thz = points / THZ
     loss_kappa = params.kappa * np.abs(arrays.b_amp) ** 2
     loss_tau = params.tau * np.abs(arrays.sigma_amp) ** 2

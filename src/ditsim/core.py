@@ -64,6 +64,8 @@ _DENOM_FLOOR = 1e-280
 _HUGE = 2.0**1023
 # a complex D whose parts lie within this has a finite |D|^2 <= 2**1023
 _DENOM_BOUND = 2.0**511
+# the rates and detunings that _power_arrays takes lie within these
+_TINY, _VAST = 2.0**-250, 2.0**250
 # how far from 1 the flux fractions of a node whose |sigma|^2 overflows may sum
 _BUDGET_SLACK = 1e-12
 _SHOWN_INDICES = 10  # grid indices an array-path error message lists
@@ -307,8 +309,7 @@ def _grid_indices(bad: np.ndarray) -> str:
 
 def _drop_arrays(params: SystemParams, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(x, denom)`` over a 1-d detuning array, with the degenerate-dipole
-    test applied.  The caller applies :func:`_guard_denominators` unless
-    :func:`_denominators_in_range` proves that every point passes it, forms
+    test applied.  The caller applies :func:`_guard_denominators`, forms
     t_drop = -gamma / denom, and silences floating-point warnings (the points
     that raise them are the ones the guard reports).
 
@@ -356,33 +357,69 @@ def _drop_arrays(params: SystemParams, dw: np.ndarray) -> tuple[np.ndarray, np.n
     return x, denom
 
 
-def _denominators_in_range(params: SystemParams, reach: float) -> bool:
-    """Whether every D that :func:`_drop_arrays` forms at detunings with
-    |dw| <= ``reach`` passes :func:`_guard_denominators`, proved from scalars.
+def _powers_in_range(params: SystemParams, reach: float) -> bool:
+    """Whether :func:`_power_arrays` forms every point with |dw| <= ``reach``
+    in range, proved from scalars.
 
-    With c = g^2/X, D = (Re c + gamma + kappa/2, Im c - dw), and numpy
-    divides g^2 + 0j by X = (tau/2, delta - dw) with Smith's method: it
-    scales by 1/(tau/2 + Im X r) or 1/(Im X + (tau/2) r), r the smaller part
-    over the larger, so each part of c is at most g^2/(tau/2) up to rounding,
-    whatever Im X is.  Each condition is needed:
+    With h = tau/2, Gamma = gamma + kappa/2 and u = delta - dw, it requires
+    2^-250 <= h, Gamma and max(Gamma, h, g^2/h, |delta| + reach) <= 2^250:
 
-    - tau/2 >= the floor keeps that scale finite.  Below it, 1/(tau/2) can
-      be inf, and g^2/X is nan though g^2 underflows to 0 (gamma = 1e12,
-      g = 5e-324, tau = 2.5e-310 through dw = delta).
-    - gamma + kappa/2 >= the floor passes the floor test, as Re c >= 0 (see
-      :func:`_drop_arrays`).
-    - 2 (max(gamma + kappa/2, reach) + g^2/(tau/2)) <= ``_DENOM_BOUND``
-      holds each part of D within that bound, the factor 2 covering
-      rounding.  delta needs no term: with |dw| <= 2^510, delta - dw rounds
-      to a finite float for every finite delta, so X stays finite.
+    - |u| <= |delta| + reach, as rounding is monotone, so u^2 + h^2 lies in
+      [2^-500, 2^501] and s = g^2/(u^2 + h^2) <= (g^2/h)/h is finite.
+    - s h <= g^2/h and |s u| <= g^2/(2h), so Re D, Re N and Im D lie within
+      2^252 up to rounding, and every square is finite.
+    - Re D >= Gamma, as s h >= 0, so |D|^2 >= 2^-500 is normal, and no
+      quotient overflows or divides by 0.  A sum of squares that underflows
+      gives a fraction below 2^-500.
 
-    Every term is a Python float, so an overflow makes the test fail.
+    The bounds leave a margin of 2^250 to the float range, which covers the
+    rounding of each operation and of grid points about their ends.  h must
+    be in the max: above 2^512 its square overflows, s is 0 and the dipole
+    drops out.  Every term is a Python float, so an overflow makes the test
+    fail.  Every point that passes also passes :func:`_guard_denominators`.
     """
-    g, half_tau, floor = params.g, 0.5 * params.tau, params.gamma + 0.5 * params.kappa
-    if not (half_tau >= _DENOM_FLOOR and floor >= _DENOM_FLOOR):
+    half_tau, floor = 0.5 * params.tau, params.gamma + 0.5 * params.kappa
+    if not (half_tau >= _TINY and floor >= _TINY):
         return False
-    coupling = g * g / half_tau if g > 0.0 else 0.0
-    return 2.0 * (max(floor, reach) + coupling) <= _DENOM_BOUND
+    return max(floor, half_tau, params.g * params.g / half_tau, abs(params.delta) + reach) <= _VAST
+
+
+def _power_arrays(params: SystemParams, dw: np.ndarray, through: np.ndarray,
+                  drop: np.ndarray, work: np.ndarray) -> None:
+    """Write |t_through|^2 into ``through`` and |t_drop|^2 into ``drop`` at
+    the detunings ``dw``, from real parts only; ``work`` is a row of their size.
+
+    With u = delta - dw, h = tau/2 and s = g^2/(u^2 + h^2), g^2/X = s h - i s u.
+    So Re D = (gamma + kappa/2) + s h and Im D = -(s u + dw), and the paper's
+    through numerator N = D - gamma has Re N = kappa/2 + s h and Im N = Im D.
+    Then |t_drop|^2 = gamma^2/|D|^2 and |t_through|^2 = |N|^2/|D|^2: no
+    complex division, no complex abs and no 1 + t_drop to cancel.  Each
+    point gets the bits of these float expressions, evaluated left to right:
+
+        u = delta - dw;  s = g*g / (u*u + h*h);  im = s*u + dw;  sh = s*h
+        rn = sh + kappa/2;  rd = sh + (gamma + kappa/2);  d2 = rd*rd + im*im
+        through = (rn*rn + im*im) / d2;  drop = gamma*gamma / d2
+
+    IEEE +, -, * and / round alike on every CPU and numpy SIMD level.  The
+    caller checks :func:`_powers_in_range`; no point then raises or warns.
+    """
+    half_tau, half_kappa = 0.5 * params.tau, 0.5 * params.kappa
+    np.subtract(params.delta, dw, out=work)  # u
+    np.multiply(work, work, out=through)
+    through += half_tau * half_tau
+    np.divide(params.g * params.g, through, out=through)  # s
+    np.multiply(through, work, out=drop)
+    drop += dw
+    drop *= drop  # (Im D)^2
+    through *= half_tau
+    np.add(through, half_kappa, out=work)
+    work *= work
+    work += drop  # |N|^2
+    through += params.gamma + half_kappa
+    through *= through
+    through += drop  # |D|^2
+    np.divide(params.gamma * params.gamma, through, out=drop)
+    np.divide(work, through, out=through)
 
 
 def _guard_denominators(params: SystemParams, x: np.ndarray, denom: np.ndarray) -> None:

@@ -23,7 +23,6 @@ from .core import (  # flux_budget and scattering_arrays stay importable from he
     Probe,
     SystemParams,
     _FIELDS,
-    _denominators_in_range,
     _drop_arrays,
     _field_ok,
     _field_problem,
@@ -34,6 +33,8 @@ from .core import (  # flux_budget and scattering_arrays stay importable from he
     _invalid_params,
     _iterable,
     _number,
+    _power_arrays,
+    _powers_in_range,
     _probe_value,
     flux_budget,  # noqa: F401
     scattering_arrays,  # noqa: F401
@@ -53,9 +54,10 @@ __all__ = [
 ]
 
 SWEEP_AXES = _FIELDS[:-1]  # every field but omega0: the leading arguments of core._flux
-# points per kernel call in transmission_spectrum, the fastest on the grids
-# benchmark: a block holds two complex temporaries of 256 KiB (x, and D, which
-# becomes t_drop) and frees them before the next, however long the grid
+# points per kernel call in transmission_spectrum, the fastest of 4096 to 32768:
+# a block of the real-part kernel reads its slices of the result and one work
+# row of 128 KiB; one of the complex kernel holds two complex temporaries of
+# 256 KiB (x, and D, which becomes t_drop) and frees them before the next
 _BLOCK = 16384
 _INDICES = np.arange(_BLOCK, dtype=float)  # a block's grid indices, counted from its first point
 # samples in the half-height search's first window; each next one is 4 times longer
@@ -181,34 +183,43 @@ class PeakReport:
 def transmission_spectrum(params: SystemParams, grid: DetuningGrid) -> SpectrumSeries:
     """Evaluate |t_through|^2 and |t_drop|^2 on every grid point.
 
-    Only the waveguide amplitudes are formed; the intracavity and dipole
+    Only the waveguide powers are formed; the intracavity and dipole
     amplitudes of :func:`~ditsim.core.scattering_arrays` are not needed.  The
-    grid is evaluated in blocks of ``_BLOCK`` points, each squared into the
-    result arrays before the next, so the complex temporaries stay small;
-    every point goes through the same ufuncs as a whole-grid evaluation and
-    gets the same bits.  Each block's detunings are written into the
-    ``detuning`` row just before the kernel reads them, by the generator of
-    :meth:`DetuningGrid.points`, with the bits of ``np.linspace``.  The
-    denominator guard runs on each block only where a scalar bound on the
-    node and the grid's endpoints cannot prove that every point passes it.
-    When a block fails the guard, the whole grid is evaluated at once so
-    that the error names the bad indices of the whole grid, with a
-    degenerate dipole point anywhere reported first.  The three arrays of
-    the result are the rows of one buffer.
+    grid is evaluated in blocks of ``_BLOCK`` points, so the temporaries stay
+    small, and each block's detunings are written into the ``detuning`` row
+    just before the kernel reads them, by the generator of
+    :meth:`DetuningGrid.points`, with the bits of ``np.linspace``.
+
+    Where :func:`~ditsim.core._powers_in_range` holds for the node and the
+    grid's endpoints, the powers come from real parts alone
+    (:func:`~ditsim.core._power_arrays`): through is |D - gamma|^2 / |D|^2,
+    free of the cancellation in 1 + t_drop, and each point has the bits of a
+    per-point float evaluation on every CPU.  Every other node (tau = 0,
+    subnormal rates, rates or detunings beyond 2^250 rad/s) takes the
+    complex kernel, |1 + t_drop|^2 and |t_drop|^2 with the bits of
+    ``scattering_arrays``, and the denominator guard runs on each block.  When
+    a block fails it, the whole grid is evaluated at once so that the error
+    names the bad indices of the whole grid, with a degenerate dipole point
+    anywhere reported first.  The three arrays of the result are the rows of
+    one buffer.
     """
     # one allocation, not three: freed, it lifts glibc's trim threshold above
     # the call's working set, so the next call reuses pages instead of faulting
     points, through, drop = np.empty((3, grid.count))
-    guarded = not _denominators_in_range(params, max(abs(grid.start), abs(grid.stop)))
+    blocks = [slice(start, start + _BLOCK) for start in range(0, grid.count, _BLOCK)]
+    if _powers_in_range(params, max(abs(grid.start), abs(grid.stop))):
+        work = np.empty(min(grid.count, _BLOCK))
+        for block in blocks:
+            dw = _fill_points(grid, points[block], block.start)
+            _power_arrays(params, dw, through[block], drop[block], work[:dw.size])
+        return SpectrumSeries(grid=grid, detuning=points, through=through, drop=drop)
     # the guard reports the points that overflow, so numpy's warnings are
     # silenced; so is the overflow of the product that stop replaces
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, grid.count, _BLOCK):
-            block = slice(start, start + _BLOCK)
+        for block in blocks:
             try:
-                x, denom = _drop_arrays(params, _fill_points(grid, points[block], start))
-                if guarded:
-                    _guard_denominators(params, x, denom)
+                x, denom = _drop_arrays(params, _fill_points(grid, points[block], block.start))
+                _guard_denominators(params, x, denom)
             except NumericsError:
                 x, denom = _drop_arrays(params, _fill_points(grid, points))
                 _guard_denominators(params, x, denom)  # raises the whole grid's error

@@ -378,23 +378,39 @@ def test_flux_fractions_round_within_their_budget_of_the_exact_values(
 ):
     """Each flux fraction against its exact rational value: the loss and drop
     fractions within 64 ulps, and ``through`` within 16 eps relative plus
-    16 eps absolute, which covers the cancellation in 1 + t_drop."""
+    16 eps absolute, which covers the cancellation in 1 + t_drop.  Each comes
+    from ``flux_budget``, ``scattering_arrays`` and a 1-point spectrum."""
     params = SystemParams(gamma * THZ, g * THZ, tau * THZ, kappa * THZ, delta * THZ)
     probe = dw * THZ
     through, drop, cavity_loss, dipole_loss = _exact_fluxes(params, probe)
     budget = flux_budget(params, probe)
     arrays = scattering_arrays(params, np.array([probe]))
+    series = transmission_spectrum(params, DetuningGrid(probe, probe, 1))
     for got, exact in [
         (budget.drop, drop),
         (budget.cavity_loss, cavity_loss),
         (budget.dipole_loss, dipole_loss),
         (float(np.abs(arrays.t_drop[0]) ** 2), drop),
+        (float(series.drop[0]), drop),
     ]:
         assert _ulps(got, exact) <= 64, (got, float(exact))
     eps = Fraction(2) ** -52
-    for got in (budget.through, float(np.abs(arrays.t_through[0]) ** 2)):
+    for got in (budget.through, float(np.abs(arrays.t_through[0]) ** 2), float(series.through[0])):
         # relative error at most 16 eps (1 + 1/through)
         assert abs(Fraction(got) - through) <= 16 * eps * (through + 1), (got, float(through))
+
+
+@pytest.mark.parametrize("kappa", [1e-2, 1e-4, 1e-6, 1e-8, 0.0])
+def test_spectrum_keeps_the_digits_of_the_bare_filter_dip(kappa):
+    # on resonance t_drop is -gamma/(gamma + kappa/2), and 1 + t_drop cancels;
+    # the spectrum forms through as (kappa/2)^2 / (gamma + kappa/2)^2 instead
+    params = SystemParams(1.0 * THZ, 0.0, 0.001 * THZ, kappa * THZ)
+    through = float(transmission_spectrum(params, DetuningGrid(0.0, 0.0, 1)).through[0])
+    exact = _exact_fluxes(params, 0.0)[0]
+    if kappa == 0.0:  # critical coupling: the dip is exactly dark
+        assert through == 0.0
+    else:
+        assert abs(Fraction(through) - exact) <= 4 * Fraction(2) ** -52 * exact, (through, float(exact))
 
 
 # ----------------------------------------------------------------- arrays --

@@ -7,13 +7,15 @@ Criterion 10 only checks that two runs in one session agree; this test also
 catches drift between versions of the code.
 
 ``test_bytes_under_other_cpu_kernels`` runs some cases again in child
-processes that pick numpy's and OpenBLAS's kernels as on other CPUs.
+processes that pick numpy's and OpenBLAS's kernels as on other CPUs, and
+compares the bytes of a few spectra with this process's.
 
 Regenerate the golden files (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -22,7 +24,9 @@ import sys
 
 import pytest
 
+from ditsim import DetuningGrid, SystemParams, transmission_spectrum
 from ditsim.cli import main
+from ditsim.core import _powers_in_range
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -99,11 +103,32 @@ CPU_SETTINGS = {
     "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
 }
 PORTABLE_CASES = ("sweep", "sweep_errors", "diagnostics", "entangle")
+# (gamma, g, tau, kappa, delta) and (start, stop, count) of spectra that the
+# real-part kernel forms, as Python floats (10 ** array goes through numpy's
+# SIMD pow, whose bits differ between the settings): a grid of several
+# blocks, a bare filter and a detuned dipole
+SPECTRA = [
+    ((1e12, 3.3e11, 1e9, 1e11, 2e10), (-3e12, 3e12, 40001)),
+    ((1e12, 0.0, 1e9, 1e10, 0.0), (-3e12, 3e12, 2001)),
+    ((2.5e12, 7e11, 3e10, 2e10, 9e11), (-4e12, 5e12, 3001)),
+]
+
+
+def _spectrum_digest(spectra) -> str:
+    """sha256 of the through and drop rows of each spectrum."""
+    digest = hashlib.sha256()
+    for node, grid in spectra:
+        series = transmission_spectrum(SystemParams(*node), DetuningGrid(*grid))
+        digest.update(series.through.tobytes() + series.drop.tobytes())
+    return digest.hexdigest()
+
+
 _REFUSED = 77  # the child's exit code where numpy will not import under the setting
 
 # The child: the CLI runs given as JSON argv lists, then the float formatter's
 # kernel, forced on seeded floats, against CPython in each style (np.log10 in
-# _numtext._decimal has SIMD loops)
+# _numtext._decimal has SIMD loops); its last line of output is the digest of
+# SPECTRA, from this module, in the tests directory it is given
 _CHILD = """
 import json, sys
 try:
@@ -133,6 +158,9 @@ for style in (_numtext.G17, _numtext.JSON, _numtext.F2):
         want = [format(x, style) for x in values.tolist()]
     wrong = [(x, g, w) for x, g, w in zip(values.tolist(), got, want) if g != w]
     assert not wrong, (style, len(wrong), wrong[:3])
+sys.path.insert(0, sys.argv[2])
+from test_golden_cli import SPECTRA, _spectrum_digest
+print(_spectrum_digest(SPECTRA))
 """ % _REFUSED
 
 
@@ -144,7 +172,7 @@ def test_bytes_under_other_cpu_kernels(setting, tmp_path):
     env = dict(os.environ, **CPU_SETTINGS[setting],
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argvs = [_argv(case, fmt, out) for (case, fmt), out in runs.items()]
-    child = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)], env=env,
+    child = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs), os.path.dirname(GOLDEN)], env=env,
                            capture_output=True, text=True)
     if child.returncode == _REFUSED:
         pytest.skip(f"numpy refuses {CPU_SETTINGS[setting]}: {child.stderr.strip()}")
@@ -158,6 +186,8 @@ def test_bytes_under_other_cpu_kernels(setting, tmp_path):
                     if a.read() != b.read():
                         differ.append(f"{case}/{fmt}/{name}")
     assert not differ, differ
+    assert all(_powers_in_range(SystemParams(*node), max(map(abs, grid[:2]))) for node, grid in SPECTRA)
+    assert child.stdout.splitlines()[-1] == _spectrum_digest(SPECTRA)
 
 
 def regenerate() -> None:

@@ -27,12 +27,16 @@ The array kernel ``core._drop_arrays`` used to form X and D with numpy's
 complex multiply and guard D with a BLAS sum of squares; it now builds them
 from real parts, and ``scattering_arrays`` and ``transmission_spectrum`` must
 keep every bit, signed zeros included, and every error message of that
-kernel, which is kept here as well.  The spectrum now skips that kernel's
-guard where a scalar bound proves that every point passes it, and makes its
-detunings block by block with a generator of its own; the bound is checked
-against the guard itself, and the generator against ``np.linspace``.  The
-peak finder's half-height search reads windows that grow outward from the
-peak, and must return what the sample-by-sample walk returns.
+kernel, which is kept here as well.  The spectrum makes its detunings block
+by block with a generator of its own, checked against ``np.linspace``.  Where
+a scalar range proof admits the node and the grid, it now forms |t_through|^2
+= |D - gamma|^2 / |D|^2 and |t_drop|^2 = gamma^2 / |D|^2 from real parts,
+and every point must have the bits of that formula evaluated per point on
+Python floats; every other node keeps the complex kernel's bits and errors.
+The proof is checked against per-point range tests and against the complex
+kernel's guard.  The peak finder's half-height search reads windows that
+grow outward from the peak, and must return what the sample-by-sample walk
+returns.
 """
 
 import cmath
@@ -63,7 +67,7 @@ from ditsim import (
     transmission_spectrum,
 )
 from ditsim import core, spectra
-from ditsim.core import _denominators_in_range, _drop_arrays, _guard_denominators, _probe_value
+from ditsim.core import _drop_arrays, _guard_denominators, _powers_in_range, _probe_value
 from ditsim.spectra import (
     SWEEP_AXES,
     DetuningGrid,
@@ -177,6 +181,29 @@ def reference_transmission_spectrum(params, grid):
     denom = -1j * dw + params.gamma + 0.5 * params.kappa + coupling
     t_drop = -params.gamma / denom
     return np.abs(1.0 + t_drop) ** 2, np.abs(t_drop) ** 2, denom
+
+
+def formula_powers(params, dw):
+    """(|t_through|^2, |t_drop|^2) at one detuning from real parts, on Python
+    floats: u = delta - dw, h = tau/2, s = g^2/(u^2 + h^2), Re D = gamma +
+    kappa/2 + s h, Re N = kappa/2 + s h and Im N = Im D = -(s u + dw)."""
+    h, half_kappa = 0.5 * params.tau, 0.5 * params.kappa
+    u = params.delta - dw
+    s = params.g * params.g / (u * u + h * h)
+    im = s * u + dw
+    sh = s * h
+    rn, rd = sh + half_kappa, sh + (params.gamma + half_kappa)
+    d2 = rd * rd + im * im
+    return (rn * rn + im * im) / d2, params.gamma * params.gamma / d2
+
+
+def formula_spectrum(params, grid):
+    """The through and drop rows of :func:`formula_powers` over the grid."""
+    return tuple(np.array([formula_powers(params, dw) for dw in grid.points().tolist()]).T)
+
+
+def _in_range(params, grid):
+    return _powers_in_range(params, max(abs(grid.start), abs(grid.stop)))
 
 
 def _reference_indices(bad):
@@ -308,6 +335,13 @@ def _assert_same_sweep(base, axis, values, probe):
 
 
 def _assert_same_spectrum(params, grid):
+    """The spectrum against the per-point formula where the range proof
+    holds, else against |t|^2 of the complex reference, errors included."""
+    if _in_range(params, grid):
+        series = transmission_spectrum(params, grid)
+        through, drop = formula_spectrum(params, grid)
+        _assert_same_rows(series, through, drop)
+        return
     with np.errstate(all="ignore"):  # both warn on overflow
         try:
             through, drop, denom = reference_transmission_spectrum(params, grid)
@@ -327,6 +361,10 @@ def _assert_same_spectrum(params, grid):
                     f"{what} at grid indices {indices[:10].tolist()}{more}")
                 return
         series = transmission_spectrum(params, grid)
+    _assert_same_rows(series, through, drop)
+
+
+def _assert_same_rows(series, through, drop):
     assert series.through.tobytes() == through.tobytes()
     assert series.drop.tobytes() == drop.tobytes()
     assert np.all(np.isfinite(series.through)) and np.all(np.isfinite(series.drop))
@@ -711,6 +749,8 @@ def _spectrum_rows(params, grid):
 
 def _reference_spectrum_rows(params, grid):
     points = grid.points()
+    if _in_range(params, grid):
+        return (points, *formula_spectrum(params, grid))
     _, _, t_drop = reference_drop_arrays(params, points)
     return points, np.abs(1.0 + t_drop) ** 2, np.abs(t_drop) ** 2
 
@@ -758,39 +798,75 @@ def _drawn_grid(params, count, *ends):
 
 @st.composite
 def proof_edge_nodes(draw):
-    """Nodes about the edges of the range proof: tau/2 about the floor, and
-    g^2/(tau/2) or gamma + kappa/2 about 2^510."""
-    tau = draw(st.one_of(signed_zeros, edge_rates,
-                         st.sampled_from((2e-280, math.nextafter(2e-280, 0.0), 2.5e-310))))
-    coupling = draw(st.one_of(st.none(), st.floats(0.01, 1.0).map(lambda f: f * 2.0**510)))
+    """Nodes about the edges of the range proof: tau/2 about 2^-250 and
+    2^250, gamma + kappa/2 about both, and g^2/(tau/2) about 2^250."""
+    tau = draw(st.one_of(signed_zeros, edge_rates, st.sampled_from(
+        (2.0**-249, math.nextafter(2.0**-249, 0.0), 2.0**251, math.nextafter(2.0**251, math.inf)))))
+    coupling = draw(st.one_of(st.none(), st.floats(0.5, 2.0).map(lambda f: f * 2.0**250)))
     g = draw(st.one_of(signed_zeros, edge_rates)) if coupling is None else (
         math.sqrt(coupling) * math.sqrt(0.5 * tau))
     return SystemParams(
-        gamma=draw(st.one_of(edge_rates, st.sampled_from((1e-280, 9e-281, 2.0**509, 2.0**510)))),
+        gamma=draw(st.one_of(edge_rates, st.sampled_from(
+            (2.0**-250, math.nextafter(2.0**-250, 0.0), 2.0**249, 2.0**250, 2.0**251)))),
         g=g, tau=tau,
         kappa=draw(st.one_of(signed_zeros, edge_rates)),
-        delta=draw(st.one_of(edge_detunings, st.sampled_from((2.0**509, -2.0**510)))),
+        delta=draw(st.one_of(edge_detunings, st.sampled_from((2.0**249, -2.0**250)))),
     )
 
 
 proof_ends = st.one_of(edge_detunings, on_line,
-                       st.floats(0.01, 1.0).map(lambda f: f * 2.0**510),
-                       st.floats(-1.0, -0.01).map(lambda f: f * 2.0**510))
+                       st.floats(0.25, 1.0).map(lambda f: f * 2.0**250),
+                       st.floats(-1.0, -0.25).map(lambda f: f * 2.0**250))
+NORMAL = sys.float_info.min
 
 
 @settings(max_examples=500, deadline=None)
 @given(params=st.one_of(edge_nodes(), proof_edge_nodes()),
        grid=st.tuples(st.integers(1, 40), proof_ends, proof_ends))
+@example(  # the proof's edges: tau/2 = gamma = 2^-250 and g^2/(tau/2) = |delta| + reach = 2^250
+    params=SystemParams(2.0**-250, 1.0, 2.0**-249, 0.0), grid=(3, -(2.0**250), 2.0**250),
+)
 @example(  # 1/(tau/2) is inf, so g^2/X is nan at dw = 0 though g^2 underflows to 0
     params=SystemParams(1e12, 5e-324, 2.5e-310, 0.0), grid=(26, -5.0, 20.0),
 )
 def test_range_proof_never_skips_a_failing_guard(params, grid):
-    # where the scalar bound holds, the spectrum skips the guard: it must pass
+    # where the scalar bound holds, the spectrum takes the real-part kernel:
+    # each point's squares must be finite, u^2 + h^2 and |D|^2 normal, no
+    # numpy error may arise, and the complex kernel's guard must pass
     grid = _drawn_grid(params, *grid)
-    if _denominators_in_range(params, max(abs(grid.start), abs(grid.stop))):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            x, denom = _drop_arrays(params, grid.points())
-            _guard_denominators(params, x, denom)
+    if not _in_range(params, grid):
+        return
+    h = 0.5 * params.tau
+    for dw in grid.points().tolist():
+        u = params.delta - dw
+        s = params.g * params.g / (u * u + h * h)
+        im, sh = s * u + dw, s * h
+        rn, rd = sh + 0.5 * params.kappa, sh + (params.gamma + 0.5 * params.kappa)
+        assert NORMAL <= u * u + h * h < math.inf and NORMAL <= rd * rd + im * im < math.inf
+        assert math.isfinite(rn * rn + im * im) and math.isfinite(params.gamma * params.gamma)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        _assert_same_spectrum(params, grid)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x, denom = _drop_arrays(params, grid.points())
+        _guard_denominators(params, x, denom)
+
+
+def test_range_proof_admits_exactly_its_bounds():
+    edge = SystemParams(2.0**-250, 1.0, 2.0**-249, 0.0)  # g^2/(tau/2) = 2^250
+    assert _powers_in_range(edge, 2.0**250)
+    below, above = math.nextafter(2.0**-250, 0.0), math.nextafter(2.0**250, math.inf)
+    for node, reach in [
+        (edge, above),  # the grid reaches past 2^250
+        (replace(edge, delta=2.0**200), 2.0**250),  # so does |delta| + reach
+        (replace(edge, tau=2 * below), 2.0**250),  # tau/2 below 2^-250
+        (replace(edge, gamma=below), 2.0**250),  # gamma + kappa/2 below 2^-250
+        (replace(edge, g=math.nextafter(1.0, 2.0)), 2.0**250),  # g^2/(tau/2) above 2^250
+        (SystemParams(1.0, 0.0, 2 * above, 1.0), 1.0),  # tau/2 above 2^250: h^2 would overflow
+        (SystemParams(above, 0.0, 1.0, 0.0), 1.0),  # gamma + kappa/2 above 2^250
+        (SystemParams(1.0, 1e300, 1.0, 0.0), 1.0),  # g^2 overflows
+        (SystemParams(1.0, 0.33, 0.0, 0.1), 1.0),  # tau = 0
+    ]:
+        assert not _powers_in_range(node, reach), (node, reach)
 
 
 def test_spectrum_kernels_make_no_blas_call(monkeypatch):
@@ -806,7 +882,8 @@ def test_spectrum_kernels_make_no_blas_call(monkeypatch):
     grid = DetuningGrid(-3.0 * THZ, 3.0 * THZ, 20001)
     arrays = scattering_arrays(params, grid.points())
     series = transmission_spectrum(params, grid)
-    assert series.through.tobytes() == (np.abs(arrays.t_through) ** 2).tobytes()
+    assert arrays.t_through.shape == (20001,)
+    _assert_same_rows(series, *formula_spectrum(params, grid))
 
 
 # ------------------------------------------------------------------- peak --
@@ -976,10 +1053,8 @@ def test_grids_pool_matches_reference():
             reference_parameter_sweep, case.base, case.axis, case.values, case.probe
         )
         assert got == want
+        _assert_same_spectrum(case.node, case.grid)
         series = transmission_spectrum(case.node, case.grid)
-        through, drop, _ = reference_transmission_spectrum(case.node, case.grid)
-        assert series.through.tobytes() == through.tobytes()
-        assert series.drop.tobytes() == drop.tobytes()
         assert _peak_outcome(locate_transparency_peak, series) == _peak_outcome(
             reference_locate_transparency_peak, series
         )

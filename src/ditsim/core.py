@@ -64,8 +64,7 @@ _DENOM_FLOOR = 1e-280
 _HUGE = 2.0**1023
 # a complex D whose parts lie within this has a finite |D|^2 <= 2**1023
 _DENOM_BOUND = 2.0**511
-# the rates and detunings that _power_arrays takes lie within these
-_TINY, _VAST = 2.0**-250, 2.0**250
+_TINY, _VAST = 2.0**-250, 2.0**250  # the range that _powers_in_range admits
 # how far from 1 the flux fractions of a node whose |sigma|^2 overflows may sum
 _BUDGET_SLACK = 1e-12
 _SHOWN_INDICES = 10  # grid indices an array-path error message lists
@@ -387,21 +386,20 @@ def _powers_in_range(params: SystemParams, reach: float) -> bool:
 def _power_arrays(params: SystemParams, dw: np.ndarray, through: np.ndarray,
                   drop: np.ndarray, work: np.ndarray) -> None:
     """Write |t_through|^2 into ``through`` and |t_drop|^2 into ``drop`` at
-    the detunings ``dw``, from real parts only; ``work`` is a row of their size.
+    the detunings ``dw``, from real parts; ``work`` is a row of their size.
 
-    With u = delta - dw, h = tau/2 and s = g^2/(u^2 + h^2), g^2/X = s h - i s u.
-    So Re D = (gamma + kappa/2) + s h and Im D = -(s u + dw), and the paper's
-    through numerator N = D - gamma has Re N = kappa/2 + s h and Im N = Im D.
-    Then |t_drop|^2 = gamma^2/|D|^2 and |t_through|^2 = |N|^2/|D|^2: no
-    complex division, no complex abs and no 1 + t_drop to cancel.  Each
-    point gets the bits of these float expressions, evaluated left to right:
+    With u = delta - dw, h = tau/2 and s = g^2/(u^2 + h^2), g^2/X = s h - i s u,
+    so D = (gamma + kappa/2 + s h) - i (s u + dw), and the paper's through
+    numerator N = D - gamma has Re N = kappa/2 + s h and Im N = Im D.  So
+    |t_drop|^2 = gamma^2/|D|^2 and |t_through|^2 = |N|^2/|D|^2, with no complex
+    division or abs and no 1 + t_drop to cancel.  Each point gets the bits of
+    these float expressions on every CPU, as IEEE +, -, * and / round alike:
 
         u = delta - dw;  s = g*g / (u*u + h*h);  im = s*u + dw;  sh = s*h
         rn = sh + kappa/2;  rd = sh + (gamma + kappa/2);  d2 = rd*rd + im*im
         through = (rn*rn + im*im) / d2;  drop = gamma*gamma / d2
 
-    IEEE +, -, * and / round alike on every CPU and numpy SIMD level.  The
-    caller checks :func:`_powers_in_range`; no point then raises or warns.
+    Valid where :func:`_powers_in_range` holds; no point then raises or warns.
     """
     half_tau, half_kappa = 0.5 * params.tau, 0.5 * params.kappa
     np.subtract(params.delta, dw, out=work)  # u

@@ -54,10 +54,9 @@ __all__ = [
 ]
 
 SWEEP_AXES = _FIELDS[:-1]  # every field but omega0: the leading arguments of core._flux
-# points per kernel call in transmission_spectrum, the fastest of 4096 to 32768:
-# a block of the real-part kernel reads its slices of the result and one work
-# row of 128 KiB; one of the complex kernel holds two complex temporaries of
-# 256 KiB (x, and D, which becomes t_drop) and frees them before the next
+# points per kernel call in transmission_spectrum, as fast as 32768 and faster
+# than 8192: the real-part kernel writes the result with one 128 KiB work row;
+# the complex one holds two complex temporaries of 256 KiB (x, and D) a block
 _BLOCK = 16384
 _INDICES = np.arange(_BLOCK, dtype=float)  # a block's grid indices, counted from its first point
 # samples in the half-height search's first window; each next one is 4 times longer
@@ -191,17 +190,15 @@ def transmission_spectrum(params: SystemParams, grid: DetuningGrid) -> SpectrumS
     :meth:`DetuningGrid.points`, with the bits of ``np.linspace``.
 
     Where :func:`~ditsim.core._powers_in_range` holds for the node and the
-    grid's endpoints, the powers come from real parts alone
-    (:func:`~ditsim.core._power_arrays`): through is |D - gamma|^2 / |D|^2,
-    free of the cancellation in 1 + t_drop, and each point has the bits of a
-    per-point float evaluation on every CPU.  Every other node (tau = 0,
-    subnormal rates, rates or detunings beyond 2^250 rad/s) takes the
-    complex kernel, |1 + t_drop|^2 and |t_drop|^2 with the bits of
-    ``scattering_arrays``, and the denominator guard runs on each block.  When
-    a block fails it, the whole grid is evaluated at once so that the error
-    names the bad indices of the whole grid, with a degenerate dipole point
-    anywhere reported first.  The three arrays of the result are the rows of
-    one buffer.
+    grid's ends, :func:`~ditsim.core._power_arrays` forms the powers from real
+    parts: through is |D - gamma|^2 / |D|^2, free of the cancellation in
+    1 + t_drop, with the bits of a per-point float evaluation on every CPU.
+    Other nodes (tau = 0, subnormal rates, rates or detunings beyond 2^250
+    rad/s) take the complex kernel, with the bits of ``scattering_arrays``,
+    and the denominator guard checks each block.  When a block fails it, the
+    whole grid is evaluated at once so that the error names the bad indices
+    of the whole grid, with a degenerate dipole point anywhere reported
+    first.  The three arrays of the result are the rows of one buffer.
     """
     # one allocation, not three: freed, it lifts glibc's trim threshold above
     # the call's working set, so the next call reuses pages instead of faulting

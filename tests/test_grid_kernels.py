@@ -183,23 +183,23 @@ def reference_transmission_spectrum(params, grid):
     return np.abs(1.0 + t_drop) ** 2, np.abs(t_drop) ** 2, denom
 
 
-def formula_powers(params, dw):
-    """(|t_through|^2, |t_drop|^2) at one detuning from real parts, on Python
-    floats: u = delta - dw, h = tau/2, s = g^2/(u^2 + h^2), Re D = gamma +
-    kappa/2 + s h, Re N = kappa/2 + s h and Im N = Im D = -(s u + dw)."""
-    h, half_kappa = 0.5 * params.tau, 0.5 * params.kappa
-    u = params.delta - dw
-    s = params.g * params.g / (u * u + h * h)
-    im = s * u + dw
-    sh = s * h
-    rn, rd = sh + half_kappa, sh + (params.gamma + half_kappa)
-    d2 = rd * rd + im * im
-    return (rn * rn + im * im) / d2, params.gamma * params.gamma / d2
-
-
 def formula_spectrum(params, grid):
-    """The through and drop rows of :func:`formula_powers` over the grid."""
-    return tuple(np.array([formula_powers(params, dw) for dw in grid.points().tolist()]).T)
+    """|t_through|^2 and |t_drop|^2 over the grid from real parts, point by
+    point on Python floats: u = delta - dw, h = tau/2, s = g^2/(u^2 + h^2),
+    Re D = gamma + kappa/2 + s h, Re N = kappa/2 + s h, Im N = Im D = -(s u + dw)."""
+    delta, h, half_kappa = params.delta, 0.5 * params.tau, 0.5 * params.kappa
+    gg, hh, floor, gamma2 = params.g * params.g, h * h, params.gamma + half_kappa, params.gamma * params.gamma
+    through, drop = [], []
+    for dw in grid.points().tolist():
+        u = delta - dw
+        s = gg / (u * u + hh)
+        im = s * u + dw
+        sh = s * h
+        rn, rd = sh + half_kappa, sh + floor
+        d2 = rd * rd + im * im
+        through.append((rn * rn + im * im) / d2)
+        drop.append(gamma2 / d2)
+    return np.array(through), np.array(drop)
 
 
 def _in_range(params, grid):

@@ -880,10 +880,8 @@ def test_spectrum_kernels_make_no_blas_call(monkeypatch):
     params = SystemParams(gamma=1.0 * THZ, g=0.33 * THZ, tau=0.001 * THZ, kappa=0.1 * THZ,
                           delta=0.02 * THZ)
     grid = DetuningGrid(-3.0 * THZ, 3.0 * THZ, 20001)
-    arrays = scattering_arrays(params, grid.points())
-    series = transmission_spectrum(params, grid)
-    assert arrays.t_through.shape == (20001,)
-    _assert_same_rows(series, *formula_spectrum(params, grid))
+    scattering_arrays(params, grid.points())  # raises where it calls BLAS
+    _assert_same_rows(transmission_spectrum(params, grid), *formula_spectrum(params, grid))
 
 
 # ------------------------------------------------------------------- peak --

@@ -265,7 +265,7 @@ def _amplitudes(
     big = max(abs(denom.real), abs(denom.imag))  # abs(denom) itself can overflow
     if not cmath.isfinite(denom) or (big < _DENOM_FLOOR and abs(denom) < _DENOM_FLOOR):
         raise SingularDenominator(f"scattering denominator collapsed: D = {denom!r}")
-    if big >= _HUGE:  # the real scale that complex division divides by, as _ratio forms it
+    if big >= _HUGE:  # then test the real scale big + small^2/big that complex division divides by
         small = min(abs(denom.real), abs(denom.imag))
         if not math.isfinite(big + small * (small / big)):
             raise SingularDenominator(f"scattering denominator out of range: D = {denom!r}")
@@ -356,44 +356,77 @@ def _drop_arrays(params: SystemParams, dw: np.ndarray) -> tuple[np.ndarray, np.n
     return x, denom
 
 
-def _powers_in_range(params: SystemParams, reach: float) -> bool:
-    """Whether :func:`_power_arrays` forms every point with |dw| <= ``reach``
-    in range, proved from scalars.
+def _powers_in_range(gamma, g, tau, kappa, delta, reach):
+    """Whether :func:`_fractions` forms every flux fraction of the node in
+    range at every probe with |dw| <= ``reach``; each argument a float, or a
+    float64 array for a test per row.
 
     With h = tau/2, Gamma = gamma + kappa/2 and u = delta - dw, it requires
-    2^-250 <= h, Gamma and max(Gamma, h, g^2/h, |delta| + reach) <= 2^250:
+    2^-250 <= h, Gamma and max(Gamma, h, |delta| + reach) <= 2^250, and
+    g^2 <= 2^250 h (2^250 h is exact, so g^2/h <= 2^250 exactly):
 
     - |u| <= |delta| + reach, as rounding is monotone, so u^2 + h^2 lies in
       [2^-500, 2^501] and s = g^2/(u^2 + h^2) <= (g^2/h)/h is finite.
     - s h <= g^2/h and |s u| <= g^2/(2h), so Re D, Re N and Im D lie within
-      2^252 up to rounding, and every square is finite.
+      2^252 up to rounding, and every square and product is finite.
     - Re D >= Gamma, as s h >= 0, so |D|^2 >= 2^-500 is normal, and no
-      quotient overflows or divides by 0.  A sum of squares that underflows
+      quotient overflows or divides by 0.  A numerator that underflows
       gives a fraction below 2^-500.
 
     The bounds leave a margin of 2^250 to the float range, which covers the
     rounding of each operation and of grid points about their ends.  h must
-    be in the max: above 2^512 its square overflows, s is 0 and the dipole
-    drops out.  Every term is a Python float, so an overflow makes the test
-    fail.  Every point that passes also passes :func:`_guard_denominators`.
+    be bounded: above 2^512 its square overflows, s is 0 and the dipole
+    drops out.  No term divides, so tau = 0 fails the test instead of
+    raising; an overflow or a nan fails it too.  Every probe that passes
+    also passes :func:`_guard_denominators` and the scalar kernel's guards,
+    so the nodes it refuses are the only ones that can raise.  The caller
+    checks the fields: gamma <= 0 or g < 0 can pass it.
     """
-    half_tau, floor = 0.5 * params.tau, params.gamma + 0.5 * params.kappa
-    if not (half_tau >= _TINY and floor >= _TINY):
-        return False
-    return max(floor, half_tau, params.g * params.g / half_tau, abs(params.delta) + reach) <= _VAST
+    half_tau, floor = 0.5 * tau, gamma + 0.5 * kappa
+    return ((_TINY <= half_tau) & (half_tau <= _VAST) & (_TINY <= floor) & (floor <= _VAST)
+            & (g * g <= _VAST * half_tau) & (abs(delta) + reach <= _VAST))
+
+
+def _terms(gamma, g, tau, kappa, delta, dw):
+    """``(s, sh, im, d2)`` of :func:`_fractions`, on floats or arrays."""
+    half_tau = 0.5 * tau
+    u = delta - dw
+    s = g * g / (u * u + half_tau * half_tau)
+    im = s * u + dw
+    sh = s * half_tau
+    rd = sh + (gamma + 0.5 * kappa)
+    return s, sh, im, rd * rd + im * im
+
+
+def _fractions(gamma, g, tau, kappa, delta, dw):
+    """The four flux fractions from real parts, each argument a float or a
+    float64 array: through, drop, cavity loss and dipole loss.
+
+    With u = delta - dw, h = tau/2 and s = g^2/(u^2 + h^2) = g^2/|X|^2,
+    g^2/X = s h - i s u, so D = (gamma + kappa/2 + s h) - i (s u + dw), and
+    the paper's through numerator N = D - gamma has Re N = kappa/2 + s h and
+    Im N = Im D.  So, with no complex division or abs and no 1 + t_drop to
+    cancel,
+
+        through = |N|^2/|D|^2,  drop = gamma^2/|D|^2,
+        cavity loss = kappa gamma/|D|^2,  dipole loss = 2 gamma s h/|D|^2,
+
+    the last as tau |sigma|^2 = tau g^2 gamma/(|D|^2 |X|^2).  They sum to 1
+    in exact arithmetic, as |D|^2 - |N|^2 = gamma^2 + gamma kappa + 2 gamma s h.
+    IEEE +, -, * and / round alike on floats and on every numpy SIMD level,
+    so each value has the bits of :func:`_power_arrays`' expressions.  Valid
+    where :func:`_powers_in_range` holds; no value then overflows or divides by 0.
+    """
+    s, sh, im, d2 = _terms(gamma, g, tau, kappa, delta, dw)
+    rn = sh + 0.5 * kappa
+    return (rn * rn + im * im) / d2, gamma * gamma / d2, kappa * gamma / d2, 2.0 * gamma * sh / d2
 
 
 def _power_arrays(params: SystemParams, dw: np.ndarray, through: np.ndarray,
                   drop: np.ndarray, work: np.ndarray) -> None:
-    """Write |t_through|^2 into ``through`` and |t_drop|^2 into ``drop`` at
-    the detunings ``dw``, from real parts; ``work`` is a row of their size.
-
-    With u = delta - dw, h = tau/2 and s = g^2/(u^2 + h^2), g^2/X = s h - i s u,
-    so D = (gamma + kappa/2 + s h) - i (s u + dw), and the paper's through
-    numerator N = D - gamma has Re N = kappa/2 + s h and Im N = Im D.  So
-    |t_drop|^2 = gamma^2/|D|^2 and |t_through|^2 = |N|^2/|D|^2, with no complex
-    division or abs and no 1 + t_drop to cancel.  Each point gets the bits of
-    these float expressions on every CPU, as IEEE +, -, * and / round alike:
+    """Write the through and drop fractions of :func:`_fractions` at the
+    detunings ``dw`` into ``through`` and ``drop``, in place, with the same
+    bits; ``work`` is a row of their size.  The expressions, in order:
 
         u = delta - dw;  s = g*g / (u*u + h*h);  im = s*u + dw;  sh = s*h
         rn = sh + kappa/2;  rd = sh + (gamma + kappa/2);  d2 = rd*rd + im*im
@@ -444,7 +477,9 @@ def _guard_denominators(params: SystemParams, x: np.ndarray, denom: np.ndarray) 
             raise SingularDenominator(
                 f"scattering denominator collapsed at {_grid_indices(bad)}"
             )
-        bad = np.flatnonzero(~np.isfinite(_ratio((re, im))[2]))
+        # the real scale that complex division divides by, as _amplitudes forms it
+        big, small = np.maximum(np.abs(re), np.abs(im)), np.minimum(np.abs(re), np.abs(im))
+        bad = np.flatnonzero(~np.isfinite(big + small * (small / big)))
         if bad.size:
             raise SingularDenominator(
                 f"scattering denominator out of range at {_grid_indices(bad)}"
@@ -573,7 +608,11 @@ def _dipole_loss(t_drop: complex, b_amp: complex, sigma_amp: complex,
 def _flux(
     gamma: float, g: float, tau: float, kappa: float, delta: float, dw: float
 ) -> FluxBudget:
-    """:func:`flux_budget` on plain floats, without building a ``SystemParams``."""
+    """:func:`flux_budget` on plain floats, without building a ``SystemParams``:
+    :func:`_fractions` where :func:`_powers_in_range` admits the probe, else
+    the fractions of the complex amplitudes, with their errors."""
+    if _powers_in_range(gamma, g, tau, kappa, delta, abs(dw)):
+        return FluxBudget(*_fractions(gamma, g, tau, kappa, delta, dw))
     t_drop, b_amp, sigma_amp = _amplitudes(gamma, g, tau, kappa, delta, dw)
     return FluxBudget(
         through=_abs2(1.0 + t_drop),
@@ -583,98 +622,20 @@ def _flux(
     )
 
 
-# CPython's complex arithmetic written out on (re, im) pairs, each part a
-# float or a float64 array, so that array results carry the bits of the scalar
-# expressions.  A real operand enters as (f, 0.0), as CPython promotes it; on
-# float parts these are Python's own float operations.  numpy's complex
-# division multiplies by a reciprocal and its complex abs is not C hypot, so
-# neither is used.  Callers silence floating-point warnings: the rows that
-# raise them are the ones the scalar kernel refuses.
-
-_NEG_J = (-0.0, -1.0)  # the literal -1j
-
-
-def _c_add(a, b):
-    return a[0] + b[0], a[1] + b[1]
-
-
-def _c_mul(a, b):
-    (ar, ai), (br, bi) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _ratio(b):
-    """``(wide, ratio, scale)`` of CPython's ``_Py_c_quot`` dividing by ``b``:
-    whether |Re b| >= |Im b|, the other part over that larger one, and the
-    real scale, larger + other * ratio, that the quotient is divided by.
-    Where b is 0, which Python refuses, the ratio is nan."""
-    br, bi = b
-    wide = np.abs(br) >= np.abs(bi)
-    big, small = np.where(wide, br, bi), np.where(wide, bi, br)
-    ratio = np.divide(small, big)
-    return wide, ratio, big + small * ratio
-
-
-def _c_quot(a, b, by=None):
-    """``a / b``; ``by`` is ``_ratio(b)`` when already formed."""
-    ar, ai = a
-    wide, ratio, scale = by or _ratio(b)
-    u, v = np.where(wide, ar, ai), np.where(wide, ai, ar)
-    ur = u * ratio
-    return (u + v * ratio) / scale, np.where(wide, v - ur, ur - v) / scale
-
-
-def _c_abs2(z):
-    """:func:`_abs2`: C ``hypot``, as CPython's ``abs``, then a product."""
-    size = np.hypot(*z)
-    return size * size
-
-
 def _flux_arrays(gamma, g, tau, kappa, delta, dw):
-    """:func:`_flux` with float64 arrays in place of any of its floats.
+    """:func:`_fractions` with float64 arrays in place of any of its floats.
 
     Returns five arrays of the arguments' broadcast shape: the four flux
-    fractions, then a mask of the rows that ``_flux`` may refuse or that came
-    out non-finite: a denominator that is non-finite (x = 0 with g > 0 makes
-    it nan), near or below the floor, or out of range, or a non-finite
-    fraction.  On every other row each fraction has the bits ``_flux`` gives
-    on that row's floats.  Terms that no array argument reaches are formed
-    once, on floats.
+    fractions, then a mask of the rows that :func:`_powers_in_range` refuses.
+    On every other row each fraction has the bits ``_flux`` gives on that
+    row's floats; a flagged row's fractions mean nothing, and the caller
+    evaluates it with ``_flux``.
     """
-    # rows with g = 0 then get zero coupling and sigma, up to the sign of a
-    # zero, which no |.|^2 sees
-    coupled = type(g) is np.ndarray or g > 0.0
-    with np.errstate(all="ignore"):
-        x = _c_add(_c_mul(_NEG_J, (dw - delta, 0.0)), (0.5 * tau, 0.0))
-        by_x = _ratio(x) if coupled else None
-        coupling = _c_quot((g * g, 0.0), x, by_x) if coupled else (0.0, 0.0)
-        denom = _c_add(_c_mul(_NEG_J, (dw, 0.0)), (gamma, 0.0))
-        denom = _c_add(_c_add(denom, (0.5 * kappa, 0.0)), coupling)
-        by_denom = _ratio(denom)
-        # t_drop and b_amp share the denominator: one quotient, two rows
-        root = math.sqrt(gamma) if type(gamma) is float else np.sqrt(gamma)
-        numerators = np.reshape(np.array([-gamma, -root]), (2, -1))
-        quot = _c_quot((numerators, 0.0), denom, by_denom)
-        t_drop = quot[0][0], quot[1][0]
-        b_amp = quot[0][1], quot[1][1]
-        sigma_amp = (_c_quot(_c_mul(_c_mul(_NEG_J, (g, 0.0)), b_amp), x, by_x)
-                     if coupled else (0.0, 0.0))
-        drop_and_b = _c_abs2(quot)
-        fractions = (
-            _c_abs2(_c_add((1.0, 0.0), t_drop)),
-            drop_and_b[0],
-            kappa * drop_and_b[1],
-            tau * _c_abs2(sigma_amp),
-        )
-        # |D| < floor puts |scale| below 2 floors; a non-finite D, scale or
-        # fraction makes the sum non-finite
-        scale = by_denom[2]
-        total = fractions[0] + fractions[1] + fractions[2] + fractions[3] + scale
-        flagged = ~np.isfinite(total) | (np.abs(scale) < 4.0 * _DENOM_FLOOR)
-    # a fraction that no array argument reaches is a scalar or one row
-    shape = max(getattr(a, "shape", ()) for a in (gamma, g, tau, kappa, delta, dw))
-    return [f if type(f) is np.ndarray and f.shape == shape else np.broadcast_to(f, shape)
-            for f in (*fractions, flagged)]
+    with np.errstate(all="ignore"):  # a refused row may overflow
+        refused = ~_powers_in_range(gamma, g, tau, kappa, delta, abs(dw))
+        if refused.all():  # only then can a term of floats alone divide by 0 (tau = 0)
+            return [*np.zeros((4, *refused.shape)), refused]
+        return [*_fractions(gamma, g, tau, kappa, delta, dw), refused]
 
 
 def flux_budget(params: SystemParams, probe: Probe) -> FluxBudget:
@@ -750,13 +711,25 @@ def weak_excitation_check(params: SystemParams, input_flux: float) -> WeakExcita
     input of ``input_flux`` photons/s the steady-state occupancy at the
     transparency point (probe on the bare cavity line) is estimated as
     input_flux * |sigma_amp|^2; the report flags valid when it is below 0.1.
-    An overflowing |sigma_amp|^2 reads inf (0 at no input) unless :func:`flux_budget` refuses.
+    Where :func:`_powers_in_range` admits the node at that probe,
+    |sigma_amp|^2 = gamma s/|D|^2, from the terms of the flux budget's dipole
+    loss 2 gamma s h/|D|^2; elsewhere |sigma_amp| is squared as a product.
+    An overflowing |sigma_amp|^2 reads inf (0 at no input) unless
+    :func:`flux_budget` refuses.
     """
     input_flux = _finite(input_flux, "input_flux", nonnegative=True)
-    sigma_amp = scatter_coefficients(params, 0.0).sigma_amp
-    try:
-        occupancy = input_flux * abs(sigma_amp) ** 2
-    except OverflowError:  # a subnormal tau probed on the dipole line
+    node = (params.gamma, params.g, params.tau, params.kappa, params.delta)
+    if _powers_in_range(*node, 0.0):
+        s, _, _, d2 = _terms(*node, 0.0)
+        square = params.gamma * s / d2
+    else:
+        try:
+            square = _abs2(scatter_coefficients(params, 0.0).sigma_amp)
+        except OverflowError:  # finite parts, |sigma_amp| beyond the float range
+            square = math.inf
+    if math.isinf(square):  # a subnormal tau probed on the dipole line
         flux_budget(params, 0.0)  # raises where g^2 has dropped out of the denominator
         occupancy = math.inf if input_flux else 0.0
+    else:
+        occupancy = input_flux * square
     return WeakExcitationReport(valid=bool(occupancy < 0.1), sigma_occupancy_estimate=occupancy)

@@ -192,7 +192,8 @@ def transmission_spectrum(params: SystemParams, grid: DetuningGrid) -> SpectrumS
     Where :func:`~ditsim.core._powers_in_range` holds for the node and the
     grid's ends, :func:`~ditsim.core._power_arrays` forms the powers from real
     parts: through is |D - gamma|^2 / |D|^2, free of the cancellation in
-    1 + t_drop, with the bits of a per-point float evaluation on every CPU.
+    1 + t_drop, with the bits of :func:`~ditsim.core.flux_budget` at each
+    point on every CPU.
     Other nodes (tau = 0, subnormal rates, rates or detunings beyond 2^250
     rad/s) take the complex kernel, with the bits of ``scattering_arrays``,
     and the denominator guard checks each block.  When a block fails it, the
@@ -204,7 +205,8 @@ def transmission_spectrum(params: SystemParams, grid: DetuningGrid) -> SpectrumS
     # the call's working set, so the next call reuses pages instead of faulting
     points, through, drop = np.empty((3, grid.count))
     blocks = [slice(start, start + _BLOCK) for start in range(0, grid.count, _BLOCK)]
-    if _powers_in_range(params, max(abs(grid.start), abs(grid.stop))):
+    if _powers_in_range(params.gamma, params.g, params.tau, params.kappa, params.delta,
+                        max(abs(grid.start), abs(grid.stop))):
         work = np.empty(min(grid.count, _BLOCK))
         for block in blocks:
             dw = _fill_points(grid, points[block], block.start)
@@ -365,8 +367,8 @@ def _sweep_arrays(
     """:func:`parameter_sweep`'s rows as columns.
 
     Returns the swept values as floats, the probe detuning, the four flux
-    fractions as float64 arrays (a row that the array pass flags carries the
-    scalar kernel's floats; an error row's fractions mean nothing) and the
+    fractions as float64 arrays (a row out of the real-part formula's range
+    carries the scalar kernel's floats; an error row's fractions mean nothing) and the
     message of each error row by row index, in ascending order.
     """
     if axis not in SWEEP_AXES:
@@ -381,8 +383,6 @@ def _sweep_arrays(
     slot = SWEEP_AXES.index(axis)
     args[slot] = column
     *fractions, flagged = _flux_arrays(*args)
-    # a fraction that the swept axis does not reach is a read-only broadcast
-    fractions = [f if f.flags.writeable else f.copy() for f in fractions]
     errors = {}
     for i in np.flatnonzero(flagged | ~_field_ok(axis, column)).tolist():
         value = args[slot] = values[i]
@@ -408,11 +408,11 @@ def parameter_sweep(
 
     The numbers of each row are those of
     ``flux_budget(replace(base, **{axis: value}), probe)``, bit for bit.  All
-    rows are evaluated in one pass over arrays that repeats Python's complex
-    arithmetic operation by operation, with no ``SystemParams`` built.  A row
-    that this pass flags (a diverging dipole term, a denominator outside the
-    guard, a non-finite fraction) is evaluated again on its own floats by the
-    scalar kernel.  Invalid points (for example a non-positive gamma) do not
+    rows are evaluated in one pass over arrays of the real-part formula that
+    ``flux_budget`` uses, with no ``SystemParams`` built.  A row outside that
+    formula's range (tau = 0, subnormal rates, rates beyond 2^250 rad/s) is
+    evaluated again on its own floats by the scalar kernel, which takes the
+    complex amplitudes there.  Invalid points (for example a non-positive gamma) do not
     abort the sweep; the offending row carries the message ``SystemParams``
     or the scalar kernel would raise, and a missing budget.  Row order
     follows ``values``.

@@ -379,23 +379,26 @@ def test_flux_fractions_round_within_their_budget_of_the_exact_values(
     """Each flux fraction against its exact rational value: the loss and drop
     fractions within 64 ulps, and ``through`` within 16 eps relative plus
     16 eps absolute, which covers the cancellation in 1 + t_drop.  Each comes
-    from ``flux_budget``, ``scattering_arrays`` and a 1-point spectrum."""
+    from ``flux_budget``, a 1-row ``parameter_sweep``, ``scattering_arrays``
+    and a 1-point spectrum."""
     params = SystemParams(gamma * THZ, g * THZ, tau * THZ, kappa * THZ, delta * THZ)
     probe = dw * THZ
     through, drop, cavity_loss, dipole_loss = _exact_fluxes(params, probe)
     budget = flux_budget(params, probe)
+    row = parameter_sweep(params, "g", [params.g], probe).rows[0].budget
     arrays = scattering_arrays(params, np.array([probe]))
     series = transmission_spectrum(params, DetuningGrid(probe, probe, 1))
     for got, exact in [
-        (budget.drop, drop),
-        (budget.cavity_loss, cavity_loss),
-        (budget.dipole_loss, dipole_loss),
+        *((b.drop, drop) for b in (budget, row)),
+        *((b.cavity_loss, cavity_loss) for b in (budget, row)),
+        *((b.dipole_loss, dipole_loss) for b in (budget, row)),
         (float(np.abs(arrays.t_drop[0]) ** 2), drop),
         (float(series.drop[0]), drop),
     ]:
         assert _ulps(got, exact) <= 64, (got, float(exact))
     eps = Fraction(2) ** -52
-    for got in (budget.through, float(np.abs(arrays.t_through[0]) ** 2), float(series.through[0])):
+    for got in (budget.through, row.through, float(np.abs(arrays.t_through[0]) ** 2),
+                float(series.through[0])):
         # relative error at most 16 eps (1 + 1/through)
         assert abs(Fraction(got) - through) <= 16 * eps * (through + 1), (got, float(through))
 
@@ -403,14 +406,17 @@ def test_flux_fractions_round_within_their_budget_of_the_exact_values(
 @pytest.mark.parametrize("kappa", [1e-2, 1e-4, 1e-6, 1e-8, 0.0])
 def test_spectrum_keeps_the_digits_of_the_bare_filter_dip(kappa):
     # on resonance t_drop is -gamma/(gamma + kappa/2), and 1 + t_drop cancels;
-    # the spectrum forms through as (kappa/2)^2 / (gamma + kappa/2)^2 instead
+    # the spectrum, the flux budget and a sweep's row form through as
+    # (kappa/2)^2 / (gamma + kappa/2)^2 instead
     params = SystemParams(1.0 * THZ, 0.0, 0.001 * THZ, kappa * THZ)
-    through = float(transmission_spectrum(params, DetuningGrid(0.0, 0.0, 1)).through[0])
     exact = _exact_fluxes(params, 0.0)[0]
-    if kappa == 0.0:  # critical coupling: the dip is exactly dark
-        assert through == 0.0
-    else:
-        assert abs(Fraction(through) - exact) <= 4 * Fraction(2) ** -52 * exact, (through, float(exact))
+    for through in (float(transmission_spectrum(params, DetuningGrid(0.0, 0.0, 1)).through[0]),
+                    flux_budget(params, 0.0).through,
+                    parameter_sweep(params, "kappa", [params.kappa], 0.0).rows[0].budget.through):
+        if kappa == 0.0:  # critical coupling: the dip is exactly dark
+            assert through == 0.0
+        else:
+            assert abs(Fraction(through) - exact) <= 4 * Fraction(2) ** -52 * exact, (through, float(exact))
 
 
 # ----------------------------------------------------------------- arrays --
@@ -489,6 +495,29 @@ def test_weak_excitation_flags(baseline):
     loud = weak_excitation_check(baseline, 100.0 * baseline.g**2 / baseline.gamma)
     assert not loud.valid
     assert loud.sigma_occupancy_estimate > 0.1
+
+
+# the last two nodes lie outside the real-part formula's range (tau/2 below
+# 2^-250), so |sigma_amp| is squared as a product there
+@example(gamma=1.0, g=0.33, tau=0.001, kappa=0.1, delta=0.0)
+@example(gamma=1.0, g=0.0, tau=0.001, kappa=0.1, delta=0.0)
+@example(gamma=1e-22, g=1e-182, tau=1e-312, kappa=0.0, delta=0.0)
+@example(gamma=1.0, g=0.33, tau=1e-300, kappa=0.1, delta=0.2)
+@given(
+    gamma=_log_rate(0.1, 10.0),
+    g=_log_rate(0.01, 10.0) | st.just(0.0),
+    tau=_log_rate(1e-5, 1.0),
+    kappa=_log_rate(1e-4, 1.0),
+    delta=st.floats(-1.0, 1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_weak_excitation_occupancy_rounds_within_64_ulps_of_the_exact_value(gamma, g, tau, kappa, delta):
+    # |sigma_amp|^2 at the cavity line is the exact dipole loss over tau,
+    # tau g^2 gamma / (|D|^2 |X|^2) / tau
+    params = SystemParams(gamma * THZ, g * THZ, tau * THZ, kappa * THZ, delta * THZ)
+    exact = _exact_fluxes(params, 0.0)[3] / Fraction(params.tau)
+    got = weak_excitation_check(params, 1.0).sigma_occupancy_estimate
+    assert _ulps(got, exact) <= 64, (got, float(exact))
 
 
 def test_weak_excitation_rejects_negative_flux(baseline):

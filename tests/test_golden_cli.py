@@ -186,7 +186,7 @@ def test_bytes_under_other_cpu_kernels(setting, tmp_path):
                     if a.read() != b.read():
                         differ.append(f"{case}/{fmt}/{name}")
     assert not differ, differ
-    assert all(_powers_in_range(SystemParams(*node), max(map(abs, grid[:2]))) for node, grid in SPECTRA)
+    assert all(_powers_in_range(*node, max(map(abs, grid[:2]))) for node, grid in SPECTRA)
     assert child.stdout.splitlines()[-1] == _spectrum_digest(SPECTRA)
 
 

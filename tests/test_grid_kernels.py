@@ -18,9 +18,7 @@ overflows, the flux budget forms the dipole loss as ``(tau*|sigma|)*|sigma|``
 and keeps it where the fractions still sum to 1, and otherwise raises ``DegenerateDipole`` instead of leaking ``OverflowError`` and
 aborting the sweep.  They square each |z| as ``abs(z) * abs(z)``, as the
 package now does, where they used C ``pow`` (``abs(z) ** 2``), which
-misrounds some squares.  ``parameter_sweep`` now evaluates its rows on arrays with
-CPython's complex arithmetic written out, so that arithmetic is also checked
-against Python's own operators on edge values.  The peak finder
+misrounds some squares.  The peak finder
 used to rebuild the whole detuning array with ``grid.points()``; it now reads
 the detunings the spectrum was evaluated at, and must give the same bits.
 The array kernel ``core._drop_arrays`` used to form X and D with numpy's
@@ -34,12 +32,16 @@ a scalar range proof admits the node and the grid, it now forms |t_through|^2
 and every point must have the bits of that formula evaluated per point on
 Python floats; every other node keeps the complex kernel's bits and errors.
 The proof is checked against per-point range tests and against the complex
-kernel's guard.  The peak finder's half-height search reads windows that
-grow outward from the peak, and must return what the sample-by-sample walk
-returns.
+kernels' guards.  ``flux_budget`` and ``parameter_sweep`` now form all four
+flux fractions from real parts where the same proof admits the probe, and
+every such row must have the bits of that formula on Python floats, as must
+every row of the sweep's array pass; other rows keep the complex reference's
+bits and errors.  Over the benchmark's pool the formulas are evaluated as
+whole numpy arrays instead, which round as Python floats do.  The peak
+finder's half-height search reads windows that grow outward from the peak,
+and must return what the sample-by-sample walk returns.
 """
 
-import cmath
 import math
 import os
 import struct
@@ -60,6 +62,7 @@ from ditsim import (
     NumericsError,
     SingularDenominator,
     SystemParams,
+    flux_budget,
     locate_transparency_peak,
     parameter_sweep,
     scatter_coefficients,
@@ -147,6 +150,33 @@ def _square_abs(z):
     return size * size
 
 
+def formula_fractions(gamma, g, tau, kappa, delta, dw):
+    """The four flux fractions from real parts, on Python floats or as whole
+    numpy arrays: with u = delta - dw, h = tau/2, s = g^2/(u^2 + h^2),
+    Re D = gamma + kappa/2 + s h, Re N = kappa/2 + s h and Im N = Im D =
+    -(s u + dw), they are |N|^2, gamma^2, kappa gamma and 2 gamma s h over |D|^2."""
+    h, half_kappa = 0.5 * tau, 0.5 * kappa
+    u = delta - dw
+    s = g * g / (u * u + h * h)
+    im = s * u + dw
+    sh = s * h
+    rn, rd = sh + half_kappa, sh + (gamma + half_kappa)
+    d2 = rd * rd + im * im
+    return (rn * rn + im * im) / d2, gamma * gamma / d2, kappa * gamma / d2, 2.0 * gamma * sh / d2
+
+
+def _node(params):
+    return params.gamma, params.g, params.tau, params.kappa, params.delta
+
+
+def reference_budget(params, dw):
+    """``flux_budget``: the formula on floats where the range proof admits the
+    probe, else the complex reference."""
+    if _powers_in_range(*_node(params), abs(dw)):
+        return FluxBudget(*formula_fractions(*_node(params), dw))
+    return reference_flux_budget(params, dw)
+
+
 def reference_parameter_sweep(base, axis, values, probe):
     """One ``replace`` and one scalar flux budget per row."""
     if axis not in SWEEP_AXES:
@@ -157,9 +187,32 @@ def reference_parameter_sweep(base, axis, values, probe):
         value = float(raw)
         try:
             params = replace(base, **{axis: value})
-            rows.append(SweepRow(value=value, budget=reference_flux_budget(params, dw)))
+            rows.append(SweepRow(value=value, budget=reference_budget(params, dw)))
         except (ValueError, NumericsError) as exc:
             rows.append(SweepRow(value=value, budget=None, error=str(exc)))
+    return SweepTable(axis=axis, probe=dw, rows=tuple(rows))
+
+
+# the rows whose swept value SystemParams refuses, among rows the range proof admits
+_REFUSED = {"gamma": lambda v: v <= 0.0, "g": lambda v: v < 0.0, "kappa": lambda v: v < 0.0}
+
+
+def array_parameter_sweep(base, axis, values, probe):
+    """``reference_parameter_sweep`` with the rows that the range proof admits
+    formed as whole numpy arrays, and every other row as there."""
+    dw = _probe_value(probe)
+    column = np.array(values, dtype=float)
+    # numpy scalars: a term of base's floats alone divides by 0 with a warning
+    node = [column if name == axis else np.float64(getattr(base, name)) for name in SWEEP_AXES]
+    with np.errstate(all="ignore"):
+        fractions = [f.tolist() for f in formula_fractions(*node, dw)]
+    admitted = _powers_in_range(*node, abs(dw)) & ~_REFUSED.get(axis, lambda v: False)(column)
+    rows = []
+    for i, (value, ok) in enumerate(zip(column.tolist(), admitted.tolist())):
+        if ok:
+            rows.append(SweepRow(value, FluxBudget(*(f[i] for f in fractions))))
+        else:
+            rows.extend(reference_parameter_sweep(base, axis, [value], dw).rows)
     return SweepTable(axis=axis, probe=dw, rows=tuple(rows))
 
 
@@ -202,8 +255,15 @@ def formula_spectrum(params, grid):
     return np.array(through), np.array(drop)
 
 
+def array_formula_spectrum(params, grid):
+    """``formula_spectrum`` as whole numpy arrays, with no blocks and no
+    buffers written in place."""
+    through, drop, _, _ = formula_fractions(*_node(params), grid.points())
+    return through, drop
+
+
 def _in_range(params, grid):
-    return _powers_in_range(params, max(abs(grid.start), abs(grid.stop)))
+    return _powers_in_range(*_node(params), max(abs(grid.start), abs(grid.stop)))
 
 
 def _reference_indices(bad):
@@ -334,12 +394,12 @@ def _assert_same_sweep(base, axis, values, probe):
     assert got == want
 
 
-def _assert_same_spectrum(params, grid):
-    """The spectrum against the per-point formula where the range proof
+def _assert_same_spectrum(params, grid, formula=formula_spectrum):
+    """The spectrum against the per-point ``formula`` where the range proof
     holds, else against |t|^2 of the complex reference, errors included."""
     if _in_range(params, grid):
         series = transmission_spectrum(params, grid)
-        through, drop = formula_spectrum(params, grid)
+        through, drop = formula(params, grid)
         _assert_same_rows(series, through, drop)
         return
     with np.errstate(all="ignore"):  # both warn on overflow
@@ -471,86 +531,36 @@ def test_sweep_tau_zero_on_the_dipole_line_matches_reference():
     _assert_same_sweep(base, "tau", values, base.delta)
 
 
-# ------------------------------------------- the sweep kernel's arithmetic --
+# ----------------------------------------------- the sweep's array pass --
 
-EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-308, 1e-300, 0.75, -2.5, 3e154,
-         1e308, -1e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan)
-
-
-def _edge_pairs():
-    """Every pair of edge values, and random ones with exponents near the range ends."""
-    rng = np.random.default_rng(11)
-    edge = np.array(EDGES)
-    re, im = np.meshgrid(edge, edge)
-    rand = rng.choice([-1.0, 1.0], (2, 4000)) * 10.0 ** rng.uniform(-323, 308, (2, 4000))
-    return np.concatenate([re.ravel(), rand[0]]), np.concatenate([im.ravel(), rand[1]])
+# on every axis, with ordinary rates and detunings and any float
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 2.2e-308, 1e-300, -1e-300, 1e300, -1e300,
+         1.7e308, -1.7e308, math.inf, -math.inf, math.nan)
+edge_floats = st.one_of(st.sampled_from(EDGES), st.floats(1e-3, 10.0).map(lambda v: v * THZ),
+                        st.floats(-5.0, 5.0).map(lambda v: v * THZ), st.floats())
 
 
-def _same_float(got, want):
-    return math.isnan(got) and math.isnan(want) or _bits(got) == _bits(want)
-
-
-def _python(op, *args):
-    try:
-        return op(*args)
-    except (ZeroDivisionError, OverflowError) as exc:
-        return type(exc)
-
-
-def test_kernel_division_matches_python():
-    ar, ai = _edge_pairs()
-    rng = np.random.default_rng(12)
-    br, bi = rng.permutation(ar), rng.permutation(ai)
-    # each numerator against the edge divisors, and every pair shuffled
-    edge_r, edge_i = ar[:len(EDGES) ** 2], ai[:len(EDGES) ** 2]
-    ar = np.concatenate([np.repeat(ar[:400], edge_r.size), ar])
-    ai = np.concatenate([np.repeat(ai[:400], edge_i.size), ai])
-    br = np.concatenate([np.tile(edge_r, 400), br])
-    bi = np.concatenate([np.tile(edge_i, 400), bi])
-    with np.errstate(all="ignore"):
-        arrays = core._c_quot((ar, ai), (br, bi))
-    for i in range(ar.size):
-        a, b = (float(ar[i]), float(ai[i])), (float(br[i]), float(bi[i]))
-        want = _python(complex.__truediv__, complex(*a), complex(*b))
-        with np.errstate(all="ignore"):
-            floats = core._c_quot(a, b) if i % 7 == 0 else None  # the path for constant terms
-        for got in filter(None, ((float(arrays[0][i]), float(arrays[1][i])), floats)):
-            if want is ZeroDivisionError:  # b = 0: the kernel returns nan
-                assert math.isnan(got[0]) and math.isnan(got[1]), (a, b)
-            else:
-                assert _same_float(got[0], want.real) and _same_float(got[1], want.imag), (a, b)
-
-
-def test_kernel_product_and_sum_match_python():
-    ar, ai = _edge_pairs()
-    br, bi = np.roll(ar, 17), np.roll(ai, 5)
-    with np.errstate(all="ignore"):
-        product, total = core._c_mul((ar, ai), (br, bi)), core._c_add((ar, ai), (br, bi))
-    for i in range(ar.size):
-        a, b = complex(ar[i], ai[i]), complex(br[i], bi[i])
-        for got, want in ((product, a * b), (total, a + b)):
-            assert _same_float(float(got[0][i]), want.real), (a, b)
-            assert _same_float(float(got[1][i]), want.imag), (a, b)
-
-
-def test_kernel_abs_and_square_match_python():
-    re, im = _edge_pairs()
-    with np.errstate(all="ignore"):
-        kernel_abs = np.hypot(re, im)
-        squares = core._c_abs2((re, im))
-        kernel_square = core._c_abs2((re, 0.0))  # a real operand enters as (f, 0.0)
-    for i in range(re.size):
-        z = complex(re[i], im[i])
-        # abs is nan here, but CPython reads errno left over from an earlier
-        # overflow and may raise OverflowError instead
-        size = math.nan if cmath.isnan(z) and not cmath.isinf(z) else _python(abs, z)
-        if size is OverflowError:  # finite parts, |z| beyond the float range
-            assert kernel_abs[i] == math.inf and squares[i] == math.inf
-        else:
-            assert _same_float(float(kernel_abs[i]), size)
-            assert _same_float(float(squares[i]), size * size)
-        real = abs(float(re[i]))
-        assert _same_float(float(kernel_square[i]), real * real)
+@given(rows=st.lists(st.tuples(*[edge_floats] * 6), min_size=1, max_size=12),
+       swept=st.one_of(st.none(), st.integers(0, 5)))
+@settings(deadline=None)  # the example count follows the profile: soak runs 20,000
+@example(  # the sweep's shape on a tau = 0 node: tau/2 = 0 divides only refused rows
+    rows=[(1e12, 3.3e11, 0.0, 1e11, 0.0, 0.0), (1e12, 0.0, 0.0, 1e11, 0.0, 0.0)], swept=1)
+def test_flux_arrays_rows_match_the_scalar_kernel(rows, swept):
+    # every argument a column, or (a sweep's shape) one column and the first
+    # row's floats elsewhere: each row the range proof admits has the bits of
+    # the scalar kernel and of the formula on its floats; the others are flagged
+    columns = [np.array(column) for column in zip(*rows)]
+    if swept is not None:
+        columns = [c if k == swept else float(c[0]) for k, c in enumerate(columns)]
+    with np.errstate(all="raise"):  # the array pass silences its own warnings
+        *fractions, flagged = core._flux_arrays(*columns)
+    for i in range(len(rows)):
+        row = [float(c[i]) if isinstance(c, np.ndarray) else c for c in columns]
+        assert bool(flagged[i]) is not _powers_in_range(*row[:5], abs(row[5])), row
+        if not flagged[i]:
+            want = [_bits(v) for v in formula_fractions(*row)]
+            assert [_bits(float(f[i])) for f in fractions] == want, row
+            assert [_bits(v) for v in core._flux(*row)] == want, row
 
 
 # --------------------------------------------------------------- spectrum --
@@ -562,6 +572,32 @@ def test_spectrum_matches_reference(params, grid, on_line):
     if on_line:  # put one grid point exactly on the dipole line
         grid = DetuningGrid(params.delta, params.delta, 1)
     _assert_same_spectrum(params, grid)
+
+
+thz_rates = st.floats(1e-3, 10.0).map(lambda v: v * THZ)
+
+
+@st.composite
+def thz_nodes(draw):
+    return SystemParams(
+        gamma=draw(thz_rates), g=draw(st.one_of(st.just(0.0), thz_rates)), tau=draw(thz_rates),
+        kappa=draw(st.one_of(st.just(0.0), thz_rates)), delta=draw(st.floats(-5.0, 5.0).map(lambda v: v * THZ)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=st.one_of(thz_nodes(), nodes()), grid=grids(), on_line=st.booleans())
+def test_spectrum_points_are_the_flux_budgets(params, grid, on_line):
+    # where the range proof admits the grid, through and drop at each point are
+    # flux_budget's, bit for bit
+    if on_line:
+        grid = DetuningGrid(params.delta, params.delta, 1)
+    if not _in_range(params, grid):
+        return
+    series = transmission_spectrum(params, grid)
+    for dw, through, drop in zip(*(a.tolist() for a in (series.detuning, series.through, series.drop))):
+        budget = flux_budget(params, dw)
+        assert (_bits(through), _bits(drop)) == (_bits(budget.through), _bits(budget.drop)), dw
 
 
 @pytest.mark.parametrize("gamma", [1e-300, 1e300])
@@ -830,9 +866,10 @@ NORMAL = sys.float_info.min
     params=SystemParams(1e12, 5e-324, 2.5e-310, 0.0), grid=(26, -5.0, 20.0),
 )
 def test_range_proof_never_skips_a_failing_guard(params, grid):
-    # where the scalar bound holds, the spectrum takes the real-part kernel:
-    # each point's squares must be finite, u^2 + h^2 and |D|^2 normal, no
-    # numpy error may arise, and the complex kernel's guard must pass
+    # where the scalar bound holds, the spectrum and the flux budget take the
+    # real-part formula: each point's squares and products must be finite,
+    # u^2 + h^2 and |D|^2 normal, no numpy error may arise, and the guards of
+    # the complex kernels, array and scalar, must pass
     grid = _drawn_grid(params, *grid)
     if not _in_range(params, grid):
         return
@@ -844,6 +881,8 @@ def test_range_proof_never_skips_a_failing_guard(params, grid):
         rn, rd = sh + 0.5 * params.kappa, sh + (params.gamma + 0.5 * params.kappa)
         assert NORMAL <= u * u + h * h < math.inf and NORMAL <= rd * rd + im * im < math.inf
         assert math.isfinite(rn * rn + im * im) and math.isfinite(params.gamma * params.gamma)
+        assert math.isfinite(params.kappa * params.gamma) and math.isfinite(2.0 * params.gamma * sh)
+        reference_flux_budget(params, dw)  # raises where the complex scalar kernel refuses
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         _assert_same_spectrum(params, grid)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -853,7 +892,7 @@ def test_range_proof_never_skips_a_failing_guard(params, grid):
 
 def test_range_proof_admits_exactly_its_bounds():
     edge = SystemParams(2.0**-250, 1.0, 2.0**-249, 0.0)  # g^2/(tau/2) = 2^250
-    assert _powers_in_range(edge, 2.0**250)
+    assert _powers_in_range(*_node(edge), 2.0**250)
     below, above = math.nextafter(2.0**-250, 0.0), math.nextafter(2.0**250, math.inf)
     for node, reach in [
         (edge, above),  # the grid reaches past 2^250
@@ -866,7 +905,11 @@ def test_range_proof_admits_exactly_its_bounds():
         (SystemParams(1.0, 1e300, 1.0, 0.0), 1.0),  # g^2 overflows
         (SystemParams(1.0, 0.33, 0.0, 0.1), 1.0),  # tau = 0
     ]:
-        assert not _powers_in_range(node, reach), (node, reach)
+        assert not _powers_in_range(*_node(node), reach), (node, reach)
+    # the same bounds per row of arrays
+    rows = [(edge, 2.0**250), (replace(edge, gamma=below), 2.0**250), (edge, above)]
+    columns = [np.array(c) for c in zip(*(_node(node) + (reach,) for node, reach in rows))]
+    assert _powers_in_range(*columns).tolist() == [True, False, False]
 
 
 def test_spectrum_kernels_make_no_blas_call(monkeypatch):
@@ -1044,14 +1087,16 @@ def test_peak_windows_name_a_through_sample_past_the_first_window(value):
 
 
 def test_grids_pool_matches_reference():
-    # every sweep and spectrum of the seed-0 pool of the benchmark's grids workload
+    # every sweep and spectrum of the seed-0 pool of the benchmark's grids
+    # workload, against the formulas as whole numpy arrays where the range
+    # proof admits them
     for case in workloads.generate_grids(0):
         got = _sweep_outcome(parameter_sweep, case.base, case.axis, case.values, case.probe)
         want = _sweep_outcome(
-            reference_parameter_sweep, case.base, case.axis, case.values, case.probe
+            array_parameter_sweep, case.base, case.axis, case.values, case.probe
         )
         assert got == want
-        _assert_same_spectrum(case.node, case.grid)
+        _assert_same_spectrum(case.node, case.grid, array_formula_spectrum)
         series = transmission_spectrum(case.node, case.grid)
         assert _peak_outcome(locate_transparency_peak, series) == _peak_outcome(
             reference_locate_transparency_peak, series

@@ -193,8 +193,14 @@ def reference_parameter_sweep(base, axis, values, probe):
     return SweepTable(axis=axis, probe=dw, rows=tuple(rows))
 
 
-# the rows whose swept value SystemParams refuses, among rows the range proof admits
-_REFUSED = {"gamma": lambda v: v <= 0.0, "g": lambda v: v < 0.0, "kappa": lambda v: v < 0.0}
+# each bounded field's test against 0
+_BOUNDS = {"gamma": np.greater, "g": np.greater_equal, "tau": np.greater_equal, "kappa": np.greater_equal}
+
+
+def _refused(axis, values):
+    """Where SystemParams refuses the swept ``values``: not finite, or out of the axis's bound."""
+    ok = np.isfinite(values)
+    return ~(ok & _BOUNDS[axis](values, 0.0)) if axis in _BOUNDS else ~ok
 
 
 def array_parameter_sweep(base, axis, values, probe):
@@ -206,7 +212,7 @@ def array_parameter_sweep(base, axis, values, probe):
     node = [column if name == axis else np.float64(getattr(base, name)) for name in SWEEP_AXES]
     with np.errstate(all="ignore"):
         fractions = [f.tolist() for f in formula_fractions(*node, dw)]
-    admitted = _powers_in_range(*node, abs(dw)) & ~_REFUSED.get(axis, lambda v: False)(column)
+    admitted = _powers_in_range(*node, abs(dw)) & ~_refused(axis, column)
     rows = []
     for i, (value, ok) in enumerate(zip(column.tolist(), admitted.tolist())):
         if ok:

@@ -368,8 +368,9 @@ def _sweep_arrays(
 
     Returns the swept values as floats, the probe detuning, the four flux
     fractions as float64 arrays (a row out of the real-part formula's range
-    carries the scalar kernel's floats; an error row's fractions mean nothing) and the
-    message of each error row by row index, in ascending order.
+    carries the scalar kernel's floats; an error row's fractions mean
+    nothing) and the message of each error row by row index, in ascending
+    order.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -412,10 +413,10 @@ def parameter_sweep(
     ``flux_budget`` uses, with no ``SystemParams`` built.  A row outside that
     formula's range (tau = 0, subnormal rates, rates beyond 2^250 rad/s) is
     evaluated again on its own floats by the scalar kernel, which takes the
-    complex amplitudes there.  Invalid points (for example a non-positive gamma) do not
-    abort the sweep; the offending row carries the message ``SystemParams``
-    or the scalar kernel would raise, and a missing budget.  Row order
-    follows ``values``.
+    complex amplitudes there.  Invalid points (for example a non-positive
+    gamma) do not abort the sweep; the offending row carries the message
+    ``SystemParams`` or the scalar kernel would raise, and a missing budget.
+    Row order follows ``values``.
 
     Every value must be a real number (strings are not parsed); all are
     checked before any row is evaluated, and the first that is not raises
